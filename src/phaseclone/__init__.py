@@ -5,7 +5,7 @@ fidelities, re-derive the optimum numerically, and audit every claimed
 invariant. See :mod:`phaseclone.cli` for the command-line front end.
 """
 
-from .audit import AuditReport, CheckResult, check_covariance_structure, run_audit
+from .audit import AuditReport, CheckResult, run_audit
 from .cloner import (
     CloningMachine,
     FidelityReport,
@@ -26,13 +26,9 @@ from .linalg import (
     DensityMatrix,
     DimensionError,
     Ket,
-    dagger,
     fidelity_pure,
     frobenius_distance,
-    kron,
-    outer,
     partial_trace,
-    trace,
 )
 from .optimize import ConvergenceError, SweepTable, maximize_fidelity, sweep_alpha, verify_optimum
 from .states import (
@@ -40,7 +36,6 @@ from .states import (
     PhaseVector,
     UnsupportedDimensionError,
     is_prime,
-    is_unbiased,
     mub_basis,
     mub_state,
     phase_state,
@@ -49,7 +44,7 @@ from .states import (
     symmetric_pair,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AuditReport",
@@ -67,22 +62,17 @@ __all__ = [
     "SweepTable",
     "UnsupportedDimensionError",
     "build_machine",
-    "check_covariance_structure",
     "clone_state",
-    "dagger",
     "fidelity_closed_form",
     "fidelity_pure",
     "fidelity_report",
     "frobenius_distance",
     "is_prime",
-    "is_unbiased",
-    "kron",
     "maximize_fidelity",
     "mub_basis",
     "mub_state",
     "optimal_fidelity",
     "optimal_params",
-    "outer",
     "partial_trace",
     "phase_state",
     "random_phase_vector",
@@ -93,7 +83,6 @@ __all__ = [
     "standard_basis",
     "sweep_alpha",
     "symmetric_pair",
-    "trace",
     "uqcm_fidelity",
     "verify_optimum",
 ]

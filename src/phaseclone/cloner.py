@@ -110,24 +110,19 @@ def _fill_isometry(d: int, alpha: float, beta: float) -> np.ndarray:
 def build_machine(d: int, alpha: float, beta: float) -> CloningMachine:
     """Materialize the cloning isometry for given dimension and parameter split.
 
-    alpha and beta must be nonnegative reals with alpha^2 + beta^2 within
+    alpha and beta must be nonnegative reals (not NaN) with alpha^2 + beta^2 within
     1e-9 of 1; they are renormalized internally so the stored pair satisfies
     the constraint to better than 1e-15. Anything further off is rejected.
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    if alpha < 0.0 or beta < 0.0:
+    if not (alpha >= 0.0 and beta >= 0.0):
         raise ValueError(f"alpha and beta must be nonnegative, got ({alpha!r}, {beta!r})")
     norm2 = alpha * alpha + beta * beta
     if abs(norm2 - 1.0) > PARAM_NORM_TOL:
         raise ValueError(f"alpha^2 + beta^2 = {norm2!r} is not within {PARAM_NORM_TOL} of 1")
     scale = math.sqrt(norm2)
     alpha, beta = alpha / scale, beta / scale
-    return CloningMachine(d, alpha, beta, _fill_isometry(d, alpha, beta))
-
-
-def _build_unchecked(d: int, alpha: float, beta: float) -> CloningMachine:
-    """Deliberately skip parameter validation (audit sensitivity hook only)."""
     return CloningMachine(d, alpha, beta, _fill_isometry(d, alpha, beta))
 
 

@@ -113,37 +113,6 @@ class DensityMatrix:
         return self
 
 
-def kron(a, b):
-    """Tensor product of two Kets or two DensityMatrices (row-major layout).
-
-    The factor list of the result is the concatenation of the operands'
-    factor lists, so downstream code can address factors positionally.
-    """
-    if isinstance(a, Ket) and isinstance(b, Ket):
-        return Ket(a.dims + b.dims, np.kron(a.amps, b.amps))
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(a.dims + b.dims, np.kron(a.mat, b.mat))
-    raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
-
-
-def outer(psi: Ket) -> DensityMatrix:
-    """Rank-one density matrix |psi><psi| of a normalized Ket."""
-    psi.require_normalized()
-    return DensityMatrix(psi.dims, np.outer(psi.amps, psi.amps.conj()))
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
-
-
-def trace(m: np.ndarray) -> complex:
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"trace needs a square matrix, got shape {m.shape}")
-    return complex(np.trace(m))
-
-
 def frobenius_distance(a, b) -> float:
     """Frobenius norm of the elementwise difference ``||a - b||_F``."""
     a, b = np.asarray(a), np.asarray(b)
@@ -186,8 +155,8 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 def fidelity_pure(psi: Ket, rho: DensityMatrix) -> float:
     """Overlap <psi|rho|psi> between a normalized pure state and a density matrix.
 
-    The value is returned as a real number; a residual imaginary part larger
-    than 1e-12 indicates a malformed (non-Hermitian) input and raises.
+    The value is returned as a real number; a residual imaginary part of
+    ``EQ_TOL`` or more indicates a malformed (non-Hermitian) input and raises.
     """
     if psi.total_dim != rho.total_dim:
         raise DimensionError(
@@ -195,6 +164,6 @@ def fidelity_pure(psi: Ket, rho: DensityMatrix) -> float:
         )
     psi.require_normalized()
     value = complex(psi.amps.conj() @ rho.mat @ psi.amps)
-    if abs(value.imag) >= 1e-12:
+    if abs(value.imag) >= EQ_TOL:
         raise ValueError(f"<psi|rho|psi> has non-negligible imaginary part: {value!r}")
     return value.real

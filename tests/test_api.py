@@ -1,0 +1,84 @@
+"""The public surface: ``phaseclone.__all__`` and every name the benchmark's tracer wraps.
+
+``perfbench/tracer.py`` patches functions and methods by name; the test
+reads its ``FUNCTIONS`` and ``METHODS`` tables without importing it, so
+deleting or renaming a traced name fails here rather than in a traced
+benchmark run.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import phaseclone
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+PUBLIC = {
+    "AuditReport",
+    "CheckResult",
+    "CloningMachine",
+    "ConvergenceError",
+    "DensityMatrix",
+    "DimensionError",
+    "EQ_TOL",
+    "FidelityReport",
+    "Ket",
+    "MubLabel",
+    "PSD_TOL",
+    "PhaseVector",
+    "SweepTable",
+    "UnsupportedDimensionError",
+    "build_machine",
+    "clone_state",
+    "fidelity_closed_form",
+    "fidelity_pure",
+    "fidelity_report",
+    "frobenius_distance",
+    "is_prime",
+    "maximize_fidelity",
+    "mub_basis",
+    "mub_state",
+    "optimal_fidelity",
+    "optimal_params",
+    "partial_trace",
+    "phase_state",
+    "random_phase_vector",
+    "reduced_clone",
+    "run_audit",
+    "shrink_factor",
+    "simulate_fidelity",
+    "standard_basis",
+    "sweep_alpha",
+    "symmetric_pair",
+    "uqcm_fidelity",
+    "verify_optimum",
+}
+
+
+def tracer_table(name):
+    """The literal value assigned to ``name`` at the top level of the tracer."""
+    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} not found in {TRACER}")
+
+
+def test_all_is_the_agreed_public_set():
+    assert len(phaseclone.__all__) == len(set(phaseclone.__all__))
+    assert set(phaseclone.__all__) == PUBLIC
+
+
+def test_every_public_name_resolves():
+    for name in phaseclone.__all__:
+        assert getattr(phaseclone, name) is not None, name
+
+
+def test_every_traced_name_exists():
+    for layer, functions in tracer_table("FUNCTIONS").items():
+        module = importlib.import_module(f"phaseclone.{layer}")
+        for fn in functions:
+            assert callable(getattr(module, fn, None)), f"phaseclone.{layer}.{fn}"
+    for layer, cls, method in tracer_table("METHODS").values():
+        owner = getattr(importlib.import_module(f"phaseclone.{layer}"), cls)
+        assert callable(getattr(owner, method, None)), f"phaseclone.{layer}.{cls}.{method}"

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from phaseclone.audit import AuditReport, check_covariance_structure, run_audit
+from phaseclone.audit import AuditReport, run_audit
 from phaseclone.cloner import build_machine, clone_state, optimal_params, reduced_clone
-from phaseclone.states import PhaseVector, phase_state
+from phaseclone.linalg import frobenius_distance
+from phaseclone.states import PhaseVector, phase_state, random_phase_vector
 
 EQ_CHECKS = {
     "isometry_unitarity",
@@ -59,6 +60,12 @@ class TestRunAudit:
         assert by_name["mub_unbiasedness"].residual < 1e-10
         assert by_name["mub_cloning_uniformity"].residual < 1e-12
 
+    def test_mub_checks_cover_every_odd_prime(self):
+        report = run_audit(d_max=17, n_random=1, seed=0)
+        mub = [c for c in report.checks if c.name.startswith("mub_")]
+        assert [c.d_range for c in mub] == ["3;5;7;11;13;17"] * 2
+        assert all(c.passed for c in mub)
+
     def test_mub_checks_absent_below_three(self):
         report = run_audit(d_max=2, n_random=2, seed=0)
         names = {c.name for c in report.checks}
@@ -98,13 +105,20 @@ class TestRunAudit:
 
 class TestCovarianceStructure:
     def test_residual_below_tolerance(self):
-        for d in (2, 3, 5):
-            alpha, beta = optimal_params(d)
-            assert check_covariance_structure(d, alpha, beta, n_random=10, seed=4) < 1e-12
+        report = run_audit(d_max=5, n_random=10, seed=4)
+        row = next(c for c in report.checks if c.name == "phase_covariance")
+        assert row.d_range == "2..5"
+        assert row.residual < 1e-12
 
     def test_beta_zero_is_trivially_covariant(self):
-        # both sides are I/d for every phase vector
-        assert check_covariance_structure(3, 1.0, 0.0, n_random=5, seed=0) < 1e-14
+        # both sides of reduced(rho(phi)) = U_phi reduced(rho(0)) U_phi^dag are I/d
+        machine = build_machine(3, 1.0, 0.0)
+        red0 = reduced_clone(clone_state(machine, phase_state(PhaseVector(3, (0.0,) * 3)))).mat
+        for seed in range(5):
+            pv = random_phase_vector(3, seed)
+            red = reduced_clone(clone_state(machine, phase_state(pv))).mat
+            u = np.diag(np.exp(1j * np.array(pv.phases)))
+            assert frobenius_distance(red, u @ red0 @ u.conj().T) < 1e-14
 
     def test_d2_pi_phase_flips_off_diagonal_sign(self):
         machine = build_machine(2, *optimal_params(2))

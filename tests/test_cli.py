@@ -71,6 +71,11 @@ class TestTable:
         code, _, _ = run_cli(capsys, "table", "--d-min", "2", "--d-max", "65")
         assert code == 2
 
+    def test_negative_seed_exits_2_with_usage(self, capsys):
+        code, _, err = run_cli(capsys, "table", "--d-min", "2", "--d-max", "3", "--seed", "-1")
+        assert code == 2
+        assert "usage" in err and "verification failed" not in err
+
 
 class TestSweep:
     def test_five_point_endpoints(self, capsys):
@@ -139,6 +144,11 @@ class TestVerify:
         assert all(len(line.split(",")) == width for line in lines)
         assert any(",3;5," in line for line in lines)
 
+    def test_negative_seed_exits_2_with_usage(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--d-max", "2", "--trials", "1", "--seed", "-1")
+        assert code == 2
+        assert "usage" in err and "Traceback" not in err
+
     def test_bad_arguments_exit_2(self, capsys):
         assert run_cli(capsys, "verify", "--d-max", "1")[0] == 2
         assert run_cli(capsys, "verify", "--d-max", "70")[0] == 2
@@ -190,6 +200,19 @@ class TestOutputHandling:
         run_cli(capsys, "sweep", "--d", "3", "--points", "7", "--output", str(path))
         _, out, _ = run_cli(capsys, "sweep", "--d", "3", "--points", "7")
         assert out == path.read_text(encoding="utf-8")
+
+    def test_output_in_missing_directory_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "table.csv"
+        code, out, err = run_cli(capsys, "table", "--d-min", "2", "--d-max", "3", "--output", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and str(path) in err and "No such file or directory" in err
+
+    def test_output_that_is_a_directory_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "sweep", "--d", "3", "--points", "3", "--output", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "Is a directory" in err
 
     def test_unknown_command_exits_2(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2

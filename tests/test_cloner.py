@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from phaseclone.cloner import (
+    CloningMachine,
     FidelityReport,
-    _build_unchecked,
     build_machine,
     clone_state,
     fidelity_closed_form,
@@ -118,6 +118,9 @@ class TestBuildMachine:
             build_machine(2, 0.8, 0.7)  # norm off by ~0.13
         with pytest.raises(ValueError):
             build_machine(2, -INV_SQRT2, INV_SQRT2)
+        for alpha, beta in [(math.nan, 1.0), (1.0, math.nan)]:
+            with pytest.raises(ValueError, match="nonnegative"):
+                build_machine(3, alpha, beta)
 
 
 class TestCloneState:
@@ -358,7 +361,7 @@ class TestFidelityReport:
 class TestCorruptionSensitivity:
     def test_unnormalized_machine_fails_the_isometry_check(self):
         alpha, beta = optimal_params(3)
-        bad = _build_unchecked(3, alpha * math.sqrt(0.9), beta * math.sqrt(0.9))
+        bad = CloningMachine(3, alpha, beta, build_machine(3, alpha, beta).isometry * math.sqrt(0.9))
         # V^dag V = 0.9 I, so the residual is 0.1 * sqrt(d), far above tolerance
         assert bad.unitarity_residual() == pytest.approx(0.1 * math.sqrt(3), abs=1e-12)
         assert bad.unitarity_residual() > 1e-12

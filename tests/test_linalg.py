@@ -6,18 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phaseclone.cloner import build_machine, optimal_params
-from phaseclone.linalg import (
-    DensityMatrix,
-    DimensionError,
-    Ket,
-    dagger,
-    fidelity_pure,
-    frobenius_distance,
-    kron,
-    outer,
-    partial_trace,
-    trace,
-)
+from phaseclone.linalg import DensityMatrix, DimensionError, Ket, fidelity_pure, frobenius_distance, partial_trace
 
 INV_SQRT8 = 0.35355339059327373  # sqrt(1/8)
 
@@ -34,67 +23,28 @@ def random_ket(d, seed):
     return Ket((d,), amps / np.linalg.norm(amps))
 
 
-class TestKron:
-    def test_basis_vectors(self):
-        out = kron(basis_ket(2, 0), basis_ket(3, 1))
-        assert out.dims == (2, 3)
-        expected = np.zeros(6)
-        expected[1] = 1.0  # row-major: (0, 1) -> 0*3 + 1
-        np.testing.assert_array_equal(out.amps, expected)
+def pure(psi):
+    """|psi><psi| over the factors of psi."""
+    return DensityMatrix(psi.dims, np.outer(psi.amps, psi.amps.conj()))
 
-    def test_identity_matrices(self):
-        i2 = DensityMatrix((2,), np.eye(2) / 2)
-        i3 = DensityMatrix((3,), np.eye(3) / 3)
-        out = kron(i2, i3)
-        assert out.dims == (2, 3)
-        np.testing.assert_array_equal(out.mat, np.eye(6) / 6)
 
-    def test_distributes_over_superposition(self):
-        plus = Ket((2,), np.array([1, 1]) / math.sqrt(2))
-        out = kron(plus, basis_ket(2, 0))
-        expected = np.zeros(4, dtype=complex)
-        expected[0] = expected[2] = 1 / math.sqrt(2)
-        np.testing.assert_array_equal(out.amps, expected)
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(TypeError):
-            kron(basis_ket(2, 0), DensityMatrix((2,), np.eye(2) / 2))
-
-    def test_associative_exactly_on_dyadic_amplitudes(self):
-        # dyadic-rational amplitudes multiply without rounding, so the two
-        # association orders must agree bit for bit
-        a = Ket((2,), np.array([0.5, 0.25 + 0.5j]))
-        b = Ket((2,), np.array([1.0, -0.75j]))
-        c = Ket((3,), np.array([0.5, 2.0, 0.125 + 1.0j]))
-        lhs = kron(kron(a, b), c)
-        rhs = kron(a, kron(b, c))
-        assert lhs.dims == rhs.dims == (2, 2, 3)
-        np.testing.assert_array_equal(lhs.amps, rhs.amps)
-
-    @given(st.integers(0, 1000))
-    @settings(max_examples=50, deadline=None)
-    def test_associative_to_roundoff_on_random_amplitudes(self, seed):
-        a, b, c = random_ket(2, seed), random_ket(3, seed + 1), random_ket(2, seed + 2)
-        lhs = kron(kron(a, b), c)
-        rhs = kron(a, kron(b, c))
-        assert np.abs(lhs.amps - rhs.amps).max() < 2e-15
-
-    def test_factor_order_is_concatenation(self):
-        out = kron(kron(basis_ket(2, 1), basis_ket(3, 2)), basis_ket(2, 0))
-        assert out.dims == (2, 3, 2)
-        # |1>|2>|0> sits at (1*3 + 2)*2 + 0
-        assert out.amps[(1 * 3 + 2) * 2] == 1.0
+def product(*rhos):
+    """Tensor product of density matrices, factors concatenated in order."""
+    mat = np.ones((1, 1))
+    for rho in rhos:
+        mat = np.kron(mat, rho.mat)
+    return DensityMatrix(sum((rho.dims for rho in rhos), ()), mat)
 
 
 class TestPartialTrace:
     def test_product_state(self):
-        rho = kron(outer(basis_ket(2, 0)), outer(basis_ket(2, 1)))
+        rho = product(pure(basis_ket(2, 0)), pure(basis_ket(2, 1)))
         red = partial_trace(rho, keep=(0,))
         np.testing.assert_allclose(red.mat, np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_bell_state_is_maximally_mixed(self):
         bell = Ket((2, 2), np.array([1, 0, 0, 1]) / math.sqrt(2))
-        red = partial_trace(outer(bell), keep=(0,))
+        red = partial_trace(pure(bell), keep=(0,))
         np.testing.assert_allclose(red.mat, np.eye(2) / 2, atol=1e-15)
 
     def test_three_factor_cloner_output(self):
@@ -103,7 +53,7 @@ class TestPartialTrace:
         machine = build_machine(2, *optimal_params(2))
         psi = Ket((2,), np.array([1, 1]) / math.sqrt(2))
         full = Ket((2, 2, 2), machine.isometry @ psi.amps)
-        red = partial_trace(outer(full), keep=(0,))
+        red = partial_trace(pure(full), keep=(0,))
         expected = np.array([[0.5, INV_SQRT8], [INV_SQRT8, 0.5]])
         np.testing.assert_allclose(red.mat, expected, atol=1e-12)
 
@@ -112,32 +62,32 @@ class TestPartialTrace:
         rho = DensityMatrix((3, 4), np.outer(psi.amps, psi.amps.conj()))
         for keep in [(0,), (1,)]:
             red = partial_trace(rho, keep=keep)
-            assert abs(trace(red.mat) - 1.0) < 1e-12
+            assert abs(np.trace(red.mat) - 1.0) < 1e-12
 
     @given(st.integers(0, 500), st.integers(2, 4), st.integers(2, 4))
     @settings(max_examples=50, deadline=None)
     def test_product_state_reduces_to_first_factor(self, seed, da, db):
         psi, phi = random_ket(da, seed), random_ket(db, seed + 7)
-        red = partial_trace(outer(kron(psi, phi)), keep=(0,))
-        np.testing.assert_allclose(red.mat, outer(psi).mat, atol=1e-12)
+        red = partial_trace(product(pure(psi), pure(phi)), keep=(0,))
+        np.testing.assert_allclose(red.mat, pure(psi).mat, atol=1e-12)
 
     def test_keep_must_be_proper_nonempty_subset(self):
-        rho = kron(outer(basis_ket(2, 0)), outer(basis_ket(2, 0)))
+        rho = product(pure(basis_ket(2, 0)), pure(basis_ket(2, 0)))
         for keep in [(), (0, 1), (2,), (-1,)]:
             with pytest.raises(DimensionError):
                 partial_trace(rho, keep=keep)
 
     def test_kept_factors_stay_in_order(self):
-        rho = kron(kron(outer(basis_ket(2, 1)), outer(basis_ket(3, 0))), outer(basis_ket(2, 0)))
+        rho = product(pure(basis_ket(2, 1)), pure(basis_ket(3, 0)), pure(basis_ket(2, 0)))
         red = partial_trace(rho, keep=(0, 2))
         assert red.dims == (2, 2)
-        np.testing.assert_allclose(red.mat, kron(outer(basis_ket(2, 1)), outer(basis_ket(2, 0))).mat, atol=1e-15)
+        np.testing.assert_allclose(red.mat, product(pure(basis_ket(2, 1)), pure(basis_ket(2, 0))).mat, atol=1e-15)
 
 
 class TestFidelityPure:
     def test_identical_pure_states(self):
         psi = random_ket(5, 1)
-        assert fidelity_pure(psi, outer(psi)) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity_pure(psi, pure(psi)) == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed(self):
         psi = random_ket(4, 2)
@@ -148,12 +98,12 @@ class TestFidelityPure:
         machine = build_machine(2, *optimal_params(2))
         psi = Ket((2,), np.array([1, 1]) / math.sqrt(2))
         full = Ket((2, 2, 2), machine.isometry @ psi.amps)
-        red = partial_trace(outer(full), keep=(0,))
+        red = partial_trace(pure(full), keep=(0,))
         assert fidelity_pure(psi, red) == pytest.approx(0.5 + math.sqrt(0.125), abs=1e-12)
 
     def test_invariant_under_global_phase(self):
         psi = random_ket(6, 3)
-        rho = DensityMatrix((6,), np.eye(6) / 6 * 0.5 + 0.5 * outer(psi).mat)
+        rho = DensityMatrix((6,), np.eye(6) / 6 * 0.5 + 0.5 * pure(psi).mat)
         rotated = Ket(psi.dims, np.exp(1j * 0.9) * psi.amps)
         assert abs(fidelity_pure(psi, rho) - fidelity_pure(rotated, rho)) < 1e-15
 
@@ -168,13 +118,6 @@ class TestFidelityPure:
 
 
 class TestSmallOps:
-    def test_trace_identity(self):
-        assert trace(np.eye(4)) == 4.0
-
-    def test_trace_needs_square(self):
-        with pytest.raises(DimensionError):
-            trace(np.ones((2, 3)))
-
     def test_frobenius_distance_to_self(self):
         m = np.arange(9).reshape(3, 3) + 1j
         assert frobenius_distance(m, m) == 0.0
@@ -183,20 +126,8 @@ class TestSmallOps:
         with pytest.raises(DimensionError):
             frobenius_distance(np.eye(2), np.eye(3))
 
-    def test_dagger(self):
-        m = np.array([[1, 2j], [3, 4]])
-        np.testing.assert_array_equal(dagger(m), np.array([[1, 3], [-2j, 4]]))
-
-    def test_outer_basis_state(self):
-        np.testing.assert_array_equal(outer(basis_ket(2, 0)).mat, np.diag([1.0, 0.0]))
-
     def test_outer_satisfies_density_invariants(self):
-        rho = outer(random_ket(7, 9))
-        rho.validate()
-
-    def test_outer_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            outer(Ket((2,), np.array([1.0, 1.0])))
+        pure(random_ket(7, 9)).validate()
 
 
 class TestDomainTypes:

@@ -12,7 +12,6 @@ from phaseclone.states import (
     UnsupportedDimensionError,
     gram_residual,
     is_prime,
-    is_unbiased,
     mub_basis,
     mub_state,
     phase_state,
@@ -181,24 +180,40 @@ class TestStandardBasisAndUnbiasedness:
     def test_textbook_qubit_pair(self):
         plus = Ket((2,), np.array([1, 1]) / math.sqrt(2))
         minus = Ket((2,), np.array([1, -1]) / math.sqrt(2))
-        assert is_unbiased(standard_basis(2), [plus, minus])
+        assert unbiasedness_residual(standard_basis(2), [plus, minus]) < 1e-10
 
     def test_basis_not_unbiased_with_itself(self):
-        assert not is_unbiased(standard_basis(2), standard_basis(2))
+        # |<e_j|e_j>|^2 = 1 is the worst overlap: 1 - 1/d away from unbiased
+        for d in (2, 3, 5):
+            assert unbiasedness_residual(standard_basis(d), standard_basis(d)) == 1.0 - 1.0 / d
 
     def test_d5_family_all_pairs(self):
         bases = [mub_basis(5, l) for l in range(5)] + [standard_basis(5)]
         for i in range(len(bases)):
             for k in range(i + 1, len(bases)):
-                assert is_unbiased(bases[i], bases[k], tol=1e-10)
+                assert unbiasedness_residual(bases[i], bases[k]) < 1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            is_unbiased(standard_basis(2), standard_basis(3))
+            unbiasedness_residual(standard_basis(2), standard_basis(3))
 
     def test_empty_basis_rejected(self):
-        with pytest.raises(ValueError):
-            is_unbiased([], standard_basis(2))
+        for a, b in [([], standard_basis(2)), (standard_basis(2), [])]:
+            with pytest.raises(ValueError):
+                unbiasedness_residual(a, b)
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_matrix_residuals_match_pairwise_vdot(self, d):
+        # the residuals are matrix products; a per-pair vdot loop is the
+        # reference, and the summation order may differ in the last ulps
+        bases = [mub_basis(d, l) for l in range(d)] + [standard_basis(d)]
+        ulps = 4 * np.finfo(float).eps
+        for a in bases:
+            gram = max(abs(np.vdot(x.amps, y.amps) - (i == j)) for i, x in enumerate(a) for j, y in enumerate(a))
+            assert abs(gram_residual(a) - gram) <= ulps
+            for b in bases:
+                worst = max(abs(abs(np.vdot(x.amps, y.amps)) ** 2 - 1.0 / d) for x in a for y in b)
+                assert abs(unbiasedness_residual(a, b) - worst) <= ulps
 
 
 @pytest.mark.parametrize(
