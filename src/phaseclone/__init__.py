@@ -1,6 +1,6 @@
 """Simulation and verification toolkit for 1-to-2 phase-covariant cloning of qudits.
 
-Build the cloning isometry, run it by brute force, evaluate the closed-form
+Build the cloning machine, run it by brute force, evaluate the closed-form
 fidelities, re-derive the optimum numerically, and audit every claimed
 invariant. See :mod:`phaseclone.cli` for the command-line front end.
 """
@@ -30,7 +30,7 @@ from .linalg import (
     frobenius_distance,
     partial_trace,
 )
-from .optimize import ConvergenceError, SweepTable, maximize_fidelity, sweep_alpha, verify_optimum
+from .optimize import ConvergenceError, SweepTable, maximize_fidelity, sweep_alpha
 from .states import (
     MubLabel,
     PhaseVector,
@@ -44,7 +44,7 @@ from .states import (
     symmetric_pair,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "AuditReport",
@@ -84,5 +84,4 @@ __all__ = [
     "sweep_alpha",
     "symmetric_pair",
     "uqcm_fidelity",
-    "verify_optimum",
 ]

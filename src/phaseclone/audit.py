@@ -59,16 +59,22 @@ COUNT_TOL = 0.5  # violation-count checks pass iff the count is zero
 class CheckResult:
     name: str
     d_range: str
-    passed: bool
     residual: float
     tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return self.residual < self.tolerance
 
 
 @dataclass(frozen=True)
 class AuditReport:
     checks: list[CheckResult]
     seed: int
-    overall: bool
+
+    @property
+    def overall(self) -> bool:
+        return all(c.passed for c in self.checks)
 
     def to_rows(self) -> list[dict]:
         return [
@@ -81,18 +87,6 @@ class AuditReport:
             }
             for c in self.checks
         ]
-
-
-class _SeedStream:
-    """Deterministic supply of sub-seeds for phase draws, keyed by the audit seed."""
-
-    def __init__(self, seed: int):
-        self.base = seed * 1_000_003
-        self.counter = 0
-
-    def next(self) -> int:
-        self.counter += 1
-        return self.base + self.counter
 
 
 def _random_split(rng: np.random.Generator) -> tuple[float, float]:
@@ -129,9 +123,10 @@ def mub_worst(d: int, rows: list[dict]) -> tuple[float, float]:
 def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> AuditReport:
     """Execute the full check suite for d = 2..d_max and assemble the report.
 
-    ``corrupt`` forces an unnormalized machine (the optimal isometry scaled
-    by sqrt(0.9), so V^dag V = 0.9 I) into the isometry check; the resulting failure demonstrates that the
-    suite actually has teeth. Failures are recorded, never raised.
+    ``corrupt`` adds an unnormalized machine (the optimal split scaled by
+    sqrt(0.9), so V^dag V = 0.9 I) to the unitarity check; the resulting
+    failure demonstrates that the suite actually has teeth. Failures are
+    recorded, never raised.
     """
     if d_max < 2:
         raise ValueError(f"d_max must be >= 2, got {d_max}")
@@ -139,22 +134,13 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
         raise ValueError(f"n_random must be >= 1, got {n_random}")
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    seeds = _SeedStream(seed)
+    seeds = itertools.count(seed * 1_000_003 + 1)  # sub-seeds of the phase draws
     dims = range(2, d_max + 1)
     d_range = f"2..{d_max}"
     checks: list[CheckResult] = []
 
     def record(name: str, residual: float, tolerance: float, rng_label: str = ""):
-        residual = float(residual)
-        checks.append(
-            CheckResult(
-                name=name,
-                d_range=rng_label or d_range,
-                passed=residual < tolerance,
-                residual=residual,
-                tolerance=tolerance,
-            )
-        )
+        checks.append(CheckResult(name, rng_label or d_range, float(residual), tolerance))
 
     # Per-d machine grid: the optimum plus n_random points on the parameter circle.
     grids: dict[int, list[CloningMachine]] = {}
@@ -164,14 +150,14 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
             grid.append(build_machine(d, *_random_split(rng)))
         grids[d] = grid
 
-    # isometry unitarity (the corrupted machine, when injected, must trip this)
+    # V^dag V = I (the corrupted machine, when injected, must trip this)
     worst = 0.0
     for d in dims:
         for machine in grids[d]:
             worst = max(worst, machine.unitarity_residual())
         if corrupt:
             opt = grids[d][0]
-            bad = CloningMachine(d, opt.alpha, opt.beta, opt.isometry * math.sqrt(0.9))
+            bad = CloningMachine(d, opt.alpha * math.sqrt(0.9), opt.beta * math.sqrt(0.9))
             worst = max(worst, bad.unitarity_residual())
     record("isometry_unitarity", worst, EQ_TOL)
 
@@ -181,7 +167,7 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
         for machine in grids[d]:
             fidelities = []
             for _ in range(max(2, n_random)):
-                pv = random_phase_vector(d, seeds.next())
+                pv = random_phase_vector(d, next(seeds))
                 psi = phase_state(pv)
                 rho_out = clone_state(machine, psi)
 
@@ -192,7 +178,7 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
                 worst_valid = max(worst_valid, herm, tr_err, max(0.0, -min_eig))
 
                 # the two clones are interchangeable
-                red_a = partial_trace(rho_out, keep=(0,)).mat
+                red_a = reduced_clone(rho_out).mat
                 red_b = partial_trace(rho_out, keep=(1,)).mat
                 worst_sym = max(worst_sym, frobenius_distance(red_a, red_b))
 
@@ -228,7 +214,7 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
         machine = grids[d][0]
         red0 = reduced_clone(clone_state(machine, phase_state(PhaseVector(d, (0.0,) * d)))).mat
         for _ in range(n_random):
-            pv = random_phase_vector(d, seeds.next())
+            pv = random_phase_vector(d, next(seeds))
             red = reduced_clone(clone_state(machine, phase_state(pv))).mat
             u = np.diag(np.exp(1j * np.array(pv.phases)))
             worst = max(worst, frobenius_distance(red, u @ red0 @ u.conj().T))
@@ -271,7 +257,7 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
     worst = 0.0
     for d in dims:
         for _ in range(n_random):
-            psi = phase_state(random_phase_vector(d, seeds.next()))
+            psi = phase_state(random_phase_vector(d, next(seeds)))
             worst = max(worst, float(np.abs(np.abs(psi.amps) - 1.0 / math.sqrt(d)).max()))
     record("phase_state_modulus", worst, EQ_TOL)
 
@@ -292,4 +278,4 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
         record("mub_unbiasedness", max(worst_basis), UNBIASED_TOL, label)
         record("mub_cloning_uniformity", max(worst_uniform), EQ_TOL, label)
 
-    return AuditReport(checks=checks, seed=seed, overall=all(c.passed for c in checks))
+    return AuditReport(checks=checks, seed=seed)

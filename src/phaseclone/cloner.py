@@ -29,33 +29,61 @@ brute force so the two routes can be checked against each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import EQ_TOL, DensityMatrix, DimensionError, Ket, fidelity_pure, partial_trace
 from .states import phase_state, random_phase_vector
 
-PARAM_NORM_TOL = 1e-9  # max |alpha^2 + beta^2 - 1| accepted (then renormalized)
+PARAM_NORM_TOL = 1e-9  # max |alpha^2 + beta^2 - 1| accepted
+
+
+def _check_domain(
+    d: int, alpha: float | None = None, beta: float | None = None, norm_tol: float = PARAM_NORM_TOL
+) -> None:
+    """Reject d < 2 and, when given, a split that is negative, NaN or off the unit circle by more than ``norm_tol``.
+
+    Never renormalizes: a split that passes is used exactly as given.
+    """
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
+    if alpha is None:
+        return
+    if not (alpha >= 0.0 and beta >= 0.0):
+        raise ValueError(f"alpha and beta must be nonnegative, got ({alpha!r}, {beta!r})")
+    norm2 = alpha * alpha + beta * beta
+    if abs(norm2 - 1.0) > norm_tol:
+        raise ValueError(f"alpha^2 + beta^2 = {norm2!r} is not within {norm_tol} of 1")
 
 
 @dataclass(frozen=True)
 class CloningMachine:
-    """Dimension, the (alpha, beta) split, and the materialized d^3-by-d isometry.
+    """The machine is its dimension and its (alpha, beta) split; the isometry is derived from them.
 
-    Column j of the isometry is the image of input basis state |j>; rows are
-    indexed by (clone A, clone B, ancilla) in the fixed tensor convention.
+    ``isometry`` is the read-only d^3-by-d matrix built once at construction.
+    Column j is the image of input basis state |j>; rows are indexed by
+    (clone A, clone B, ancilla) in the fixed tensor convention. Machines
+    compare and hash by ``(d, alpha, beta)``. The constructor checks d and
+    the signs but not alpha^2 + beta^2 = 1, so an unnormalized machine can
+    be built on purpose; :func:`build_machine` is the checked entry point.
     """
 
     d: int
     alpha: float
     beta: float
-    isometry: np.ndarray
+    isometry: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        iso = np.array(self.isometry, dtype=np.complex128, copy=True)
-        if iso.shape != (self.d**3, self.d):
-            raise DimensionError(f"isometry shape {iso.shape}, expected {(self.d**3, self.d)}")
+        d = self.d
+        _check_domain(d, self.alpha, self.beta, norm_tol=math.inf)
+        j, l = np.nonzero(~np.eye(d, dtype=bool))  # every ordered pair j != l
+        cols = np.arange(d)
+        iso = np.zeros((d**3, d), dtype=np.complex128)
+        iso[cols * (d * d + d + 1), cols] = self.alpha  # |jj>|R_j>
+        off = self.beta / math.sqrt(2.0 * (d - 1))
+        iso[(j * d + l) * d + l, j] = off  # |jl>|R_l>
+        iso[(l * d + j) * d + l, j] = off  # |lj>|R_l>
         iso.setflags(write=False)
         object.__setattr__(self, "isometry", iso)
 
@@ -95,35 +123,16 @@ class FidelityReport:
                 raise ValueError(f"{name} = {value!r} outside [0, 1]")
 
 
-def _fill_isometry(d: int, alpha: float, beta: float) -> np.ndarray:
-    v = np.zeros((d**3, d), dtype=np.complex128)
-    off = beta / math.sqrt(2.0 * (d - 1))
-    for j in range(d):
-        v[(j * d + j) * d + j, j] = alpha
-        for l in range(d):
-            if l != j:
-                v[(j * d + l) * d + l, j] += off
-                v[(l * d + j) * d + l, j] += off
-    return v
-
-
 def build_machine(d: int, alpha: float, beta: float) -> CloningMachine:
-    """Materialize the cloning isometry for given dimension and parameter split.
+    """The cloning machine for given dimension and parameter split.
 
     alpha and beta must be nonnegative reals (not NaN) with alpha^2 + beta^2 within
     1e-9 of 1; they are renormalized internally so the stored pair satisfies
     the constraint to better than 1e-15. Anything further off is rejected.
     """
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    if not (alpha >= 0.0 and beta >= 0.0):
-        raise ValueError(f"alpha and beta must be nonnegative, got ({alpha!r}, {beta!r})")
-    norm2 = alpha * alpha + beta * beta
-    if abs(norm2 - 1.0) > PARAM_NORM_TOL:
-        raise ValueError(f"alpha^2 + beta^2 = {norm2!r} is not within {PARAM_NORM_TOL} of 1")
-    scale = math.sqrt(norm2)
-    alpha, beta = alpha / scale, beta / scale
-    return CloningMachine(d, alpha, beta, _fill_isometry(d, alpha, beta))
+    _check_domain(d, alpha, beta)
+    scale = math.sqrt(alpha * alpha + beta * beta)
+    return CloningMachine(d, alpha / scale, beta / scale)
 
 
 def clone_state(machine: CloningMachine, psi: Ket) -> DensityMatrix:
@@ -154,7 +163,12 @@ def reduced_clone(rho_out: DensityMatrix) -> DensityMatrix:
 
 
 def fidelity_closed_form(d: int, alpha: float, beta: float) -> float:
-    """F = 1/d + alpha*beta*sqrt(2(d-1))/d + beta^2 (d-2)/(2d)."""
+    """F = 1/d + alpha*beta*sqrt(2(d-1))/d + beta^2 (d-2)/(2d).
+
+    Defined on the domain :func:`build_machine` accepts (d >= 2, a nonnegative
+    split within 1e-9 of the unit circle); anything else raises ValueError.
+    """
+    _check_domain(d, alpha, beta)
     return 1.0 / d + alpha * beta * math.sqrt(2.0 * (d - 1)) / d + beta * beta * (d - 2) / (2.0 * d)
 
 
@@ -164,23 +178,20 @@ def optimal_params(d: int) -> tuple[float, float]:
     alpha = sqrt(1/2 - (d-2) / (2 sqrt(d^2+4d-4))), beta the complementary
     root; alpha <= beta with equality only at d = 2.
     """
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    _check_domain(d)
     shift = (d - 2) / (2.0 * math.sqrt(d * d + 4.0 * d - 4.0))
     return math.sqrt(0.5 - shift), math.sqrt(0.5 + shift)
 
 
 def optimal_fidelity(d: int) -> float:
     """F_opt(d) = 1/d + (d - 2 + sqrt(d^2 + 4d - 4)) / (4d)."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    _check_domain(d)
     return 1.0 / d + (d - 2 + math.sqrt(d * d + 4.0 * d - 4.0)) / (4.0 * d)
 
 
 def uqcm_fidelity(d: int) -> float:
     """Universal-cloner baseline (d+3) / (2(d+1)), the bar the phase cloner beats."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    _check_domain(d)
     return (d + 3.0) / (2.0 * (d + 1.0))
 
 
@@ -188,8 +199,10 @@ def shrink_factor(d: int, alpha: float, beta: float) -> float:
     """eta such that rho_red = eta * rho_in + (1 - eta)/d * I for every phase state.
 
     eta = d*c with c the off-diagonal coefficient of the reduced output:
-    eta = alpha*beta*sqrt(2/(d-1)) + beta^2 (d-2) / (2(d-1)).
+    eta = alpha*beta*sqrt(2/(d-1)) + beta^2 (d-2) / (2(d-1)), on the domain
+    of :func:`fidelity_closed_form`.
     """
+    _check_domain(d, alpha, beta)
     return alpha * beta * math.sqrt(2.0 / (d - 1)) + beta * beta * (d - 2) / (2.0 * (d - 1))
 
 

@@ -24,12 +24,19 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SweepTable:
-    """Fidelity along a uniform alpha grid, plus the grid argmax."""
+    """Fidelity along a uniform alpha grid; the grid maximum is computed from the rows."""
 
     d: int
     rows: list[tuple[float, float, float]]  # (alpha, beta, f_closed), ascending alpha
-    argmax_alpha: float
-    max_f: float
+
+    @property
+    def argmax_alpha(self) -> float:
+        """The first grid alpha where ``max_f`` is reached."""
+        return max(self.rows, key=lambda row: row[2])[0]
+
+    @property
+    def max_f(self) -> float:
+        return max(f for _, _, f in self.rows)
 
 
 def _objective(d: int):
@@ -93,18 +100,12 @@ def sweep_alpha(d: int, n_points: int) -> SweepTable:
         alpha = float(alpha)
         beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
         rows.append((alpha, beta, f(alpha)))
-    best = max(rows, key=lambda row: row[2])
-    return SweepTable(d=d, rows=rows, argmax_alpha=best[0], max_f=best[2])
-
-
-def verify_optimum(d: int, tol: float = 1e-9) -> bool:
-    """Consistency gate: numeric search, analytic optimum and closed form agree pairwise."""
-    return optimum_residual(d) < tol
+    return SweepTable(d=d, rows=rows)
 
 
 def optimum_residual(d: int) -> float:
     """Worst pairwise disagreement between the three routes to the optimal fidelity."""
-    _, f_num = maximize_fidelity(d, tol=1e-12)
+    _, f_num = maximize_fidelity(d)
     f_formula = optimal_fidelity(d)
     f_at_params = fidelity_closed_form(d, *optimal_params(d))
     return max(

@@ -1,4 +1,4 @@
-"""The public surface: ``phaseclone.__all__`` and every name the benchmark's tracer wraps.
+"""The public surface: ``phaseclone.__all__``, the version, and every name the benchmark's tracer wraps.
 
 ``perfbench/tracer.py`` patches functions and methods by name; the test
 reads its ``FUNCTIONS`` and ``METHODS`` tables without importing it, so
@@ -8,11 +8,13 @@ benchmark run.
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import phaseclone
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 PUBLIC = {
     "AuditReport",
@@ -52,7 +54,6 @@ PUBLIC = {
     "sweep_alpha",
     "symmetric_pair",
     "uqcm_fidelity",
-    "verify_optimum",
 }
 
 
@@ -72,6 +73,14 @@ def test_all_is_the_agreed_public_set():
 def test_every_public_name_resolves():
     for name in phaseclone.__all__:
         assert getattr(phaseclone, name) is not None, name
+
+
+def test_version_matches_pyproject():
+    # a regex read: tomllib is not in the standard library before Python 3.11
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert match is not None
+    assert match.group(1) == phaseclone.__version__
 
 
 def test_every_traced_name_exists():

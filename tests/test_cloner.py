@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaseclone.cloner import (
     CloningMachine,
@@ -17,12 +19,25 @@ from phaseclone.cloner import (
     simulate_fidelity,
     uqcm_fidelity,
 )
-from phaseclone.linalg import DimensionError, Ket, partial_trace
+from phaseclone.linalg import EQ_TOL, DimensionError, Ket, partial_trace
 from phaseclone.states import PhaseVector, phase_state, random_phase_vector
 
 INV_SQRT2 = 0.7071067811865476
 INV_SQRT8 = 0.35355339059327373
 OPT4 = 0.7057189138830738  # golden-section maximization of the d=4 objective
+
+
+def isometry_loop_reference(d, alpha, beta):
+    """Reference isometry, filled entry by entry in Python loops straight from the defining sum."""
+    v = np.zeros((d**3, d), dtype=np.complex128)
+    off = beta / math.sqrt(2.0 * (d - 1))
+    for j in range(d):
+        v[(j * d + j) * d + j, j] = alpha
+        for l in range(d):
+            if l != j:
+                v[(j * d + l) * d + l, j] += off
+                v[(l * d + j) * d + l, j] += off
+    return v
 
 
 def two_clone_output_oracle(d, alpha, beta, phases):
@@ -94,6 +109,25 @@ class TestBuildMachine:
                 expected[(j * d + j) * d + j] = 1.0
                 np.testing.assert_array_equal(machine.isometry[:, j], expected)
 
+    def test_derived_isometry_matches_the_loop_reference_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for d in range(2, 17):
+            thetas = rng.uniform(0, math.pi / 2, size=3)
+            for alpha, beta in [optimal_params(d), *zip(np.cos(thetas), np.sin(thetas))]:
+                machine = build_machine(d, alpha, beta)
+                np.testing.assert_array_equal(
+                    machine.isometry, isometry_loop_reference(d, machine.alpha, machine.beta)
+                )
+                assert not machine.isometry.flags.writeable
+
+    def test_machines_with_equal_parameters_are_equal_values(self):
+        a = build_machine(3, *optimal_params(3))
+        b = build_machine(3, *optimal_params(3))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != build_machine(3, 1.0, 0.0)
+        assert a != build_machine(5, *optimal_params(5))
+
     def test_isometry_at_d3_optimum(self):
         machine = build_machine(3, *optimal_params(3))
         assert machine.unitarity_residual() < 1e-12
@@ -117,10 +151,16 @@ class TestBuildMachine:
         with pytest.raises(ValueError):
             build_machine(2, 0.8, 0.7)  # norm off by ~0.13
         with pytest.raises(ValueError):
+            build_machine(3, 2.0, 2.0)  # norm off by 7
+        with pytest.raises(ValueError):
             build_machine(2, -INV_SQRT2, INV_SQRT2)
         for alpha, beta in [(math.nan, 1.0), (1.0, math.nan)]:
             with pytest.raises(ValueError, match="nonnegative"):
                 build_machine(3, alpha, beta)
+            with pytest.raises(ValueError, match="nonnegative"):
+                CloningMachine(3, alpha, beta)
+        with pytest.raises(ValueError, match="d must be >= 2"):
+            CloningMachine(1, 1.0, 0.0)
 
 
 class TestCloneState:
@@ -261,6 +301,10 @@ class TestClosedForms:
         for fn in (optimal_params, optimal_fidelity, uqcm_fidelity):
             with pytest.raises(ValueError):
                 fn(1)
+        for fn in (fidelity_closed_form, shrink_factor):
+            for args in [(1, 1.0, 0.0), (3, 2.0, 2.0), (3, -1.0, 0.0), (3, math.nan, 1.0)]:
+                with pytest.raises(ValueError):
+                    fn(*args)
 
 
 class TestShrinkFactor:
@@ -361,7 +405,26 @@ class TestFidelityReport:
 class TestCorruptionSensitivity:
     def test_unnormalized_machine_fails_the_isometry_check(self):
         alpha, beta = optimal_params(3)
-        bad = CloningMachine(3, alpha, beta, build_machine(3, alpha, beta).isometry * math.sqrt(0.9))
+        bad = CloningMachine(3, alpha * math.sqrt(0.9), beta * math.sqrt(0.9))
         # V^dag V = 0.9 I, so the residual is 0.1 * sqrt(d), far above tolerance
         assert bad.unitarity_residual() == pytest.approx(0.1 * math.sqrt(3), abs=1e-12)
         assert bad.unitarity_residual() > 1e-12
+
+
+class TestProperties:
+    @given(st.floats(0.0, math.pi / 2), st.integers(2, 64))
+    @settings(max_examples=300, deadline=None)
+    def test_closed_forms_stay_in_range_on_the_parameter_circle(self, theta, d):
+        alpha, beta = math.cos(theta), math.sin(theta)
+        f = fidelity_closed_form(d, alpha, beta)
+        assert 1.0 / d <= f <= 1.0
+        assert f <= optimal_fidelity(d) + EQ_TOL
+        assert 0.0 <= shrink_factor(d, alpha, beta) <= 1.0
+
+    @given(st.floats(0.0, math.pi / 2), st.integers(2, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_simulation_equals_the_closed_form(self, theta, d, seed):
+        machine = build_machine(d, math.cos(theta), math.sin(theta))
+        psi = phase_state(random_phase_vector(d, seed))
+        expected = fidelity_closed_form(d, machine.alpha, machine.beta)
+        assert abs(simulate_fidelity(machine, psi) - expected) < EQ_TOL

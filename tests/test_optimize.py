@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from phaseclone.audit import CONSISTENCY_TOL
 from phaseclone.cloner import fidelity_closed_form, optimal_fidelity, optimal_params
-from phaseclone.optimize import (
-    ConvergenceError,
-    maximize_fidelity,
-    optimum_residual,
-    sweep_alpha,
-    verify_optimum,
-)
+from phaseclone.optimize import ConvergenceError, maximize_fidelity, optimum_residual, sweep_alpha
 
 INV_SQRT2 = 0.7071067811865476
 
@@ -108,10 +103,10 @@ class TestSweepAlpha:
 class TestVerifyOptimum:
     @pytest.mark.parametrize("d", [2, 3])
     def test_known_dimensions(self, d):
-        assert verify_optimum(d) is True
+        assert optimum_residual(d) < CONSISTENCY_TOL
 
     def test_whole_range(self):
-        assert all(verify_optimum(d) for d in range(2, 65))
+        assert all(optimum_residual(d) < CONSISTENCY_TOL for d in range(2, 65))
 
     def test_residual_is_tiny(self):
         assert optimum_residual(3) < 1e-11
