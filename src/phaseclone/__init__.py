@@ -44,7 +44,7 @@ from .states import (
     symmetric_pair,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "AuditReport",

@@ -8,8 +8,10 @@ the point. Reports are bit-for-bit reproducible for a fixed seed.
 
 Simulation cost grows like d^4 per draw (the two-clone output is a
 d^2-by-d^2 matrix) and the positivity check's eigensolve like d^6. On a
-2-core machine with numpy 2.4, ``verify --trials 20`` takes about 4.5 s at
-d_max 12 and 46 s at d_max 20; extrapolated, d_max 64 takes about half a day.
+2-core machine with numpy 2.4, ``verify --trials 20`` takes 5.0 s at d_max
+12 (median of ten runs) and 74 s at d_max 20 (one run; 79 s for v0.3.0 right
+after it), peaking at 40 MB and 50 MB of RSS; the eigensolve sets the time.
+Extrapolated, d_max 64 takes about half a day.
 
 MUB checks cover every odd prime d <= d_max; :func:`mub_rows` is also what
 ``phaseclone mub`` prints.
@@ -69,7 +71,7 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class AuditReport:
-    checks: list[CheckResult]
+    checks: tuple[CheckResult, ...]
     seed: int
 
     @property
@@ -278,4 +280,4 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
         record("mub_unbiasedness", max(worst_basis), UNBIASED_TOL, label)
         record("mub_cloning_uniformity", max(worst_uniform), EQ_TOL, label)
 
-    return AuditReport(checks=checks, seed=seed)
+    return AuditReport(checks=tuple(checks), seed=seed)

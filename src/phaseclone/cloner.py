@@ -24,6 +24,11 @@ equivalently the shrink form ``eta * rho_in + (1 - eta)/d * I`` with
 maximized at F_opt(d) = 1/d + (d - 2 + sqrt(d^2 + 4d - 4)) / (4d). The
 module evaluates these closed forms and also simulates the machine by
 brute force so the two routes can be checked against each other.
+
+The isometry V: C^d -> C^(d^3) has only 2d^2 - d nonzeros (the three kinds
+of term above), at most one per row. The machine stores just those and
+applies V by scattering them, in O(d^2) memory; the dense d^3-by-d matrix
+is built only on request, for the unitarity check and for inspection.
 """
 
 from __future__ import annotations
@@ -61,31 +66,47 @@ def _check_domain(
 class CloningMachine:
     """The machine is its dimension and its (alpha, beta) split; the isometry is derived from them.
 
-    ``isometry`` is the read-only d^3-by-d matrix built once at construction.
-    Column j is the image of input basis state |j>; rows are indexed by
-    (clone A, clone B, ancilla) in the fixed tensor convention. Machines
-    compare and hash by ``(d, alpha, beta)``. The constructor checks d and
-    the signs but not alpha^2 + beta^2 = 1, so an unnormalized machine can
-    be built on purpose; :func:`build_machine` is the checked entry point.
+    V has exactly 2d^2 - d nonzeros and each of its rows holds at most one,
+    so the machine stores only those: ``rows``, ``cols`` and ``vals`` are
+    read-only arrays with ``V[rows[k], cols[k]] == vals[k]``, computed once
+    at construction. Rows are indexed by (clone A, clone B, ancilla) in the
+    fixed tensor convention, and column j is the image of input basis state
+    |j>. :attr:`isometry` rebuilds the dense d^3-by-d matrix on each access.
+    Machines compare and hash by ``(d, alpha, beta)``. The constructor checks
+    d and the signs but not alpha^2 + beta^2 = 1, so an unnormalized machine
+    can be built on purpose; :func:`build_machine` is the checked entry point.
     """
 
     d: int
     alpha: float
     beta: float
-    isometry: np.ndarray = field(init=False, repr=False, compare=False)
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    cols: np.ndarray = field(init=False, repr=False, compare=False)
+    vals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.d
         _check_domain(d, self.alpha, self.beta, norm_tol=math.inf)
         j, l = np.nonzero(~np.eye(d, dtype=bool))  # every ordered pair j != l
-        cols = np.arange(d)
-        iso = np.zeros((d**3, d), dtype=np.complex128)
-        iso[cols * (d * d + d + 1), cols] = self.alpha  # |jj>|R_j>
+        diag = np.arange(d)
         off = self.beta / math.sqrt(2.0 * (d - 1))
-        iso[(j * d + l) * d + l, j] = off  # |jl>|R_l>
-        iso[(l * d + j) * d + l, j] = off  # |lj>|R_l>
+        # three blocks: alpha at |jj>|R_j>, then off at |jl>|R_l> and at |lj>|R_l>, both in column j
+        triples = {
+            "rows": np.concatenate([diag * (d * d + d + 1), (j * d + l) * d + l, (l * d + j) * d + l]),
+            "cols": np.concatenate([diag, j, j]),
+            "vals": np.concatenate([np.full(d, self.alpha), np.full(2 * j.size, off)]),
+        }
+        for name, arr in triples.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def isometry(self) -> np.ndarray:
+        """The dense read-only d^3-by-d matrix V, rebuilt from the nonzeros on every access (not cached)."""
+        iso = np.zeros((self.d**3, self.d), dtype=np.complex128)
+        iso[self.rows, self.cols] = self.vals
         iso.setflags(write=False)
-        object.__setattr__(self, "isometry", iso)
+        return iso
 
     def unitarity_residual(self) -> float:
         """``||V^dag V - I||_F``; < 1e-12 for any machine built with valid parameters."""
@@ -138,17 +159,20 @@ def build_machine(d: int, alpha: float, beta: float) -> CloningMachine:
 def clone_state(machine: CloningMachine, psi: Ket) -> DensityMatrix:
     """Run the machine on a single-qudit pure state; return the two-clone output.
 
-    The ancilla is traced out without ever materializing the d^3-by-d^3
-    three-factor density matrix: the output vector is reshaped to a
-    (d^2, d) matrix M over (clone pair, ancilla), and rho_out = M M^dag.
+    V is applied by scattering its nonzeros into the d^3 output vector, so no
+    dense isometry is formed. The ancilla is traced out without ever
+    materializing the d^3-by-d^3 three-factor density matrix: the output
+    vector is reshaped to a (d^2, d) matrix M over (clone pair, ancilla), and
+    rho_out = M M^dag, which is returned without a further copy.
     """
     d = machine.d
     if psi.dims != (d,):
         raise DimensionError(f"input must be a single factor of dimension {d}, got dims {psi.dims}")
     psi.require_normalized()
-    out = machine.isometry @ psi.amps
+    out = np.zeros(d**3, dtype=np.complex128)
+    out[machine.rows] = machine.vals * psi.amps[machine.cols]
     m = out.reshape(d * d, d)
-    return DensityMatrix((d, d), m @ m.conj().T)
+    return DensityMatrix._adopt((d, d), m @ m.conj().T)
 
 
 def reduced_clone(rho_out: DensityMatrix) -> DensityMatrix:

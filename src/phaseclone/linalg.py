@@ -26,12 +26,15 @@ class DimensionError(ValueError):
     """Shape or factor-dimension mismatch between operands."""
 
 
-def _as_locked_array(values, shape_len: int) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128, copy=True)
+def _lock(arr: np.ndarray, shape_len: int) -> np.ndarray:
     if arr.ndim != shape_len:
         raise DimensionError(f"expected a {shape_len}-d array, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def _as_locked_array(values, shape_len: int) -> np.ndarray:
+    return _lock(np.array(values, dtype=np.complex128, copy=True), shape_len)
 
 
 def _check_dims(dims) -> tuple[int, ...]:
@@ -88,8 +91,23 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", _check_dims(self.dims))
-        mat = _as_locked_array(self.mat, 2)
+        self._settle(self.dims, _as_locked_array(self.mat, 2))
+
+    @classmethod
+    def _adopt(cls, dims, mat: np.ndarray) -> "DensityMatrix":
+        """Package-private: wrap a complex matrix that was just computed and that nothing else references.
+
+        Checks the shape and locks ``mat`` read-only like the public
+        constructor, but does not copy it.
+        """
+        if mat.dtype != np.complex128:
+            raise TypeError(f"expected a complex128 matrix, got {mat.dtype}")
+        rho = object.__new__(cls)
+        rho._settle(dims, _lock(mat, 2))
+        return rho
+
+    def _settle(self, dims, mat: np.ndarray) -> None:
+        object.__setattr__(self, "dims", _check_dims(dims))
         n = self.total_dim
         if mat.shape != (n, n):
             raise DimensionError(f"matrix shape {mat.shape} does not match dims {self.dims}")
@@ -149,7 +167,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         tensor = np.trace(tensor, axis1=s, axis2=s + tensor.ndim // 2)
     kept_dims = tuple(dims[i] for i in keep)
     side = math.prod(kept_dims)
-    return DensityMatrix(kept_dims, tensor.reshape(side, side))
+    return DensityMatrix._adopt(kept_dims, tensor.reshape(side, side))  # np.trace made it fresh
 
 
 def fidelity_pure(psi: Ket, rho: DensityMatrix) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloner import fidelity_closed_form, optimal_fidelity, optimal_params
+from .cloner import _check_domain, fidelity_closed_form, optimal_fidelity, optimal_params
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_ITERATIONS = 200
@@ -27,7 +27,7 @@ class SweepTable:
     """Fidelity along a uniform alpha grid; the grid maximum is computed from the rows."""
 
     d: int
-    rows: list[tuple[float, float, float]]  # (alpha, beta, f_closed), ascending alpha
+    rows: tuple[tuple[float, float, float], ...]  # (alpha, beta, f_closed), ascending alpha
 
     @property
     def argmax_alpha(self) -> float:
@@ -56,8 +56,7 @@ def maximize_fidelity(
     width drops below ``tol``. Because only evaluated points are returned,
     f_star can never exceed the true maximum.
     """
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    _check_domain(d)
     if tol < 1e-14:
         raise ValueError(f"tol must be >= 1e-14, got {tol!r}")
 
@@ -90,8 +89,7 @@ def maximize_fidelity(
 
 def sweep_alpha(d: int, n_points: int) -> SweepTable:
     """Evaluate the closed-form fidelity on a uniform alpha grid over [0, 1]."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    _check_domain(d)
     if n_points < 3:
         raise ValueError(f"n_points must be >= 3, got {n_points}")
     f = _objective(d)
@@ -100,7 +98,7 @@ def sweep_alpha(d: int, n_points: int) -> SweepTable:
         alpha = float(alpha)
         beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
         rows.append((alpha, beta, f(alpha)))
-    return SweepTable(d=d, rows=rows)
+    return SweepTable(d=d, rows=tuple(rows))
 
 
 def optimum_residual(d: int) -> float:

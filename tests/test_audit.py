@@ -31,6 +31,11 @@ class TestRunAudit:
         assert small_report.overall is True
         assert all(c.passed for c in small_report.checks)
 
+    def test_report_is_immutable_and_hashable(self, small_report):
+        with pytest.raises(AttributeError):
+            small_report.checks.append(small_report.checks[0])
+        assert hash(small_report) == hash(run_audit(d_max=3, n_random=10, seed=1))
+
     def test_residuals_finite_and_nonnegative(self, small_report):
         for c in small_report.checks:
             assert math.isfinite(c.residual)

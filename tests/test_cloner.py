@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +40,19 @@ def isometry_loop_reference(d, alpha, beta):
                 v[(j * d + l) * d + l, j] += off
                 v[(l * d + j) * d + l, j] += off
     return v
+
+
+def traced_peak_bytes(fn):
+    """Peak bytes traced by ``tracemalloc`` while ``fn()`` runs, above what was live before (numpy reports its buffers)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - base
 
 
 def two_clone_output_oracle(d, alpha, beta, phases):
@@ -120,6 +135,27 @@ class TestBuildMachine:
                 )
                 assert not machine.isometry.flags.writeable
 
+    def test_stores_only_the_nonzeros(self):
+        for d in (2, 3, 16, 64):
+            machine = build_machine(d, *optimal_params(d))
+            assert machine.rows.size == machine.cols.size == machine.vals.size == 2 * d * d - d
+            assert np.unique(machine.rows).size == machine.rows.size  # at most one nonzero per row
+            for f in dataclasses.fields(machine):
+                value = getattr(machine, f.name)
+                if isinstance(value, np.ndarray):
+                    assert value.size < d**3
+                    assert not value.flags.writeable
+
+    def test_isometry_view_is_rebuilt_not_cached(self):
+        machine = build_machine(3, *optimal_params(3))
+        assert machine.isometry is not machine.isometry
+        assert "isometry" not in vars(machine)
+
+    def test_build_at_d64_traces_under_one_megabyte(self):
+        machine, peak = traced_peak_bytes(lambda: build_machine(64, *optimal_params(64)))
+        assert machine.d == 64
+        assert peak < 1_000_000
+
     def test_machines_with_equal_parameters_are_equal_values(self):
         a = build_machine(3, *optimal_params(3))
         b = build_machine(3, *optimal_params(3))
@@ -201,6 +237,29 @@ class TestCloneState:
             rho = clone_state(machine, phase_state(random_phase_vector(d, 5)))
             swapped = rho.mat.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
             np.testing.assert_allclose(rho.mat, swapped, atol=1e-14)
+
+    def test_sparse_route_matches_the_dense_route_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for d in range(2, 17):
+            thetas = rng.uniform(0, math.pi / 2, size=3)
+            for k, (alpha, beta) in enumerate([optimal_params(d), *zip(np.cos(thetas), np.sin(thetas))]):
+                machine = build_machine(d, alpha, beta)
+                psi = phase_state(random_phase_vector(d, 100 * d + k))
+                m = (isometry_loop_reference(d, machine.alpha, machine.beta) @ psi.amps).reshape(d * d, d)
+                np.testing.assert_array_equal(clone_state(machine, psi).mat, m @ m.conj().T)
+
+    def test_output_is_read_only(self):
+        machine = build_machine(3, *optimal_params(3))
+        rho = clone_state(machine, phase_state(random_phase_vector(3, 4)))
+        assert not rho.mat.flags.writeable
+        assert not reduced_clone(rho).mat.flags.writeable
+
+    def test_peak_memory_at_d32_is_close_to_the_output_size(self):
+        d = 32
+        machine = build_machine(d, *optimal_params(d))
+        psi = phase_state(random_phase_vector(d, 0))
+        rho, peak = traced_peak_bytes(lambda: clone_state(machine, psi))
+        assert peak < 1.25 * rho.mat.nbytes
 
     def test_rejects_wrong_input_shape(self):
         machine = build_machine(2, 1.0, 0.0)

@@ -144,6 +144,14 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             psi.amps[0] = 0.0
 
+    def test_density_constructor_copies_its_input(self):
+        source = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
+        rho = DensityMatrix((2,), source)
+        source[0, 1] = 9.0
+        assert rho.mat[0, 1] == 0.25
+        assert not rho.mat.flags.writeable
+        assert source.flags.writeable
+
     def test_density_shape_check(self):
         with pytest.raises(DimensionError):
             DensityMatrix((2,), np.eye(3))

@@ -95,6 +95,13 @@ class TestSweepAlpha:
         assert table.max_f == max(row[2] for row in table.rows)
         assert fidelity_closed_form(3, table.argmax_alpha, math.sqrt(1 - table.argmax_alpha**2)) == pytest.approx(table.max_f, abs=1e-15)
 
+    def test_table_is_immutable_and_hashable(self):
+        table = sweep_alpha(3, 5)
+        with pytest.raises(AttributeError):
+            table.rows.append((0.5, 0.5, 9.0))
+        assert hash(table) == hash(sweep_alpha(3, 5))
+        assert table == sweep_alpha(3, 5)
+
     def test_requires_three_points(self):
         with pytest.raises(ValueError):
             sweep_alpha(2, 2)
