@@ -9,6 +9,7 @@ from .audit import AuditReport, CheckResult, run_audit
 from .cloner import (
     CloningMachine,
     FidelityReport,
+    VerificationError,
     build_machine,
     clone_state,
     fidelity_closed_form,
@@ -44,7 +45,7 @@ from .states import (
     symmetric_pair,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "AuditReport",
@@ -61,6 +62,7 @@ __all__ = [
     "PhaseVector",
     "SweepTable",
     "UnsupportedDimensionError",
+    "VerificationError",
     "build_machine",
     "clone_state",
     "fidelity_closed_form",

@@ -6,12 +6,13 @@ for matrix claims, absolute difference for scalar claims, violation count
 for strict inequalities) and never aborts early: the full residual table is
 the point. Reports are bit-for-bit reproducible for a fixed seed.
 
-Simulation cost grows like d^4 per draw (the two-clone output is a
-d^2-by-d^2 matrix) and the positivity check's eigensolve like d^6. On a
-2-core machine with numpy 2.4, ``verify --trials 20`` takes 5.0 s at d_max
-12 (median of ten runs) and 74 s at d_max 20 (one run; 79 s for v0.3.0 right
-after it), peaking at 40 MB and 50 MB of RSS; the eigensolve sets the time.
-Extrapolated, d_max 64 takes about half a day.
+Simulation cost grows like d^4 per draw: the two-clone output is a
+d^2-by-d^2 matrix, and each draw forms it twice (for the checks below and
+inside ``simulate_fidelity``). Its positivity is checked on the d-by-d
+ancilla Gram, which has the same nonzero spectrum, in O(d^3). On a 2-core
+machine with numpy 2.4, ``verify --trials 20`` takes 1.9 s at d_max 12
+(median of ten runs) and 15 s at d_max 20 (one run), peaking at 40 MB and
+51 MB of RSS. The time at d_max 64 is unmeasured.
 
 MUB checks cover every odd prime d <= d_max; :func:`mub_rows` is also what
 ``phaseclone mub`` prints.
@@ -27,6 +28,7 @@ import numpy as np
 
 from .cloner import (
     CloningMachine,
+    _output_factor,
     build_machine,
     clone_state,
     fidelity_closed_form,
@@ -173,10 +175,12 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
                 psi = phase_state(pv)
                 rho_out = clone_state(machine, psi)
 
-                # physical validity of the simulated output
+                # physical validity of the simulated output; rho_out = M M^dag has the nonzero
+                # spectrum of the d-by-d ancilla Gram M^dag M, so positivity is checked there
                 herm = frobenius_distance(rho_out.mat, rho_out.mat.conj().T)
                 tr_err = abs(np.trace(rho_out.mat) - 1.0)
-                min_eig = float(np.linalg.eigvalsh(rho_out.mat).min())
+                m = _output_factor(machine, psi)
+                min_eig = float(np.linalg.eigvalsh(m.conj().T @ m).min())
                 worst_valid = max(worst_valid, herm, tr_err, max(0.0, -min_eig))
 
                 # the two clones are interchangeable

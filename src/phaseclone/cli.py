@@ -20,7 +20,7 @@ import json
 import sys
 
 from .audit import UNBIASED_TOL, mub_rows, mub_worst, run_audit
-from .cloner import fidelity_report
+from .cloner import VerificationError, fidelity_report
 from .linalg import EQ_TOL
 from .optimize import sweep_alpha
 from .states import is_prime
@@ -71,13 +71,14 @@ def cmd_table(d_min: int, d_max: int, fmt: str, output: str | None = None, seed:
 
     Each row is cross-checked by simulating one seeded phase state through
     the machine before it is emitted (FidelityReport refuses rows where the
-    closed form and the simulation disagree).
+    closed form and the simulation disagree); such a row exits 1. Bad
+    arguments raise ValueError, as they do in the library.
     """
     rows = []
     for d in range(d_min, d_max + 1):
         try:
             rep = fidelity_report(d, phase_seed=seed)
-        except ValueError as exc:
+        except VerificationError as exc:
             print(f"table: verification failed at d={d}: {exc}", file=sys.stderr)
             return 1
         rows.append(

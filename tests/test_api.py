@@ -31,6 +31,7 @@ PUBLIC = {
     "PhaseVector",
     "SweepTable",
     "UnsupportedDimensionError",
+    "VerificationError",
     "build_machine",
     "clone_state",
     "fidelity_closed_form",

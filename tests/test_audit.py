@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+import phaseclone.audit
+import phaseclone.cloner
 from phaseclone.audit import AuditReport, run_audit
 from phaseclone.cloner import build_machine, clone_state, optimal_params, reduced_clone
 from phaseclone.linalg import frobenius_distance
-from phaseclone.states import PhaseVector, phase_state, random_phase_vector
+from phaseclone.states import PhaseVector, is_prime, phase_state, random_phase_vector
 
 EQ_CHECKS = {
     "isometry_unitarity",
@@ -98,6 +100,39 @@ class TestRunAudit:
             run_audit(d_max=1, n_random=1, seed=0)
         with pytest.raises(ValueError):
             run_audit(d_max=2, n_random=0, seed=0)
+
+    def test_positivity_eigensolves_stay_d_by_d(self, monkeypatch):
+        # the two-clone state is checked through its d-by-d ancilla Gram, never as a d^2-by-d^2 matrix
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        assert run_audit(d_max=6, n_random=2, seed=0).overall
+        assert len(shapes) == 5 * 3 * 2  # d = 2..6, three machines per d, two draws per machine
+        assert set(shapes) == {(d, d) for d in range(2, 7)}
+
+    @pytest.mark.parametrize("d_max, n", [(5, 1), (4, 3), (7, 2)])
+    def test_clone_state_call_count_matches_the_closed_count(self, monkeypatch, d_max, n):
+        # perfbench pins these counts (9675 for verify --d-max 12 --trials 20); this is the same formula
+        calls = 0
+        original = phaseclone.cloner.clone_state
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        for module in (phaseclone.cloner, phaseclone.audit):
+            monkeypatch.setattr(module, "clone_state", counting)
+        run_audit(d_max=d_max, n_random=n, seed=0)
+        per_draw = 2 * (d_max - 1) * (1 + n) * max(2, n)  # the simulation sweep, and simulate_fidelity inside it
+        covariance = (d_max - 1) * (1 + n)
+        mub = sum(d * d for d in range(3, d_max + 1) if is_prime(d))
+        assert calls == per_draw + covariance + mub
 
     def test_rows_serialization_shape(self, small_report):
         rows = small_report.to_rows()

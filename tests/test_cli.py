@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from phaseclone.cli import main
+import phaseclone.cloner
+from phaseclone.cli import cmd_table, main
 from phaseclone.cloner import optimal_fidelity, optimal_params
 
 INV_SQRT2 = 0.7071067811865476
@@ -75,6 +76,21 @@ class TestTable:
         code, _, err = run_cli(capsys, "table", "--d-min", "2", "--d-max", "3", "--seed", "-1")
         assert code == 2
         assert "usage" in err and "verification failed" not in err
+
+    def test_bad_library_arguments_raise_instead_of_failing_verification(self, capsys):
+        with pytest.raises(ValueError, match="d must be >= 2"):
+            cmd_table(1, 3, "csv")
+        with pytest.raises(ValueError, match="non-negative"):
+            cmd_table(2, 3, "csv", seed=-5)
+        assert "verification failed" not in capsys.readouterr().err
+
+    def test_disagreeing_simulation_exits_1(self, capsys, monkeypatch):
+        simulate = phaseclone.cloner.simulate_fidelity
+        monkeypatch.setattr(phaseclone.cloner, "simulate_fidelity", lambda m, psi: simulate(m, psi) + 1e-9)
+        code, out, err = run_cli(capsys, "table", "--d-min", "2", "--d-max", "3")
+        assert code == 1
+        assert out == ""
+        assert "table: verification failed at d=2" in err
 
 
 class TestSweep:

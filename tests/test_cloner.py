@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from phaseclone.cloner import (
     CloningMachine,
     FidelityReport,
+    VerificationError,
+    _output_factor,
     build_machine,
     clone_state,
     fidelity_closed_form,
@@ -40,6 +42,12 @@ def isometry_loop_reference(d, alpha, beta):
                 v[(j * d + l) * d + l, j] += off
                 v[(l * d + j) * d + l, j] += off
     return v
+
+
+def split_grid(d, rng):
+    """The optimal split of dimension d followed by three random points on the parameter circle."""
+    thetas = rng.uniform(0, math.pi / 2, size=3)
+    return [optimal_params(d), *zip(np.cos(thetas), np.sin(thetas))]
 
 
 def traced_peak_bytes(fn):
@@ -176,6 +184,31 @@ class TestBuildMachine:
                 machine = build_machine(d, math.cos(theta), math.sin(theta))
                 assert machine.unitarity_residual() < 1e-12
 
+    def test_unitarity_residual_matches_the_dense_route(self):
+        rng = np.random.default_rng(23)
+        for d in range(2, 17):
+            machines = [build_machine(d, alpha, beta) for alpha, beta in split_grid(d, rng)]
+            opt = machines[0]
+            machines.append(CloningMachine(d, opt.alpha * math.sqrt(0.9), opt.beta * math.sqrt(0.9)))
+            for machine in machines:
+                v = machine.isometry  # reference: V^dag V from the dense d^3-by-d matrix
+                dense = float(np.linalg.norm(v.conj().T @ v - np.eye(d)))
+                assert machine.unitarity_residual() == pytest.approx(dense, abs=1e-13)
+
+    def test_unitarity_residual_at_d64_traces_under_one_megabyte(self):
+        machine = build_machine(64, *optimal_params(64))
+        residual, peak = traced_peak_bytes(machine.unitarity_residual)
+        assert residual < 1e-12
+        assert peak < 1_000_000
+
+    def test_unitarity_residual_refuses_a_row_with_two_nonzeros(self):
+        machine = build_machine(3, *optimal_params(3))
+        rows = machine.rows.copy()
+        rows[-1] = rows[0]
+        object.__setattr__(machine, "rows", rows)
+        with pytest.raises(ValueError, match="more than one nonzero"):
+            machine.unitarity_residual()
+
     def test_parameters_renormalized(self):
         # norm off by ~2e-10: accepted, then snapped back onto the circle
         machine = build_machine(2, INV_SQRT2 * (1 + 2e-10), INV_SQRT2)
@@ -241,12 +274,32 @@ class TestCloneState:
     def test_sparse_route_matches_the_dense_route_bit_for_bit(self):
         rng = np.random.default_rng(17)
         for d in range(2, 17):
-            thetas = rng.uniform(0, math.pi / 2, size=3)
-            for k, (alpha, beta) in enumerate([optimal_params(d), *zip(np.cos(thetas), np.sin(thetas))]):
+            for k, (alpha, beta) in enumerate(split_grid(d, rng)):
                 machine = build_machine(d, alpha, beta)
                 psi = phase_state(random_phase_vector(d, 100 * d + k))
                 m = (isometry_loop_reference(d, machine.alpha, machine.beta) @ psi.amps).reshape(d * d, d)
                 np.testing.assert_array_equal(clone_state(machine, psi).mat, m @ m.conj().T)
+
+    def test_output_factor_is_read_only_and_gives_the_two_clone_state(self):
+        for d in (2, 3, 7):
+            machine = build_machine(d, *optimal_params(d))
+            psi = phase_state(random_phase_vector(d, 3))
+            m = _output_factor(machine, psi)
+            assert m.shape == (d * d, d)
+            assert not m.flags.writeable
+            np.testing.assert_array_equal(m @ m.conj().T, clone_state(machine, psi).mat)
+
+    def test_ancilla_gram_carries_the_two_clone_spectrum(self):
+        rng = np.random.default_rng(29)
+        for d in range(2, 17):
+            for k, (alpha, beta) in enumerate(split_grid(d, rng)):
+                machine = build_machine(d, alpha, beta)
+                psi = phase_state(random_phase_vector(d, 100 * d + k))
+                dense = np.linalg.eigvalsh(clone_state(machine, psi).mat)  # reference: the d^2-by-d^2 eigensolve
+                m = _output_factor(machine, psi)
+                gram = np.linalg.eigvalsh(m.conj().T @ m)
+                np.testing.assert_allclose(dense[-d:], gram, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(dense[:-d], 0.0, rtol=0, atol=1e-14)
 
     def test_output_is_read_only(self):
         machine = build_machine(3, *optimal_params(3))
@@ -451,12 +504,12 @@ class TestFidelityReport:
             fidelity_report(2, alpha=1.0)
 
     def test_constructor_rejects_disagreeing_routes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(VerificationError):
             FidelityReport(2, 0.7, 0.7, f_closed=0.85, f_simulated=0.84,
                            f_uqcm=5 / 6, eta=0.7, phase_seed=0)
 
     def test_constructor_rejects_out_of_range_values(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(VerificationError):
             FidelityReport(2, 0.7, 0.7, f_closed=1.2, f_simulated=1.2,
                            f_uqcm=5 / 6, eta=0.7, phase_seed=0)
 
