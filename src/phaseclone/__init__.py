@@ -45,7 +45,7 @@ from .states import (
     symmetric_pair,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "AuditReport",

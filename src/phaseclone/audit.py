@@ -6,13 +6,14 @@ for matrix claims, absolute difference for scalar claims, violation count
 for strict inequalities) and never aborts early: the full residual table is
 the point. Reports are bit-for-bit reproducible for a fixed seed.
 
-Simulation cost grows like d^4 per draw: the two-clone output is a
-d^2-by-d^2 matrix, and each draw forms it twice (for the checks below and
-inside ``simulate_fidelity``). Its positivity is checked on the d-by-d
-ancilla Gram, which has the same nonzero spectrum, in O(d^3). On a 2-core
-machine with numpy 2.4, ``verify --trials 20`` takes 1.9 s at d_max 12
-(median of ten runs) and 15 s at d_max 20 (one run), peaking at 40 MB and
-51 MB of RSS. The time at d_max 64 is unmeasured.
+Simulation cost grows like d^4 per draw, in O(d^3) memory: the checks read
+the two-clone output rho_AB = M M^dag off the pure output factor M (d^2
+by d) and never form the d^2-by-d^2 matrix. Each single-clone state is
+X X^dag with X a d-by-d^2 reshaping of M, the trace of rho_AB is
+||M||_F^2, and its positivity is checked on the d-by-d ancilla Gram
+M^dag M, which has the same nonzero spectrum. On a 2-core machine with
+numpy 2.4, ``verify --trials 20`` takes 1.3 s at d_max 12 (median of ten
+runs, 38 MB of RSS) and 178 s at d_max 64 (one run, 147 MB of RSS).
 
 MUB checks cover every odd prime d <= d_max; :func:`mub_rows` is also what
 ``phaseclone mub`` prints.
@@ -29,17 +30,16 @@ import numpy as np
 from .cloner import (
     CloningMachine,
     _output_factor,
+    _single_clone,
     build_machine,
-    clone_state,
     fidelity_closed_form,
     optimal_fidelity,
     optimal_params,
-    reduced_clone,
     shrink_factor,
     simulate_fidelity,
     uqcm_fidelity,
 )
-from .linalg import EQ_TOL, PSD_TOL, frobenius_distance, partial_trace
+from .linalg import EQ_TOL, PSD_TOL, frobenius_distance
 from .optimize import optimum_residual, sweep_alpha
 from .states import (
     PhaseVector,
@@ -136,6 +136,8 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
         raise ValueError(f"d_max must be >= 2, got {d_max}")
     if n_random < 1:
         raise ValueError(f"n_random must be >= 1, got {n_random}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.Generator(np.random.PCG64(seed))
     seeds = itertools.count(seed * 1_000_003 + 1)  # sub-seeds of the phase draws
@@ -173,19 +175,19 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
             for _ in range(max(2, n_random)):
                 pv = random_phase_vector(d, next(seeds))
                 psi = phase_state(pv)
-                rho_out = clone_state(machine, psi)
-
-                # physical validity of the simulated output; rho_out = M M^dag has the nonzero
-                # spectrum of the d-by-d ancilla Gram M^dag M, so positivity is checked there
-                herm = frobenius_distance(rho_out.mat, rho_out.mat.conj().T)
-                tr_err = abs(np.trace(rho_out.mat) - 1.0)
                 m = _output_factor(machine, psi)
+                red_a = _single_clone(m, 0).mat
+                red_b = _single_clone(m, 1).mat
+
+                # physical validity of the simulated output rho_AB = M M^dag, read off M: its trace is
+                # ||M||_F^2, and its nonzero spectrum is that of the d-by-d ancilla Gram M^dag M, so
+                # positivity is checked there; Hermiticity is checked on the reductions consumed below
+                herm = max(frobenius_distance(red, red.conj().T) for red in (red_a, red_b))
+                tr_err = abs(np.vdot(m, m).real - 1.0)
                 min_eig = float(np.linalg.eigvalsh(m.conj().T @ m).min())
                 worst_valid = max(worst_valid, herm, tr_err, max(0.0, -min_eig))
 
                 # the two clones are interchangeable
-                red_a = reduced_clone(rho_out).mat
-                red_b = partial_trace(rho_out, keep=(1,)).mat
                 worst_sym = max(worst_sym, frobenius_distance(red_a, red_b))
 
                 # brute force vs closed form
@@ -218,10 +220,10 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
     worst = 0.0
     for d in dims:
         machine = grids[d][0]
-        red0 = reduced_clone(clone_state(machine, phase_state(PhaseVector(d, (0.0,) * d)))).mat
+        red0 = _single_clone(_output_factor(machine, phase_state(PhaseVector(d, (0.0,) * d)))).mat
         for _ in range(n_random):
             pv = random_phase_vector(d, next(seeds))
-            red = reduced_clone(clone_state(machine, phase_state(pv))).mat
+            red = _single_clone(_output_factor(machine, phase_state(pv))).mat
             u = np.diag(np.exp(1j * np.array(pv.phases)))
             worst = max(worst, frobenius_distance(red, u @ red0 @ u.conj().T))
     record("phase_covariance", worst, EQ_TOL)

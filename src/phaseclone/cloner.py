@@ -29,7 +29,10 @@ The isometry V: C^d -> C^(d^3) has only 2d^2 - d nonzeros (the three kinds
 of term above), at most one per row. The machine stores just those,
 applies V by scattering them and checks V^dag V from them, all in O(d^2)
 memory; the dense d^3-by-d matrix is built only on request, for inspection
-and as a test reference.
+and as a test reference. The simulation reduces to one clone straight from
+the pure output factor M = V|psi> (d^2 by d), in O(d^3) memory;
+:func:`clone_state` forms the d^2-by-d^2 two-clone state M M^dag only for
+callers that ask for it, and it stays the reference route in the tests.
 """
 
 from __future__ import annotations
@@ -192,6 +195,21 @@ def _output_factor(machine: CloningMachine, psi: Ket) -> np.ndarray:
     return m
 
 
+def _single_clone(m: np.ndarray, clone: int = 0) -> DensityMatrix:
+    """Package-private: the reduced state of clone A (``clone=0``) or B (``clone=1``) of the output factor M.
+
+    With X the (d, d^2) matrix whose rows index the kept clone and whose
+    columns index (other clone, ancilla), the reduction is X X^dag, so the
+    d^2-by-d^2 two-clone state is never formed.
+    """
+    d = m.shape[1]
+    x = m.reshape(d, d, d)
+    if clone == 1:
+        x = x.transpose(1, 0, 2)
+    x = x.reshape(d, d * d)
+    return DensityMatrix._adopt((d,), x @ x.conj().T)
+
+
 def clone_state(machine: CloningMachine, psi: Ket) -> DensityMatrix:
     """Run the machine on a single-qudit pure state; return the two-clone output.
 
@@ -259,8 +277,12 @@ def shrink_factor(d: int, alpha: float, beta: float) -> float:
 
 
 def simulate_fidelity(machine: CloningMachine, psi: Ket) -> float:
-    """Brute-force fidelity: run the machine, reduce to one clone, overlap with the input."""
-    return fidelity_pure(psi, reduced_clone(clone_state(machine, psi)))
+    """Brute-force fidelity: run the machine, reduce to one clone, overlap with the input.
+
+    The single-clone state is reduced straight from the pure output factor
+    M = V|psi>, in O(d^3) memory; the two-clone state is never formed.
+    """
+    return fidelity_pure(psi, _single_clone(_output_factor(machine, psi)))
 
 
 def fidelity_report(

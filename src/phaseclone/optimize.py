@@ -57,7 +57,7 @@ def maximize_fidelity(
     f_star can never exceed the true maximum.
     """
     _check_domain(d)
-    if tol < 1e-14:
+    if not tol >= 1e-14:  # also rejects NaN
         raise ValueError(f"tol must be >= 1e-14, got {tol!r}")
 
     f = _objective(d)

@@ -91,6 +91,8 @@ def random_phase_vector(d: int, seed: int) -> PhaseVector:
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     return PhaseVector(d, (0.0, *rng.uniform(0.0, TWO_PI, d - 1)))
 

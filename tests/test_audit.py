@@ -7,7 +7,7 @@ import pytest
 import phaseclone.audit
 import phaseclone.cloner
 from phaseclone.audit import AuditReport, run_audit
-from phaseclone.cloner import build_machine, clone_state, optimal_params, reduced_clone
+from phaseclone.cloner import CloningMachine, build_machine, clone_state, optimal_params, reduced_clone
 from phaseclone.linalg import frobenius_distance
 from phaseclone.states import PhaseVector, is_prime, phase_state, random_phase_vector
 
@@ -100,6 +100,23 @@ class TestRunAudit:
             run_audit(d_max=1, n_random=1, seed=0)
         with pytest.raises(ValueError):
             run_audit(d_max=2, n_random=0, seed=0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            run_audit(d_max=3, n_random=1, seed=-1)
+
+    def test_unnormalized_machines_fail_the_output_trace_check(self, monkeypatch):
+        # the sweep runs each machine scaled by sqrt(0.9), so every output factor has ||M||_F^2 = 0.9;
+        # the closed forms still read the normalized split, which they alone accept
+        output_factor = phaseclone.audit._output_factor
+
+        def scaled(machine, psi):
+            s = math.sqrt(0.9)
+            return output_factor(CloningMachine(machine.d, machine.alpha * s, machine.beta * s), psi)
+
+        monkeypatch.setattr(phaseclone.audit, "_output_factor", scaled)
+        report = run_audit(d_max=4, n_random=2, seed=0)
+        validity = next(c for c in report.checks if c.name == "output_state_validity")
+        assert not validity.passed
+        assert abs(validity.residual - 0.1) < 1e-12
 
     def test_positivity_eigensolves_stay_d_by_d(self, monkeypatch):
         # the two-clone state is checked through its d-by-d ancilla Gram, never as a d^2-by-d^2 matrix
@@ -117,22 +134,27 @@ class TestRunAudit:
 
     @pytest.mark.parametrize("d_max, n", [(5, 1), (4, 3), (7, 2)])
     def test_clone_state_call_count_matches_the_closed_count(self, monkeypatch, d_max, n):
-        # perfbench pins these counts (9675 for verify --d-max 12 --trials 20); this is the same formula
-        calls = 0
-        original = phaseclone.cloner.clone_state
+        # the audit never forms the two-clone state; it simulates through simulate_fidelity, whose
+        # count (4824 for verify --d-max 12 --trials 20) is the same formula as here
+        calls = {"clone_state": 0, "simulate_fidelity": 0}
 
-        def counting(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return original(*args, **kwargs)
+        def counting(name):
+            original = getattr(phaseclone.cloner, name)
 
-        for module in (phaseclone.cloner, phaseclone.audit):
-            monkeypatch.setattr(module, "clone_state", counting)
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            wrapped = counting(name)
+            for module in (phaseclone.cloner, phaseclone.audit):
+                monkeypatch.setattr(module, name, wrapped, raising=False)
         run_audit(d_max=d_max, n_random=n, seed=0)
-        per_draw = 2 * (d_max - 1) * (1 + n) * max(2, n)  # the simulation sweep, and simulate_fidelity inside it
-        covariance = (d_max - 1) * (1 + n)
+        sweep = (d_max - 1) * (1 + n) * max(2, n)
         mub = sum(d * d for d in range(3, d_max + 1) if is_prime(d))
-        assert calls == per_draw + covariance + mub
+        assert calls == {"clone_state": 0, "simulate_fidelity": sweep + mub}
 
     def test_rows_serialization_shape(self, small_report):
         rows = small_report.to_rows()

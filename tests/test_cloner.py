@@ -12,6 +12,7 @@ from phaseclone.cloner import (
     FidelityReport,
     VerificationError,
     _output_factor,
+    _single_clone,
     build_machine,
     clone_state,
     fidelity_closed_form,
@@ -23,7 +24,7 @@ from phaseclone.cloner import (
     simulate_fidelity,
     uqcm_fidelity,
 )
-from phaseclone.linalg import EQ_TOL, DimensionError, Ket, partial_trace
+from phaseclone.linalg import EQ_TOL, DensityMatrix, DimensionError, Ket, partial_trace
 from phaseclone.states import PhaseVector, phase_state, random_phase_vector
 
 INV_SQRT2 = 0.7071067811865476
@@ -300,6 +301,38 @@ class TestCloneState:
                 gram = np.linalg.eigvalsh(m.conj().T @ m)
                 np.testing.assert_allclose(dense[-d:], gram, rtol=0, atol=1e-14)
                 np.testing.assert_allclose(dense[:-d], 0.0, rtol=0, atol=1e-14)
+
+    def test_single_clone_reductions_match_the_two_clone_route(self):
+        rng = np.random.default_rng(41)
+        cases = [(d, split) for d in range(2, 17) for split in split_grid(d, rng)]
+        for d, (alpha, beta) in cases + [(64, optimal_params(64))]:
+            machine = build_machine(d, alpha, beta)
+            psi = phase_state(random_phase_vector(d, 7 * d))
+            rho = clone_state(machine, psi)  # reference: the d^2-by-d^2 state, then a partial trace
+            m = _output_factor(machine, psi)
+            np.testing.assert_allclose(_single_clone(m, 0).mat, reduced_clone(rho).mat, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(_single_clone(m, 1).mat, partial_trace(rho, keep=(1,)).mat, rtol=0, atol=1e-15)
+
+    def test_single_clone_keeps_the_right_factor_of_an_asymmetric_output(self):
+        # the machine's two clones are equal, so only an asymmetric factor tells clone A from clone B
+        rng = np.random.default_rng(43)
+        for d in range(2, 7):
+            m = rng.normal(size=(d * d, d)) + 1j * rng.normal(size=(d * d, d))
+            m /= np.linalg.norm(m)
+            rho = DensityMatrix((d, d), m @ m.conj().T)
+            for clone in (0, 1):
+                np.testing.assert_allclose(
+                    _single_clone(m, clone).mat, partial_trace(rho, keep=(clone,)).mat, rtol=0, atol=1e-15
+                )
+
+    def test_simulated_fidelity_at_d64_traces_under_16_megabytes(self):
+        # the d^2-by-d^2 two-clone state alone would be 268 MB here
+        d = 64
+        machine = build_machine(d, *optimal_params(d))
+        psi = phase_state(random_phase_vector(d, 0))
+        f, peak = traced_peak_bytes(lambda: simulate_fidelity(machine, psi))
+        assert abs(f - optimal_fidelity(d)) < EQ_TOL
+        assert peak < 16e6
 
     def test_output_is_read_only(self):
         machine = build_machine(3, *optimal_params(3))

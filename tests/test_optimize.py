@@ -45,6 +45,10 @@ class TestMaximizeFidelity:
         with pytest.raises(ValueError):
             maximize_fidelity(2, tol=1e-15)
 
+    def test_rejects_nan_tolerance(self):
+        with pytest.raises(ValueError, match="tol must be >= 1e-14"):
+            maximize_fidelity(3, tol=float("nan"))
+
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
             maximize_fidelity(1)

@@ -71,6 +71,10 @@ class TestRandomPhaseVector:
         with pytest.raises(ValueError):
             random_phase_vector(1, 0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            random_phase_vector(3, -1)
+
     def test_mean_matches_uniform_distribution(self):
         # mean of U[0, 2*pi) is pi; 10^5 draws put 3 sigma at ~0.017
         n = 100_000
