@@ -33,19 +33,17 @@ from .linalg import (
 )
 from .optimize import ConvergenceError, SweepTable, maximize_fidelity, sweep_alpha
 from .states import (
-    MubLabel,
     PhaseVector,
     UnsupportedDimensionError,
     is_prime,
     mub_basis,
-    mub_state,
     phase_state,
     random_phase_vector,
     standard_basis,
     symmetric_pair,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "AuditReport",
@@ -57,7 +55,6 @@ __all__ = [
     "EQ_TOL",
     "FidelityReport",
     "Ket",
-    "MubLabel",
     "PSD_TOL",
     "PhaseVector",
     "SweepTable",
@@ -72,7 +69,6 @@ __all__ = [
     "is_prime",
     "maximize_fidelity",
     "mub_basis",
-    "mub_state",
     "optimal_fidelity",
     "optimal_params",
     "partial_trace",

@@ -6,14 +6,18 @@ for matrix claims, absolute difference for scalar claims, violation count
 for strict inequalities) and never aborts early: the full residual table is
 the point. Reports are bit-for-bit reproducible for a fixed seed.
 
-Simulation cost grows like d^4 per draw, in O(d^3) memory: the checks read
-the two-clone output rho_AB = M M^dag off the pure output factor M (d^2
-by d) and never form the d^2-by-d^2 matrix. Each single-clone state is
-X X^dag with X a d-by-d^2 reshaping of M, the trace of rho_AB is
-||M||_F^2, and its positivity is checked on the d-by-d ancilla Gram
-M^dag M, which has the same nonzero spectrum. On a 2-core machine with
-numpy 2.4, ``verify --trials 20`` takes 1.3 s at d_max 12 (median of ten
-runs, 38 MB of RSS) and 178 s at d_max 64 (one run, 147 MB of RSS).
+The audit makes one simulation pass over (d, machine, draw). Each draw's
+pure output factor M = V|psi> (d^2 by d) and its two single-clone
+reductions X X^dag (X a d-by-d^2 reshaping of M) feed every per-draw
+check, from output validity to the phase-state modulus; phase covariance
+compares each draw's reduction with its machine's phase-zero one,
+conjugated by U_phi, on every machine of the grid. The two-clone output
+rho_AB = M M^dag is never formed: its trace is ||M||_F^2, and its
+positivity is checked on the d-by-d ancilla Gram M^dag M, which has the
+same nonzero spectrum. Cost grows like d^4 per draw, in O(d^3) memory. On
+a 2-core machine with numpy 2.4, ``verify --trials 20`` takes 1.5 s at
+d_max 12 (median of ten runs, 38 MB of RSS) and 148–170 s at d_max 64 (two
+runs, 147–149 MB of RSS).
 
 MUB checks cover every odd prime d <= d_max; :func:`mub_rows` is also what
 ``phaseclone mub`` prints.
@@ -39,7 +43,7 @@ from .cloner import (
     simulate_fidelity,
     uqcm_fidelity,
 )
-from .linalg import EQ_TOL, PSD_TOL, frobenius_distance
+from .linalg import EQ_TOL, PSD_TOL, fidelity_pure, frobenius_distance
 from .optimize import optimum_residual, sweep_alpha
 from .states import (
     PhaseVector,
@@ -167,16 +171,19 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
             worst = max(worst, bad.unitarity_residual())
     record("isometry_unitarity", worst, EQ_TOL)
 
-    # one simulation sweep feeds the next six checks
-    worst_sym = worst_agree = worst_scalar = worst_matrix = worst_valid = worst_std = 0.0
+    # one simulation sweep feeds every per-draw check: each draw's output factor M and its two reductions
+    worst_sym = worst_agree = worst_scalar = worst_matrix = worst_valid = worst_std = worst_cov = worst_mod = 0.0
     for d in dims:
         for machine in grids[d]:
+            red0 = _single_clone(_output_factor(machine, phase_state(PhaseVector(d, (0.0,) * d)))).mat
             fidelities = []
             for _ in range(max(2, n_random)):
                 pv = random_phase_vector(d, next(seeds))
                 psi = phase_state(pv)
+                worst_mod = max(worst_mod, float(np.abs(np.abs(psi.amps) - 1.0 / math.sqrt(d)).max()))
                 m = _output_factor(machine, psi)
-                red_a = _single_clone(m, 0).mat
+                rho_a = _single_clone(m, 0)
+                red_a = rho_a.mat
                 red_b = _single_clone(m, 1).mat
 
                 # physical validity of the simulated output rho_AB = M M^dag, read off M: its trace is
@@ -190,8 +197,8 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
                 # the two clones are interchangeable
                 worst_sym = max(worst_sym, frobenius_distance(red_a, red_b))
 
-                # brute force vs closed form
-                f_sim = simulate_fidelity(machine, psi)
+                # brute force vs closed form (f_sim is what simulate_fidelity computes)
+                f_sim = fidelity_pure(psi, rho_a)
                 f_closed = fidelity_closed_form(d, machine.alpha, machine.beta)
                 worst_agree = max(worst_agree, abs(f_sim - f_closed))
                 fidelities.append(f_sim)
@@ -204,9 +211,14 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
 
                 # entrywise closed-form reduced matrix
                 phases = np.array(pv.phases)
-                closed = (eta / d) * np.exp(1j * (phases[:, None] - phases[None, :]))
+                twist = np.exp(1j * (phases[:, None] - phases[None, :]))
+                closed = (eta / d) * twist
                 np.fill_diagonal(closed, 1.0 / d)
                 worst_matrix = max(worst_matrix, frobenius_distance(red_a, closed))
+
+                # phase covariance: the reduced output is the phase-zero one conjugated by U_phi = diag(e^(i phi)),
+                # which multiplies entry (j, k) by e^(i(phi_j - phi_k))
+                worst_cov = max(worst_cov, frobenius_distance(red_a, red0 * twist))
 
             worst_std = max(worst_std, float(np.std(fidelities, ddof=1)))
     record("clone_symmetry", worst_sym, EQ_TOL)
@@ -215,18 +227,7 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
     record("reduced_closed_matrix", worst_matrix, EQ_TOL)
     record("output_state_validity", worst_valid, PSD_TOL)
     record("fidelity_phase_independence", worst_std, EQ_TOL)
-
-    # phase covariance as a conjugation property of the reduced output
-    worst = 0.0
-    for d in dims:
-        machine = grids[d][0]
-        red0 = _single_clone(_output_factor(machine, phase_state(PhaseVector(d, (0.0,) * d)))).mat
-        for _ in range(n_random):
-            pv = random_phase_vector(d, next(seeds))
-            red = _single_clone(_output_factor(machine, phase_state(pv))).mat
-            u = np.diag(np.exp(1j * np.array(pv.phases)))
-            worst = max(worst, frobenius_distance(red, u @ red0 @ u.conj().T))
-    record("phase_covariance", worst, EQ_TOL)
+    record("phase_covariance", worst_cov, EQ_TOL)
 
     # optimizer, closed form and explicit parameters agree
     record("optimum_consistency", max(optimum_residual(d) for d in dims), CONSISTENCY_TOL)
@@ -261,13 +262,8 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
     if d_max >= 3:
         record("level3_value", abs(optimal_fidelity(3) - (5.0 + math.sqrt(17.0)) / 12.0), EQ_TOL, "3")
 
-    # state-construction invariants
-    worst = 0.0
-    for d in dims:
-        for _ in range(n_random):
-            psi = phase_state(random_phase_vector(d, next(seeds)))
-            worst = max(worst, float(np.abs(np.abs(psi.amps) - 1.0 / math.sqrt(d)).max()))
-    record("phase_state_modulus", worst, EQ_TOL)
+    # state-construction invariants (the modulus was read off the sweep's draws)
+    record("phase_state_modulus", worst_mod, EQ_TOL)
 
     worst = 0.0
     for d in dims:

@@ -82,9 +82,9 @@ class Ket:
 class DensityMatrix:
     """Mixed state: factor dimensions plus a complex square matrix.
 
-    Construction checks shape only; the physical invariants (Hermitian,
-    unit trace, positive semidefinite) are verified by :meth:`validate`,
-    which is O(n^3) and therefore opt-in.
+    Construction checks shape only, not the physical invariants (Hermitian,
+    unit trace, positive semidefinite); the audit's ``output_state_validity``
+    check verifies those for the simulated outputs.
     """
 
     dims: tuple[int, ...]
@@ -116,19 +116,6 @@ class DensityMatrix:
     @property
     def total_dim(self) -> int:
         return math.prod(self.dims)
-
-    def validate(self, tol: float = EQ_TOL, psd_tol: float = PSD_TOL) -> "DensityMatrix":
-        """Check Hermiticity, unit trace and positivity; raise ValueError on failure."""
-        herm = np.linalg.norm(self.mat - self.mat.conj().T)
-        if herm >= tol:
-            raise ValueError(f"not Hermitian: ||m - m^dag||_F = {herm!r}")
-        tr = np.trace(self.mat)
-        if abs(tr - 1.0) > tol:
-            raise ValueError(f"trace is {tr!r}, expected 1")
-        lo = float(np.linalg.eigvalsh(self.mat).min())
-        if lo < -psd_tol:
-            raise ValueError(f"not positive semidefinite: min eigenvalue {lo!r}")
-        return self
 
 
 def frobenius_distance(a, b) -> float:

@@ -53,20 +53,6 @@ class PhaseVector:
         object.__setattr__(self, "phases", phases)
 
 
-@dataclass(frozen=True)
-class MubLabel:
-    """Address of one mutually unbiased basis state: dimension d, basis l, state t."""
-
-    d: int
-    l: int
-    t: int
-
-    def __post_init__(self):
-        _require_odd_prime(self.d)
-        if not (0 <= self.l < self.d and 0 <= self.t < self.d):
-            raise ValueError(f"basis/state labels must lie in 0..{self.d - 1}, got ({self.l}, {self.t})")
-
-
 def _require_odd_prime(d: int) -> None:
     if not is_prime(d):
         raise UnsupportedDimensionError(f"d = {d} is not prime; no MUB construction here")
@@ -109,25 +95,21 @@ def symmetric_pair(d: int, j: int, l: int) -> Ket:
     return Ket((d, d), amps)
 
 
-def mub_state(label: MubLabel) -> Ket:
-    """State t of mutually unbiased basis l in odd prime dimension d.
+def mub_basis(d: int, l: int) -> list[Ket]:
+    """All d states of mutually unbiased basis l in odd prime dimension d (orthonormal by construction).
 
-    Amplitude at j is ``omega^(t*(d-j)) * omega^(-l*s_j) / sqrt(d)`` with
+    Amplitude j of state t is ``omega^(t*(d-j) - l*s_j) / sqrt(d)`` with
     ``omega = exp(2*pi*i/d)`` and ``s_j = j + (j+1) + ... + (d-1)``. The
     exponent is reduced mod d in integer arithmetic before exponentiation,
     so the amplitudes are d-th roots of unity to full precision.
     """
-    d, l, t = label.d, label.l, label.t
-    omega = np.exp(2j * math.pi / d)
-    s = [sum(range(j, d)) for j in range(d)]
-    exps = [(t * (d - j) - l * s[j]) % d for j in range(d)]
-    amps = omega ** np.array(exps) / math.sqrt(d)
-    return Ket((d,), amps)
-
-
-def mub_basis(d: int, l: int) -> list[Ket]:
-    """All d states of mutually unbiased basis l (orthonormal by construction)."""
-    return [mub_state(MubLabel(d, l, t)) for t in range(d)]
+    _require_odd_prime(d)
+    if not 0 <= l < d:
+        raise ValueError(f"basis label must lie in 0..{d - 1}, got {l}")
+    t, j = np.ogrid[:d, :d]
+    s = (d * (d - 1) - j * (j - 1)) // 2
+    amps = np.exp(2j * math.pi / d) ** ((t * (d - j) - l * s) % d) / math.sqrt(d)
+    return [Ket((d,), row) for row in amps]
 
 
 def standard_basis(d: int) -> list[Ket]:

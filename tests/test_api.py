@@ -26,7 +26,6 @@ PUBLIC = {
     "EQ_TOL",
     "FidelityReport",
     "Ket",
-    "MubLabel",
     "PSD_TOL",
     "PhaseVector",
     "SweepTable",
@@ -41,7 +40,6 @@ PUBLIC = {
     "is_prime",
     "maximize_fidelity",
     "mub_basis",
-    "mub_state",
     "optimal_fidelity",
     "optimal_params",
     "partial_trace",

@@ -8,7 +8,7 @@ import phaseclone.audit
 import phaseclone.cloner
 from phaseclone.audit import AuditReport, run_audit
 from phaseclone.cloner import CloningMachine, build_machine, clone_state, optimal_params, reduced_clone
-from phaseclone.linalg import frobenius_distance
+from phaseclone.linalg import DensityMatrix, Ket, frobenius_distance
 from phaseclone.states import PhaseVector, is_prime, phase_state, random_phase_vector
 
 EQ_CHECKS = {
@@ -134,27 +134,91 @@ class TestRunAudit:
 
     @pytest.mark.parametrize("d_max, n", [(5, 1), (4, 3), (7, 2)])
     def test_clone_state_call_count_matches_the_closed_count(self, monkeypatch, d_max, n):
-        # the audit never forms the two-clone state; it simulates through simulate_fidelity, whose
-        # count (4824 for verify --d-max 12 --trials 20) is the same formula as here
-        calls = {"clone_state": 0, "simulate_fidelity": 0}
+        # one pass: each draw builds one output factor, plus one phase-zero factor per machine; the audit
+        # never forms the two-clone state, and simulate_fidelity runs only for the MUB states
+        calls = {"clone_state": 0, "simulate_fidelity": 0, "random_phase_vector": 0, "_output_factor": 0}
 
-        def counting(name):
-            original = getattr(phaseclone.cloner, name)
-
+        def counting(name, original):
             def counted(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
 
             return counted
 
-        for name in calls:
-            wrapped = counting(name)
+        for name in ("clone_state", "simulate_fidelity"):
+            wrapped = counting(name, getattr(phaseclone.cloner, name))
             for module in (phaseclone.cloner, phaseclone.audit):
                 monkeypatch.setattr(module, name, wrapped, raising=False)
+        for name in ("random_phase_vector", "_output_factor"):  # as bound in the audit only
+            monkeypatch.setattr(phaseclone.audit, name, counting(name, getattr(phaseclone.audit, name)))
         run_audit(d_max=d_max, n_random=n, seed=0)
-        sweep = (d_max - 1) * (1 + n) * max(2, n)
+        machines = (d_max - 1) * (1 + n)
+        draws = machines * max(2, n)
         mub = sum(d * d for d in range(3, d_max + 1) if is_prime(d))
-        assert calls == {"clone_state": 0, "simulate_fidelity": sweep + mub}
+        assert calls == {
+            "clone_state": 0,
+            "simulate_fidelity": mub,
+            "random_phase_vector": draws,
+            "_output_factor": draws + machines,
+        }
+
+    def test_row_contract_is_pinned(self):
+        # verify prints its CSV and JSON rows in this order, with these labels and tolerances
+        report = run_audit(d_max=5, n_random=1, seed=0)
+        assert [(c.name, c.d_range, c.tolerance) for c in report.checks] == [
+            ("isometry_unitarity", "2..5", 1e-12),
+            ("clone_symmetry", "2..5", 1e-12),
+            ("closed_form_agreement", "2..5", 1e-12),
+            ("scalar_form", "2..5", 1e-12),
+            ("reduced_closed_matrix", "2..5", 1e-12),
+            ("output_state_validity", "2..5", 1e-10),
+            ("fidelity_phase_independence", "2..5", 1e-12),
+            ("phase_covariance", "2..5", 1e-12),
+            ("optimum_consistency", "2..5", 1e-9),
+            ("sweep_upper_bound", "2..5", 1e-12),
+            ("objective_unimodal", "2..5", 0.5),
+            ("uqcm_superiority", "2..5", 0.5),
+            ("superiority_gap_decreasing", "2..5", 0.5),
+            ("optimal_fidelity_decreasing", "2..5", 0.5),
+            ("level2_value", "2", 1e-12),
+            ("level3_value", "3", 1e-12),
+            ("phase_state_modulus", "2..5", 1e-12),
+            ("symmetric_pair_swap", "2..5", 1e-15),
+            ("mub_unbiasedness", "3;5", 1e-10),
+            ("mub_cloning_uniformity", "3;5", 1e-12),
+        ]
+
+    def test_unequal_moduli_fail_the_phase_state_modulus_check(self, monkeypatch):
+        # a normalized state whose amplitudes are not all 1/sqrt(d): |amps|^2 = (2, 1, ..., 1) / (d + 1)
+        def lopsided(pv):
+            amps = np.exp(1j * np.array(pv.phases))
+            amps[0] *= math.sqrt(2.0)
+            return Ket((pv.d,), amps / math.sqrt(pv.d + 1))
+
+        monkeypatch.setattr(phaseclone.audit, "phase_state", lopsided)
+        report = run_audit(d_max=4, n_random=2, seed=0)
+        modulus = next(c for c in report.checks if c.name == "phase_state_modulus")
+        assert not modulus.passed
+        # worst at d = 4, where |amps[0]| = sqrt(2/5) against 1/2
+        assert abs(modulus.residual - (math.sqrt(0.4) - 0.5)) < 1e-12
+
+    def test_a_phase_independent_offset_fails_the_phase_covariance_check(self, monkeypatch):
+        # adding eps(|0><1| + |1><0|) to every reduction survives at phase zero but not under U_phi
+        single_clone = phaseclone.audit._single_clone
+        eps = 1e-6
+
+        def offset(m, clone=0):
+            red = single_clone(m, clone)
+            mat = red.mat.copy()
+            mat[0, 1] += eps
+            mat[1, 0] += eps
+            return DensityMatrix(red.dims, mat)
+
+        monkeypatch.setattr(phaseclone.audit, "_single_clone", offset)
+        report = run_audit(d_max=4, n_random=2, seed=0)
+        covariance = next(c for c in report.checks if c.name == "phase_covariance")
+        assert not covariance.passed
+        assert covariance.residual <= 2.0 * math.sqrt(2.0) * eps + 1e-12  # ||U X U^dag - X||_F <= 2 ||X||_F
 
     def test_rows_serialization_shape(self, small_report):
         rows = small_report.to_rows()

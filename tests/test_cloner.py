@@ -24,7 +24,7 @@ from phaseclone.cloner import (
     simulate_fidelity,
     uqcm_fidelity,
 )
-from phaseclone.linalg import EQ_TOL, DensityMatrix, DimensionError, Ket, partial_trace
+from phaseclone.linalg import EQ_TOL, PSD_TOL, DensityMatrix, DimensionError, Ket, partial_trace
 from phaseclone.states import PhaseVector, phase_state, random_phase_vector
 
 INV_SQRT2 = 0.7071067811865476
@@ -262,8 +262,10 @@ class TestCloneState:
 
     def test_output_is_physical_for_random_d4_phase_state(self):
         machine = build_machine(4, *optimal_params(4))
-        rho = clone_state(machine, phase_state(random_phase_vector(4, 123)))
-        rho.validate()  # Hermitian, unit trace, positive semidefinite
+        mat = clone_state(machine, phase_state(random_phase_vector(4, 123))).mat
+        assert np.linalg.norm(mat - mat.conj().T) < EQ_TOL
+        assert abs(np.trace(mat) - 1.0) <= EQ_TOL
+        assert np.linalg.eigvalsh(mat).min() >= -PSD_TOL
 
     def test_output_is_swap_symmetric(self):
         for d in (2, 3, 4):

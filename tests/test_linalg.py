@@ -6,7 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phaseclone.cloner import build_machine, optimal_params
-from phaseclone.linalg import DensityMatrix, DimensionError, Ket, fidelity_pure, frobenius_distance, partial_trace
+from phaseclone.linalg import (
+    EQ_TOL,
+    PSD_TOL,
+    DensityMatrix,
+    DimensionError,
+    Ket,
+    fidelity_pure,
+    frobenius_distance,
+    partial_trace,
+)
 
 INV_SQRT8 = 0.35355339059327373  # sqrt(1/8)
 
@@ -127,7 +136,10 @@ class TestSmallOps:
             frobenius_distance(np.eye(2), np.eye(3))
 
     def test_outer_satisfies_density_invariants(self):
-        pure(random_ket(7, 9)).validate()
+        mat = pure(random_ket(7, 9)).mat
+        assert np.linalg.norm(mat - mat.conj().T) < EQ_TOL
+        assert abs(np.trace(mat) - 1.0) <= EQ_TOL
+        assert np.linalg.eigvalsh(mat).min() >= -PSD_TOL
 
 
 class TestDomainTypes:
@@ -155,19 +167,3 @@ class TestDomainTypes:
     def test_density_shape_check(self):
         with pytest.raises(DimensionError):
             DensityMatrix((2,), np.eye(3))
-
-    def test_validate_accepts_physical_state(self):
-        DensityMatrix((2,), np.array([[0.5, 0.25], [0.25, 0.5]])).validate()
-
-    def test_validate_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix((2,), np.array([[0.5, 0.5], [0.0, 0.5]])).validate()
-
-    def test_validate_rejects_wrong_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            DensityMatrix((2,), np.eye(2)).validate()
-
-    def test_validate_rejects_negative_eigenvalue(self):
-        mat = np.array([[0.6, 0.55], [0.55, 0.4]])  # eigenvalues straddle zero
-        with pytest.raises(ValueError, match="semidefinite"):
-            DensityMatrix((2,), mat).validate()

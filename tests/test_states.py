@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from phaseclone.linalg import DimensionError, Ket
 from phaseclone.states import (
-    MubLabel,
     PhaseVector,
     UnsupportedDimensionError,
     gram_residual,
     is_prime,
     mub_basis,
-    mub_state,
     phase_state,
     random_phase_vector,
     standard_basis,
@@ -117,13 +115,13 @@ class TestSymmetricPair:
 
 class TestMubConstruction:
     def test_first_basis_first_state_is_uniform(self):
-        psi = mub_state(MubLabel(3, 0, 0))
+        psi = mub_basis(3, 0)[0]
         np.testing.assert_allclose(psi.amps, np.ones(3) / math.sqrt(3), atol=1e-15)
 
     def test_first_basis_second_state(self):
         # exponents t*(d-j) mod 3 for t=1: (0, 2, 1)
         w = np.exp(2j * math.pi / 3)
-        psi = mub_state(MubLabel(3, 0, 1))
+        psi = mub_basis(3, 0)[1]
         np.testing.assert_allclose(psi.amps, np.array([1, w**2, w]) / math.sqrt(3), atol=1e-15)
 
     def test_cross_basis_overlaps_d3(self):
@@ -163,13 +161,26 @@ class TestMubConstruction:
     @pytest.mark.parametrize("d", [4, 6, 9, 15])
     def test_rejects_non_primes(self, d):
         with pytest.raises(UnsupportedDimensionError):
-            mub_state(MubLabel(d, 0, 0))
+            mub_basis(d, 0)
 
     def test_label_range_validation(self):
         with pytest.raises(ValueError):
-            MubLabel(3, 3, 0)
+            mub_basis(3, 3)
         with pytest.raises(ValueError):
-            MubLabel(3, 0, -1)
+            mub_basis(3, -1)
+
+    def test_matches_the_per_state_loop_bit_for_bit(self):
+        # the one-array construction against the state-by-state loop it replaced
+        def loop_state(d, l, t, s):
+            omega = np.exp(2j * math.pi / d)
+            exps = [(t * (d - j) - l * s[j]) % d for j in range(d)]
+            return omega ** np.array(exps) / math.sqrt(d)
+
+        for d in (p for p in range(3, 62) if is_prime(p)):
+            s = [sum(range(j, d)) for j in range(d)]
+            for l in range(d):
+                got = np.array([psi.amps for psi in mub_basis(d, l)])
+                np.testing.assert_array_equal(got, [loop_state(d, l, t, s) for t in range(d)])
 
 
 class TestStandardBasisAndUnbiasedness:
