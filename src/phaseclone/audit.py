@@ -6,18 +6,22 @@ for matrix claims, absolute difference for scalar claims, violation count
 for strict inequalities) and never aborts early: the full residual table is
 the point. Reports are bit-for-bit reproducible for a fixed seed.
 
-The audit makes one simulation pass over (d, machine, draw). Each draw's
-pure output factor M = V|psi> (d^2 by d) and its two single-clone
-reductions X X^dag (X a d-by-d^2 reshaping of M) feed every per-draw
-check, from output validity to the phase-state modulus; phase covariance
-compares each draw's reduction with its machine's phase-zero one,
-conjugated by U_phi, on every machine of the grid. The two-clone output
-rho_AB = M M^dag is never formed: its trace is ||M||_F^2, and its
-positivity is checked on the d-by-d ancilla Gram M^dag M, which has the
-same nonzero spectrum. Cost grows like d^4 per draw, in O(d^3) memory. On
-a 2-core machine with numpy 2.4, ``verify --trials 20`` takes 1.5 s at
-d_max 12 (median of ten runs, 38 MB of RSS) and 148–170 s at d_max 64 (two
-runs, 147–149 MB of RSS).
+The audit makes one simulation pass over (d, machine, draw). Each draw
+builds its pure output factor M = V|psi> (d^2 by d) and keeps only the
+d-by-d things M gives: its two single-clone reductions X X^dag (X a
+d-by-d^2 reshaping of M), its ancilla Gram M^dag M and its trace
+||M||_F^2. These fill (n, d, d) stacks over the machine's n draws, and
+every per-draw check, from output validity to the phase-state modulus,
+then runs once per machine on the stacks (one stacked eigensolve, one
+stacked overlap <psi|rho_A|psi>). Phase covariance compares each draw's
+reduction with its machine's phase-zero one, conjugated by U_phi, on every
+machine of the grid. The two-clone output rho_AB = M M^dag is never
+formed: its trace is ||M||_F^2, and its positivity is checked on the
+ancilla Gram, which has the same nonzero spectrum. The per-draw products
+cost d^4 time in O(d^3) memory; the stacks add O(n d^2). On a 2-core
+machine with numpy 2.4, ``verify --trials 20`` takes 0.62 s at d_max 12
+(``cli.main`` wall time, median of 11 runs, 39 MB of RSS) and 134 s at
+d_max 64 (one run, 146 MB of RSS).
 
 MUB checks cover every odd prime d <= d_max; :func:`mub_rows` is also what
 ``phaseclone mub`` prints.
@@ -43,7 +47,7 @@ from .cloner import (
     simulate_fidelity,
     uqcm_fidelity,
 )
-from .linalg import EQ_TOL, PSD_TOL, fidelity_pure, frobenius_distance
+from .linalg import EQ_TOL, PSD_TOL, frobenius_distance
 from .optimize import optimum_residual, sweep_alpha
 from .states import (
     PhaseVector,
@@ -171,56 +175,68 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
             worst = max(worst, bad.unitarity_residual())
     record("isometry_unitarity", worst, EQ_TOL)
 
-    # one simulation sweep feeds every per-draw check: each draw's output factor M and its two reductions
+    # one simulation sweep: each draw's output factor M fills that draw's slot of its machine's stacks,
+    # and every per-draw check then runs once per machine, over the stacks
+    n = max(2, n_random)
     worst_sym = worst_agree = worst_scalar = worst_matrix = worst_valid = worst_std = worst_cov = worst_mod = 0.0
     for d in dims:
+        phases = np.empty((n, d))
+        amps = np.empty((n, d), dtype=np.complex128)
+        red_a = np.empty((n, d, d), dtype=np.complex128)  # clone A's reduction of each draw
+        red_b = np.empty_like(red_a)
+        gram = np.empty_like(red_a)  # ancilla Gram M^dag M of each draw
+        norm2 = np.empty(n)  # ||M||_F^2 of each draw
         for machine in grids[d]:
             red0 = _single_clone(_output_factor(machine, phase_state(PhaseVector(d, (0.0,) * d)))).mat
-            fidelities = []
-            for _ in range(max(2, n_random)):
+            for k in range(n):
                 pv = random_phase_vector(d, next(seeds))
                 psi = phase_state(pv)
-                worst_mod = max(worst_mod, float(np.abs(np.abs(psi.amps) - 1.0 / math.sqrt(d)).max()))
                 m = _output_factor(machine, psi)
-                rho_a = _single_clone(m, 0)
-                red_a = rho_a.mat
-                red_b = _single_clone(m, 1).mat
+                phases[k] = pv.phases
+                amps[k] = psi.amps
+                red_a[k] = _single_clone(m, 0).mat
+                red_b[k] = _single_clone(m, 1).mat
+                np.matmul(m.conj().T, m, out=gram[k])
+                norm2[k] = np.vdot(m, m).real
 
-                # physical validity of the simulated output rho_AB = M M^dag, read off M: its trace is
-                # ||M||_F^2, and its nonzero spectrum is that of the d-by-d ancilla Gram M^dag M, so
-                # positivity is checked there; Hermiticity is checked on the reductions consumed below
-                herm = max(frobenius_distance(red, red.conj().T) for red in (red_a, red_b))
-                tr_err = abs(np.vdot(m, m).real - 1.0)
-                min_eig = float(np.linalg.eigvalsh(m.conj().T @ m).min())
-                worst_valid = max(worst_valid, herm, tr_err, max(0.0, -min_eig))
+            worst_mod = max(worst_mod, float(np.abs(np.abs(amps) - 1.0 / math.sqrt(d)).max()))
 
-                # the two clones are interchangeable
-                worst_sym = max(worst_sym, frobenius_distance(red_a, red_b))
+            # physical validity of the simulated output rho_AB = M M^dag, read off M: its trace is
+            # ||M||_F^2, and its nonzero spectrum is that of the d-by-d ancilla Gram M^dag M, so
+            # positivity is checked there; Hermiticity is checked on the reductions consumed below
+            herm = max(frobenius_distance(red, red.conj().transpose(0, 2, 1)) for red in (red_a, red_b))
+            tr_err = float(np.abs(norm2 - 1.0).max())
+            min_eig = float(np.linalg.eigvalsh(gram).min())
+            worst_valid = max(worst_valid, herm, tr_err, max(0.0, -min_eig))
 
-                # brute force vs closed form (f_sim is what simulate_fidelity computes)
-                f_sim = fidelity_pure(psi, rho_a)
-                f_closed = fidelity_closed_form(d, machine.alpha, machine.beta)
-                worst_agree = max(worst_agree, abs(f_sim - f_closed))
-                fidelities.append(f_sim)
+            # the two clones are interchangeable
+            worst_sym = max(worst_sym, frobenius_distance(red_a, red_b))
 
-                # shrink (scalar) form of the reduced output
-                eta = shrink_factor(d, machine.alpha, machine.beta)
-                rho_in = np.outer(psi.amps, psi.amps.conj())
-                scalar = eta * rho_in + (1.0 - eta) / d * np.eye(d)
-                worst_scalar = max(worst_scalar, frobenius_distance(red_a, scalar))
+            # brute force vs closed form: <psi|rho_A|psi> is what simulate_fidelity computes, and an
+            # imaginary part (a non-Hermitian reduction) counts against the same tolerance
+            fid = (amps.conj()[:, None, :] @ red_a @ amps[:, :, None])[:, 0, 0]
+            f_closed = fidelity_closed_form(d, machine.alpha, machine.beta)
+            worst_agree = max(worst_agree, float(np.abs(fid.real - f_closed).max()), float(np.abs(fid.imag).max()))
+            worst_std = max(worst_std, float(np.std(fid.real, ddof=1)))
 
-                # entrywise closed-form reduced matrix
-                phases = np.array(pv.phases)
-                twist = np.exp(1j * (phases[:, None] - phases[None, :]))
-                closed = (eta / d) * twist
-                np.fill_diagonal(closed, 1.0 / d)
-                worst_matrix = max(worst_matrix, frobenius_distance(red_a, closed))
+            # shrink (scalar) form of the reduced output
+            eta = shrink_factor(d, machine.alpha, machine.beta)
+            rho_in = amps[:, :, None] * amps.conj()[:, None, :]
+            scalar = eta * rho_in + (1.0 - eta) / d * np.eye(d)
+            worst_scalar = max(worst_scalar, frobenius_distance(red_a, scalar))
 
-                # phase covariance: the reduced output is the phase-zero one conjugated by U_phi = diag(e^(i phi)),
-                # which multiplies entry (j, k) by e^(i(phi_j - phi_k))
-                worst_cov = max(worst_cov, frobenius_distance(red_a, red0 * twist))
+            # entrywise closed-form reduced matrix
+            twist = np.exp(1j * (phases[:, :, None] - phases[:, None, :]))
+            closed = (eta / d) * twist
+            closed[:, range(d), range(d)] = 1.0 / d
+            worst_matrix = max(worst_matrix, frobenius_distance(red_a, closed))
 
-            worst_std = max(worst_std, float(np.std(fidelities, ddof=1)))
+            # phase covariance: the reduced output is the phase-zero one conjugated by U_phi = diag(e^(i phi)),
+            # which multiplies entry (j, k) by e^(i(phi_j - phi_k))
+            worst_cov = max(worst_cov, frobenius_distance(red_a, red0 * twist))
+            # release the (n, d, d) temporaries before the next machine's d^4 draws (5 MB at d = 64, n = 20)
+            del rho_in, scalar, twist, closed
+
     record("clone_symmetry", worst_sym, EQ_TOL)
     record("closed_form_agreement", worst_agree, EQ_TOL)
     record("scalar_form", worst_scalar, EQ_TOL)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -7,8 +8,19 @@ import pytest
 import phaseclone.audit
 import phaseclone.cloner
 from phaseclone.audit import AuditReport, run_audit
-from phaseclone.cloner import CloningMachine, build_machine, clone_state, optimal_params, reduced_clone
-from phaseclone.linalg import DensityMatrix, Ket, frobenius_distance
+from phaseclone.cli import main
+from phaseclone.cloner import (
+    CloningMachine,
+    _output_factor,
+    _single_clone,
+    build_machine,
+    clone_state,
+    fidelity_closed_form,
+    optimal_params,
+    reduced_clone,
+    shrink_factor,
+)
+from phaseclone.linalg import DensityMatrix, Ket, fidelity_pure, frobenius_distance
 from phaseclone.states import PhaseVector, is_prime, phase_state, random_phase_vector
 
 EQ_CHECKS = {
@@ -21,6 +33,59 @@ EQ_CHECKS = {
     "phase_covariance",
     "phase_state_modulus",
 }
+
+
+def per_draw_residuals(d_max: int, n_random: int, seed: int) -> dict[str, float]:
+    """The sweep's residuals computed one draw at a time, as the audit did before its checks ran over stacks.
+
+    Kept as the reference for the stacked sweep: same machine grid, same sub-seeds, same draw order.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    grids = {
+        d: [build_machine(d, *optimal_params(d))]
+        + [build_machine(d, *phaseclone.audit._random_split(rng)) for _ in range(n_random)]
+        for d in range(2, d_max + 1)
+    }
+    seeds = itertools.count(seed * 1_000_003 + 1)
+    worst = dict.fromkeys(
+        ("clone_symmetry", "closed_form_agreement", "scalar_form", "reduced_closed_matrix",
+         "output_state_validity", "fidelity_phase_independence", "phase_covariance", "phase_state_modulus"),
+        0.0,
+    )
+
+    def update(name, value):
+        worst[name] = max(worst[name], value)
+
+    for d, grid in grids.items():
+        for machine in grid:
+            red0 = _single_clone(_output_factor(machine, phase_state(PhaseVector(d, (0.0,) * d)))).mat
+            fidelities = []
+            for _ in range(max(2, n_random)):
+                pv = random_phase_vector(d, next(seeds))
+                psi = phase_state(pv)
+                update("phase_state_modulus", float(np.abs(np.abs(psi.amps) - 1.0 / math.sqrt(d)).max()))
+                m = _output_factor(machine, psi)
+                rho_a = _single_clone(m, 0)
+                red_a, red_b = rho_a.mat, _single_clone(m, 1).mat
+                herm = max(frobenius_distance(red, red.conj().T) for red in (red_a, red_b))
+                tr_err = abs(np.vdot(m, m).real - 1.0)
+                min_eig = float(np.linalg.eigvalsh(m.conj().T @ m).min())
+                update("output_state_validity", max(herm, tr_err, max(0.0, -min_eig)))
+                update("clone_symmetry", frobenius_distance(red_a, red_b))
+                f_sim = fidelity_pure(psi, rho_a)
+                update("closed_form_agreement", abs(f_sim - fidelity_closed_form(d, machine.alpha, machine.beta)))
+                fidelities.append(f_sim)
+                eta = shrink_factor(d, machine.alpha, machine.beta)
+                scalar = eta * np.outer(psi.amps, psi.amps.conj()) + (1.0 - eta) / d * np.eye(d)
+                update("scalar_form", frobenius_distance(red_a, scalar))
+                phases = np.array(pv.phases)
+                twist = np.exp(1j * (phases[:, None] - phases[None, :]))
+                closed = (eta / d) * twist
+                np.fill_diagonal(closed, 1.0 / d)
+                update("reduced_closed_matrix", frobenius_distance(red_a, closed))
+                update("phase_covariance", frobenius_distance(red_a, red0 * twist))
+            update("fidelity_phase_independence", float(np.std(fidelities, ddof=1)))
+    return worst
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +184,8 @@ class TestRunAudit:
         assert abs(validity.residual - 0.1) < 1e-12
 
     def test_positivity_eigensolves_stay_d_by_d(self, monkeypatch):
-        # the two-clone state is checked through its d-by-d ancilla Gram, never as a d^2-by-d^2 matrix
+        # the two-clone state is checked through its d-by-d ancilla Gram, never as a d^2-by-d^2 matrix;
+        # each machine's draws are solved as one stack of Grams
         shapes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -129,8 +195,9 @@ class TestRunAudit:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
         assert run_audit(d_max=6, n_random=2, seed=0).overall
-        assert len(shapes) == 5 * 3 * 2  # d = 2..6, three machines per d, two draws per machine
-        assert set(shapes) == {(d, d) for d in range(2, 7)}
+        assert {shape[-2:] for shape in shapes} == {(d, d) for d in range(2, 7)}
+        assert sum(math.prod(shape[:-2]) for shape in shapes) == 5 * 3 * 2  # d = 2..6, 3 machines, 2 draws each
+        assert not any(shape[-1] ** 2 in shape for shape in shapes)
 
     @pytest.mark.parametrize("d_max, n", [(5, 1), (4, 3), (7, 2)])
     def test_clone_state_call_count_matches_the_closed_count(self, monkeypatch, d_max, n):
@@ -161,6 +228,12 @@ class TestRunAudit:
             "random_phase_vector": draws,
             "_output_factor": draws + machines,
         }
+
+    @pytest.mark.parametrize("d_max, n_random, seed", [(5, 1, 0), (6, 3, 5), (9, 2, 11), (4, 6, 3)])
+    def test_stacked_checks_match_the_per_draw_loop_bit_for_bit(self, d_max, n_random, seed):
+        residuals = {c.name: c.residual for c in run_audit(d_max, n_random, seed).checks}
+        reference = per_draw_residuals(d_max, n_random, seed)
+        assert {name: residuals[name] for name in reference} == reference
 
     def test_row_contract_is_pinned(self):
         # verify prints its CSV and JSON rows in this order, with these labels and tolerances
@@ -219,6 +292,26 @@ class TestRunAudit:
         covariance = next(c for c in report.checks if c.name == "phase_covariance")
         assert not covariance.passed
         assert covariance.residual <= 2.0 * math.sqrt(2.0) * eps + 1e-12  # ||U X U^dag - X||_F <= 2 ||X||_F
+
+    def test_a_non_hermitian_reduction_fails_checks_instead_of_raising(self, monkeypatch, capsys):
+        # adding i eps(|0><1| + |1><0|) makes every reduction non-Hermitian and <psi|rho_A|psi> complex
+        single_clone = phaseclone.audit._single_clone
+        eps = 1e-6
+
+        def skewed(m, clone=0):
+            red = single_clone(m, clone)
+            mat = red.mat.copy()
+            mat[0, 1] += 1j * eps
+            mat[1, 0] += 1j * eps
+            return DensityMatrix(red.dims, mat)
+
+        monkeypatch.setattr(phaseclone.audit, "_single_clone", skewed)
+        by_name = {c.name: c for c in run_audit(d_max=4, n_random=2, seed=0).checks}
+        validity, agreement = by_name["output_state_validity"], by_name["closed_form_agreement"]
+        assert not validity.passed and not agreement.passed
+        assert abs(validity.residual - 2.0 * math.sqrt(2.0) * eps) < 1e-12  # ||rho - rho^dag||_F, the Hermiticity term
+        assert agreement.residual <= eps + 1e-12  # |Im <psi|rho_A|psi>| = eps |2 Re(conj(psi_0) psi_1)| <= eps
+        assert main(["verify", "--d-max", "4", "--trials", "2"]) == 1
 
     def test_rows_serialization_shape(self, small_report):
         rows = small_report.to_rows()

@@ -135,6 +135,24 @@ class TestSmallOps:
         with pytest.raises(DimensionError):
             frobenius_distance(np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("d", [1, 2, 5, 12, 33])
+    def test_frobenius_distance_of_a_stack_is_its_worst_slice_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal((7, d, d)) + 1j * rng.standard_normal((7, d, d))
+        b = rng.standard_normal((7, d, d)) + 1j * rng.standard_normal((7, d, d))
+        for x, y in ((a, b), (a.real, b.real), (a.transpose(0, 2, 1), b)):
+            assert frobenius_distance(x, y) == max(float(np.linalg.norm(x[i] - y[i])) for i in range(7))
+        assert frobenius_distance(a.reshape(7, 1, d, d), b.reshape(7, 1, d, d)) == frobenius_distance(a, b)
+        assert frobenius_distance(a[:0], b[:0]) == 0.0
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 13, 37])
+    def test_frobenius_distance_of_a_matrix_or_vector_matches_numpy_norm_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for x, y in ((a, b), (a.T, b), (a.T, b.T), (a.real.T, b.real.T), (a[0], b[0])):
+            assert frobenius_distance(x, y) == float(np.linalg.norm(x - y))
+
     def test_outer_satisfies_density_invariants(self):
         mat = pure(random_ket(7, 9)).mat
         assert np.linalg.norm(mat - mat.conj().T) < EQ_TOL
