@@ -43,7 +43,7 @@ from .states import (
     symmetric_pair,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "AuditReport",

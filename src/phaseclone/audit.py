@@ -4,24 +4,24 @@ Each check runs over d = 2..d_max with ``n_random`` seeded random draws
 where randomness is involved, records its worst residual (Frobenius norm
 for matrix claims, absolute difference for scalar claims, violation count
 for strict inequalities) and never aborts early: the full residual table is
-the point. Reports are bit-for-bit reproducible for a fixed seed.
+the point. A NaN residual is kept as the worst and fails its check. Reports
+are bit-for-bit reproducible for a fixed seed.
 
-The audit makes one simulation pass over (d, machine, draw). Each draw
-builds its pure output factor M = V|psi> (d^2 by d) and keeps only the
-d-by-d things M gives: its two single-clone reductions X X^dag (X a
+The audit makes one pass over d, and only one d's machines (the optimum
+plus ``n_random`` random splits) are alive at a time. Each draw of a
+machine builds its pure output factor M = V|psi> (d^2 by d) and keeps only
+the d-by-d things M gives: its two single-clone reductions X X^dag (X a
 d-by-d^2 reshaping of M), its ancilla Gram M^dag M and its trace
 ||M||_F^2. These fill (n, d, d) stacks over the machine's n draws, and
-every per-draw check, from output validity to the phase-state modulus,
-then runs once per machine on the stacks (one stacked eigensolve, one
-stacked overlap <psi|rho_A|psi>). Phase covariance compares each draw's
-reduction with its machine's phase-zero one, conjugated by U_phi, on every
-machine of the grid. The two-clone output rho_AB = M M^dag is never
-formed: its trace is ||M||_F^2, and its positivity is checked on the
-ancilla Gram, which has the same nonzero spectrum. The per-draw products
-cost d^4 time in O(d^3) memory; the stacks add O(n d^2). On a 2-core
-machine with numpy 2.4, ``verify --trials 20`` takes 0.62 s at d_max 12
-(``cli.main`` wall time, median of 11 runs, 39 MB of RSS) and 134 s at
-d_max 64 (one run, 146 MB of RSS).
+every per-draw check, from output validity to phase covariance and the
+phase-state modulus, then runs once per machine on the stacks (one stacked
+eigensolve, one stacked overlap <psi|rho_A|psi>). The two-clone output
+rho_AB = M M^dag is never formed: its trace is ||M||_F^2, and its
+positivity is checked on the ancilla Gram, which has the same nonzero
+spectrum. The per-draw products cost d^4 time in O(d^3) memory; the stacks
+add O(n d^2). On a 2-core machine with numpy 2.4, ``verify --trials 20``
+takes 0.59 s at d_max 12 (``cli.main`` wall time, median of 10 benchmark
+runs, 38 MB of RSS) and 138 s at d_max 64 (one run, 66 MB of RSS).
 
 MUB checks cover every odd prime d <= d_max; :func:`mub_rows` is also what
 ``phaseclone mub`` prints.
@@ -61,10 +61,38 @@ from .states import (
     unbiasedness_residual,
 )
 
-UNBIASED_TOL = 1e-10
 CONSISTENCY_TOL = 1e-9
-EXACT_TOL = 1e-15  # checks that hold exactly in floating point
-COUNT_TOL = 0.5  # violation-count checks pass iff the count is zero
+
+# verify's rows in print order, each with the one tolerance its residual is held to: a violation count
+# passes iff it is zero (0.5), and symmetric_pair_swap holds exactly in floating point
+CHECKS = {
+    "isometry_unitarity": EQ_TOL,
+    "clone_symmetry": EQ_TOL,
+    "closed_form_agreement": EQ_TOL,
+    "scalar_form": EQ_TOL,
+    "reduced_closed_matrix": EQ_TOL,
+    "output_state_validity": PSD_TOL,
+    "fidelity_phase_independence": EQ_TOL,
+    "phase_covariance": EQ_TOL,
+    "optimum_consistency": CONSISTENCY_TOL,
+    "sweep_upper_bound": EQ_TOL,
+    "objective_unimodal": 0.5,
+    "uqcm_superiority": 0.5,
+    "superiority_gap_decreasing": 0.5,
+    "optimal_fidelity_decreasing": 0.5,
+    "level2_value": EQ_TOL,
+    "level3_value": EQ_TOL,
+    "phase_state_modulus": EQ_TOL,
+    "symmetric_pair_swap": 1e-15,
+    "mub_unbiasedness": 1e-10,
+    "mub_cloning_uniformity": EQ_TOL,
+}
+NEEDS_D3 = ("superiority_gap_decreasing", "level3_value", "mub_unbiasedness", "mub_cloning_uniformity")
+
+
+def _nan_wins(x: float) -> tuple[bool, float]:
+    """Key under which ``max`` keeps a NaN residual; by plain comparison it would drop it."""
+    return x != x, x
 
 
 @dataclass(frozen=True)
@@ -127,8 +155,8 @@ def mub_rows(d: int) -> list[dict]:
 def mub_worst(d: int, rows: list[dict]) -> tuple[float, float]:
     """Worst basis residual and worst ``|F - F_opt(d)|`` over the rows of :func:`mub_rows`."""
     target = optimal_fidelity(d)
-    worst_basis = max(r["value"] for r in rows if r["kind"] != "fidelity")
-    worst_uniform = max(abs(r["value"] - target) for r in rows if r["kind"] == "fidelity")
+    worst_basis = max((r["value"] for r in rows if r["kind"] != "fidelity"), key=_nan_wins)
+    worst_uniform = max((abs(r["value"] - target) for r in rows if r["kind"] == "fidelity"), key=_nan_wins)
     return worst_basis, worst_uniform
 
 
@@ -150,43 +178,33 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
     rng = np.random.Generator(np.random.PCG64(seed))
     seeds = itertools.count(seed * 1_000_003 + 1)  # sub-seeds of the phase draws
     dims = range(2, d_max + 1)
-    d_range = f"2..{d_max}"
-    checks: list[CheckResult] = []
-
-    def record(name: str, residual: float, tolerance: float, rng_label: str = ""):
-        checks.append(CheckResult(name, rng_label or d_range, float(residual), tolerance))
-
-    # Per-d machine grid: the optimum plus n_random points on the parameter circle.
-    grids: dict[int, list[CloningMachine]] = {}
-    for d in dims:
-        grid = [build_machine(d, *optimal_params(d))]
-        for _ in range(n_random):
-            grid.append(build_machine(d, *_random_split(rng)))
-        grids[d] = grid
-
-    # V^dag V = I (the corrupted machine, when injected, must trip this)
-    worst = 0.0
-    for d in dims:
-        for machine in grids[d]:
-            worst = max(worst, machine.unitarity_residual())
-        if corrupt:
-            opt = grids[d][0]
-            bad = CloningMachine(d, opt.alpha * math.sqrt(0.9), opt.beta * math.sqrt(0.9))
-            worst = max(worst, bad.unitarity_residual())
-    record("isometry_unitarity", worst, EQ_TOL)
-
-    # one simulation sweep: each draw's output factor M fills that draw's slot of its machine's stacks,
-    # and every per-draw check then runs once per machine, over the stacks
     n = max(2, n_random)
-    worst_sym = worst_agree = worst_scalar = worst_matrix = worst_valid = worst_std = worst_cov = worst_mod = 0.0
+    worst = dict.fromkeys(CHECKS, 0.0)
+
+    def note(name: str, *residuals: float) -> None:
+        worst[name] = max(worst[name], *residuals, key=_nan_wins)
+
     for d in dims:
+        # the optimum plus n_random points on the parameter circle
+        machines = [build_machine(d, *optimal_params(d))]
+        machines += [build_machine(d, *_random_split(rng)) for _ in range(n_random)]
+
+        # V^dag V = I (the corrupted machine, when injected, must trip this)
+        note("isometry_unitarity", *(machine.unitarity_residual() for machine in machines))
+        if corrupt:
+            opt = machines[0]
+            bad = CloningMachine(d, opt.alpha * math.sqrt(0.9), opt.beta * math.sqrt(0.9))
+            note("isometry_unitarity", bad.unitarity_residual())
+
+        # one simulation sweep: each draw's output factor M fills that draw's slot of its machine's stacks,
+        # and every per-draw check then runs once per machine, over the stacks
         phases = np.empty((n, d))
         amps = np.empty((n, d), dtype=np.complex128)
         red_a = np.empty((n, d, d), dtype=np.complex128)  # clone A's reduction of each draw
         red_b = np.empty_like(red_a)
         gram = np.empty_like(red_a)  # ancilla Gram M^dag M of each draw
         norm2 = np.empty(n)  # ||M||_F^2 of each draw
-        for machine in grids[d]:
+        for machine in machines:
             red0 = _single_clone(_output_factor(machine, phase_state(PhaseVector(d, (0.0,) * d)))).mat
             for k in range(n):
                 pv = random_phase_vector(d, next(seeds))
@@ -199,103 +217,84 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
                 np.matmul(m.conj().T, m, out=gram[k])
                 norm2[k] = np.vdot(m, m).real
 
-            worst_mod = max(worst_mod, float(np.abs(np.abs(amps) - 1.0 / math.sqrt(d)).max()))
+            note("phase_state_modulus", float(np.abs(np.abs(amps) - 1.0 / math.sqrt(d)).max()))
 
             # physical validity of the simulated output rho_AB = M M^dag, read off M: its trace is
             # ||M||_F^2, and its nonzero spectrum is that of the d-by-d ancilla Gram M^dag M, so
-            # positivity is checked there; Hermiticity is checked on the reductions consumed below
-            herm = max(frobenius_distance(red, red.conj().transpose(0, 2, 1)) for red in (red_a, red_b))
-            tr_err = float(np.abs(norm2 - 1.0).max())
-            min_eig = float(np.linalg.eigvalsh(gram).min())
-            worst_valid = max(worst_valid, herm, tr_err, max(0.0, -min_eig))
+            # positivity is checked there; Hermiticity is checked on the reductions consumed below.
+            # A non-finite Gram would make the eigensolve raise, so it notes a NaN instead
+            min_eig = float(np.linalg.eigvalsh(gram).min()) if np.isfinite(gram).all() else math.nan
+            note(
+                "output_state_validity",
+                *(frobenius_distance(red, red.conj().transpose(0, 2, 1)) for red in (red_a, red_b)),
+                float(np.abs(norm2 - 1.0).max()),
+                -min_eig,
+            )
 
             # the two clones are interchangeable
-            worst_sym = max(worst_sym, frobenius_distance(red_a, red_b))
+            note("clone_symmetry", frobenius_distance(red_a, red_b))
 
             # brute force vs closed form: <psi|rho_A|psi> is what simulate_fidelity computes, and an
             # imaginary part (a non-Hermitian reduction) counts against the same tolerance
             fid = (amps.conj()[:, None, :] @ red_a @ amps[:, :, None])[:, 0, 0]
             f_closed = fidelity_closed_form(d, machine.alpha, machine.beta)
-            worst_agree = max(worst_agree, float(np.abs(fid.real - f_closed).max()), float(np.abs(fid.imag).max()))
-            worst_std = max(worst_std, float(np.std(fid.real, ddof=1)))
+            note("closed_form_agreement", float(np.abs(fid.real - f_closed).max()), float(np.abs(fid.imag).max()))
+            note("fidelity_phase_independence", float(np.std(fid.real, ddof=1)))
 
             # shrink (scalar) form of the reduced output
             eta = shrink_factor(d, machine.alpha, machine.beta)
             rho_in = amps[:, :, None] * amps.conj()[:, None, :]
             scalar = eta * rho_in + (1.0 - eta) / d * np.eye(d)
-            worst_scalar = max(worst_scalar, frobenius_distance(red_a, scalar))
+            note("scalar_form", frobenius_distance(red_a, scalar))
 
             # entrywise closed-form reduced matrix
             twist = np.exp(1j * (phases[:, :, None] - phases[:, None, :]))
             closed = (eta / d) * twist
             closed[:, range(d), range(d)] = 1.0 / d
-            worst_matrix = max(worst_matrix, frobenius_distance(red_a, closed))
+            note("reduced_closed_matrix", frobenius_distance(red_a, closed))
 
             # phase covariance: the reduced output is the phase-zero one conjugated by U_phi = diag(e^(i phi)),
             # which multiplies entry (j, k) by e^(i(phi_j - phi_k))
-            worst_cov = max(worst_cov, frobenius_distance(red_a, red0 * twist))
+            note("phase_covariance", frobenius_distance(red_a, red0 * twist))
             # release the (n, d, d) temporaries before the next machine's d^4 draws (5 MB at d = 64, n = 20)
             del rho_in, scalar, twist, closed
 
-    record("clone_symmetry", worst_sym, EQ_TOL)
-    record("closed_form_agreement", worst_agree, EQ_TOL)
-    record("scalar_form", worst_scalar, EQ_TOL)
-    record("reduced_closed_matrix", worst_matrix, EQ_TOL)
-    record("output_state_validity", worst_valid, PSD_TOL)
-    record("fidelity_phase_independence", worst_std, EQ_TOL)
-    record("phase_covariance", worst_cov, EQ_TOL)
+        # optimizer, closed form and explicit parameters agree
+        note("optimum_consistency", optimum_residual(d))
 
-    # optimizer, closed form and explicit parameters agree
-    record("optimum_consistency", max(optimum_residual(d) for d in dims), CONSISTENCY_TOL)
-
-    # alpha sweep: the grid never beats the analytic optimum, and is unimodal
-    worst_bound = 0.0
-    bad_shape = 0
-    for d in dims:
+        # alpha sweep: the grid never beats the analytic optimum, and is unimodal
         table = sweep_alpha(d, 101)
-        worst_bound = max(worst_bound, table.max_f - optimal_fidelity(d))
+        note("sweep_upper_bound", table.max_f - optimal_fidelity(d))
         diffs = np.diff([row[2] for row in table.rows])
-        changes = int(np.sum(np.diff(np.sign(diffs)) != 0))
-        bad_shape += changes != 1
-    record("sweep_upper_bound", max(0.0, worst_bound), EQ_TOL)
-    record("objective_unimodal", float(bad_shape), COUNT_TOL)
+        worst["objective_unimodal"] += int(np.sum(np.diff(np.sign(diffs)) != 0)) != 1
+
+        # the symmetric two-qudit pair states are invariant under swapping the qudits
+        pairs = (symmetric_pair(d, j, l).amps for j in range(d) for l in range(d))
+        note("symmetric_pair_swap", *(float(np.abs(a - a.reshape(d, d).T.reshape(-1)).max()) for a in pairs))
 
     # strict superiority over the universal baseline, with a shrinking gap
     gaps = [optimal_fidelity(d) - uqcm_fidelity(d) for d in dims]
-    record("uqcm_superiority", float(sum(g <= 0.0 for g in gaps)), COUNT_TOL)
-    if len(gaps) > 1:
-        record(
-            "superiority_gap_decreasing",
-            float(sum(b >= a for a, b in zip(gaps, gaps[1:]))),
-            COUNT_TOL,
-        )
+    note("uqcm_superiority", sum(g <= 0.0 for g in gaps))
+    note("superiority_gap_decreasing", sum(b >= a for a, b in zip(gaps, gaps[1:])))
     fopts = [optimal_fidelity(d) for d in dims]
-    bad = sum(b >= a for a, b in zip(fopts, fopts[1:])) + sum(f <= 0.5 for f in fopts)
-    record("optimal_fidelity_decreasing", float(bad), COUNT_TOL)
+    note("optimal_fidelity_decreasing", sum(b >= a for a, b in zip(fopts, fopts[1:])) + sum(f <= 0.5 for f in fopts))
 
     # the two dimensions with independently known optima
-    record("level2_value", abs(optimal_fidelity(2) - (0.5 + math.sqrt(0.125))), EQ_TOL, "2")
+    note("level2_value", abs(optimal_fidelity(2) - (0.5 + math.sqrt(0.125))))
+    labels = {"level2_value": "2"}
     if d_max >= 3:
-        record("level3_value", abs(optimal_fidelity(3) - (5.0 + math.sqrt(17.0)) / 12.0), EQ_TOL, "3")
-
-    # state-construction invariants (the modulus was read off the sweep's draws)
-    record("phase_state_modulus", worst_mod, EQ_TOL)
-
-    worst = 0.0
-    for d in dims:
-        for j in range(d):
-            for l in range(d):
-                amps = symmetric_pair(d, j, l).amps
-                swapped = amps.reshape(d, d).T.reshape(-1)
-                worst = max(worst, float(np.abs(amps - swapped).max()))
-    record("symmetric_pair_swap", worst, EXACT_TOL)
-
-    # mutually unbiased bases: pairwise unbiased, and all cloned equally well
-    mub_dims = [d for d in range(3, d_max + 1) if is_prime(d)]
-    if mub_dims:
-        label = ";".join(str(d) for d in mub_dims)  # comma-free: lands in a CSV cell
+        note("level3_value", abs(optimal_fidelity(3) - (5.0 + math.sqrt(17.0)) / 12.0))
+        # mutually unbiased bases: pairwise unbiased, and all cloned equally well
+        mub_dims = [d for d in range(3, d_max + 1) if is_prime(d)]
         worst_basis, worst_uniform = zip(*(mub_worst(d, mub_rows(d)) for d in mub_dims))
-        record("mub_unbiasedness", max(worst_basis), UNBIASED_TOL, label)
-        record("mub_cloning_uniformity", max(worst_uniform), EQ_TOL, label)
+        note("mub_unbiasedness", *worst_basis)
+        note("mub_cloning_uniformity", *worst_uniform)
+        mub_label = ";".join(str(d) for d in mub_dims)  # comma-free: lands in a CSV cell
+        labels.update(level3_value="3", mub_unbiasedness=mub_label, mub_cloning_uniformity=mub_label)
 
-    return AuditReport(checks=tuple(checks), seed=seed)
+    checks = tuple(
+        CheckResult(name, labels.get(name, f"2..{d_max}"), float(worst[name]), tolerance)
+        for name, tolerance in CHECKS.items()
+        if d_max >= 3 or name not in NEEDS_D3
+    )
+    return AuditReport(checks=checks, seed=seed)

@@ -19,9 +19,8 @@ import argparse
 import json
 import sys
 
-from .audit import UNBIASED_TOL, mub_rows, mub_worst, run_audit
+from .audit import CHECKS, mub_rows, mub_worst, run_audit
 from .cloner import VerificationError, fidelity_report
-from .linalg import EQ_TOL
 from .optimize import sweep_alpha
 from .states import is_prime
 
@@ -122,7 +121,7 @@ def cmd_mub(d: int, fmt: str, output: str | None = None) -> int:
     rows = mub_rows(d)
     worst_basis, worst_uniform = mub_worst(d, rows)
     _emit(_render(fmt, "mub", {"d": d}, ["kind", "i", "j", "value"], rows), output)
-    return 0 if worst_basis < UNBIASED_TOL and worst_uniform < EQ_TOL else 1
+    return 0 if worst_basis < CHECKS["mub_unbiasedness"] and worst_uniform < CHECKS["mub_cloning_uniformity"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

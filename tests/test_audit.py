@@ -21,7 +21,7 @@ from phaseclone.cloner import (
     shrink_factor,
 )
 from phaseclone.linalg import DensityMatrix, Ket, fidelity_pure, frobenius_distance
-from phaseclone.states import PhaseVector, is_prime, phase_state, random_phase_vector
+from phaseclone.states import PhaseVector, is_prime, mub_basis, phase_state, random_phase_vector
 
 EQ_CHECKS = {
     "isometry_unitarity",
@@ -235,31 +235,111 @@ class TestRunAudit:
         reference = per_draw_residuals(d_max, n_random, seed)
         assert {name: residuals[name] for name in reference} == reference
 
-    def test_row_contract_is_pinned(self):
-        # verify prints its CSV and JSON rows in this order, with these labels and tolerances
-        report = run_audit(d_max=5, n_random=1, seed=0)
-        assert [(c.name, c.d_range, c.tolerance) for c in report.checks] == [
-            ("isometry_unitarity", "2..5", 1e-12),
-            ("clone_symmetry", "2..5", 1e-12),
-            ("closed_form_agreement", "2..5", 1e-12),
-            ("scalar_form", "2..5", 1e-12),
-            ("reduced_closed_matrix", "2..5", 1e-12),
-            ("output_state_validity", "2..5", 1e-10),
-            ("fidelity_phase_independence", "2..5", 1e-12),
-            ("phase_covariance", "2..5", 1e-12),
-            ("optimum_consistency", "2..5", 1e-9),
-            ("sweep_upper_bound", "2..5", 1e-12),
-            ("objective_unimodal", "2..5", 0.5),
-            ("uqcm_superiority", "2..5", 0.5),
-            ("superiority_gap_decreasing", "2..5", 0.5),
-            ("optimal_fidelity_decreasing", "2..5", 0.5),
+    @pytest.mark.parametrize("d_max", [2, 5])
+    def test_row_contract_is_pinned(self, d_max):
+        # verify prints its CSV and JSON rows in this order, with these labels and tolerances;
+        # the rows that need d = 3 are left out at d_max = 2
+        report = run_audit(d_max=d_max, n_random=1, seed=0)
+        span = f"2..{d_max}"
+        rows = [
+            ("isometry_unitarity", span, 1e-12),
+            ("clone_symmetry", span, 1e-12),
+            ("closed_form_agreement", span, 1e-12),
+            ("scalar_form", span, 1e-12),
+            ("reduced_closed_matrix", span, 1e-12),
+            ("output_state_validity", span, 1e-10),
+            ("fidelity_phase_independence", span, 1e-12),
+            ("phase_covariance", span, 1e-12),
+            ("optimum_consistency", span, 1e-9),
+            ("sweep_upper_bound", span, 1e-12),
+            ("objective_unimodal", span, 0.5),
+            ("uqcm_superiority", span, 0.5),
+            ("superiority_gap_decreasing", span, 0.5),
+            ("optimal_fidelity_decreasing", span, 0.5),
             ("level2_value", "2", 1e-12),
             ("level3_value", "3", 1e-12),
-            ("phase_state_modulus", "2..5", 1e-12),
-            ("symmetric_pair_swap", "2..5", 1e-15),
+            ("phase_state_modulus", span, 1e-12),
+            ("symmetric_pair_swap", span, 1e-15),
             ("mub_unbiasedness", "3;5", 1e-10),
             ("mub_cloning_uniformity", "3;5", 1e-12),
         ]
+        if d_max == 2:
+            needs_d3 = {"superiority_gap_decreasing", "level3_value", "mub_unbiasedness", "mub_cloning_uniformity"}
+            rows = [row for row in rows if row[0] not in needs_d3]
+        assert [(c.name, c.d_range, c.tolerance) for c in report.checks] == rows
+
+    def test_machines_are_built_and_swept_one_dimension_at_a_time(self, monkeypatch):
+        # the d of every machine the sweep builds or runs, in call order, up to the MUB checks' own machines
+        seen = []
+        build_machine, output_factor, mub_rows = (
+            phaseclone.audit.build_machine, phaseclone.audit._output_factor, phaseclone.audit.mub_rows
+        )
+
+        def building(d, *args):
+            seen.append(d)
+            return build_machine(d, *args)
+
+        def running(machine, psi):
+            seen.append(machine.d)
+            return output_factor(machine, psi)
+
+        def listing(d):
+            seen.append("mub")
+            return mub_rows(d)
+
+        monkeypatch.setattr(phaseclone.audit, "build_machine", building)
+        monkeypatch.setattr(phaseclone.audit, "_output_factor", running)
+        monkeypatch.setattr(phaseclone.audit, "mub_rows", listing)
+        assert run_audit(d_max=5, n_random=2, seed=0).overall
+        sweep = seen[: seen.index("mub")]
+        assert set(sweep) == {2, 3, 4, 5}
+        assert sweep == sorted(sweep)
+
+    def test_a_nan_reduction_fails_every_check_that_reads_it(self, monkeypatch):
+        # Python's max(worst, nan) keeps worst, so each fold must keep the NaN instead
+        single_clone = phaseclone.audit._single_clone
+
+        def poisoned(m, clone=0):
+            red = single_clone(m, clone)
+            mat = red.mat.copy()
+            mat[0, 1] = math.nan
+            return DensityMatrix(red.dims, mat)
+
+        monkeypatch.setattr(phaseclone.audit, "_single_clone", poisoned)
+        report = run_audit(d_max=4, n_random=2, seed=0)
+        assert report.overall is False
+        by_name = {c.name: c for c in report.checks}
+        for name in ("clone_symmetry", "closed_form_agreement", "scalar_form", "reduced_closed_matrix",
+                     "output_state_validity", "fidelity_phase_independence", "phase_covariance"):
+            assert math.isnan(by_name[name].residual) and not by_name[name].passed, name
+
+    def test_a_nan_output_factor_fails_verify_instead_of_raising(self, monkeypatch, capsys):
+        # a NaN in M reaches the Gram M^dag M, whose eigensolve would raise on it
+        output_factor = phaseclone.audit._output_factor
+
+        def poisoned(machine, psi):
+            m = output_factor(machine, psi).copy()
+            m[0, 0] = math.nan
+            return m
+
+        monkeypatch.setattr(phaseclone.audit, "_output_factor", poisoned)
+        assert main(["verify", "--d-max", "4", "--trials", "2"]) == 1
+        assert "output_state_validity,2..4,false,nan,1e-10\n" in capsys.readouterr().out
+
+    def test_a_nan_mub_fidelity_fails_mub_and_verify(self, monkeypatch, capsys):
+        simulate_fidelity = phaseclone.audit.simulate_fidelity
+        target = mub_basis(3, 0)[1].amps
+
+        def poisoned(machine, psi):
+            f = simulate_fidelity(machine, psi)
+            return math.nan if np.array_equal(psi.amps, target) else f
+
+        monkeypatch.setattr(phaseclone.audit, "simulate_fidelity", poisoned)
+        assert main(["mub", "--d", "3"]) == 1
+        assert "fidelity,0,1,nan\n" in capsys.readouterr().out
+        checks = run_audit(d_max=3, n_random=1, seed=0).checks
+        uniformity = next(c for c in checks if c.name == "mub_cloning_uniformity")
+        assert math.isnan(uniformity.residual) and not uniformity.passed
 
     def test_unequal_moduli_fail_the_phase_state_modulus_check(self, monkeypatch):
         # a normalized state whose amplitudes are not all 1/sqrt(d): |amps|^2 = (2, 1, ..., 1) / (d + 1)
