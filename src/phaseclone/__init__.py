@@ -39,11 +39,10 @@ from .states import (
     mub_basis,
     phase_state,
     random_phase_vector,
-    standard_basis,
     symmetric_pair,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = [
     "AuditReport",
@@ -78,7 +77,6 @@ __all__ = [
     "run_audit",
     "shrink_factor",
     "simulate_fidelity",
-    "standard_basis",
     "sweep_alpha",
     "symmetric_pair",
     "uqcm_fidelity",

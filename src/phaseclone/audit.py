@@ -47,7 +47,7 @@ from .cloner import (
     simulate_fidelity,
     uqcm_fidelity,
 )
-from .linalg import EQ_TOL, PSD_TOL, frobenius_distance
+from .linalg import EQ_TOL, PSD_TOL, Ket, frobenius_distance
 from .optimize import optimum_residual, sweep_alpha
 from .states import (
     PhaseVector,
@@ -56,7 +56,6 @@ from .states import (
     mub_basis,
     phase_state,
     random_phase_vector,
-    standard_basis,
     symmetric_pair,
     unbiasedness_residual,
 )
@@ -141,14 +140,14 @@ def mub_rows(d: int) -> list[dict]:
     basis pair (the standard basis is labelled ``std``), then the simulated
     fidelity of every MUB state under the optimal machine.
     """
-    bases = [(str(l), mub_basis(d, l)) for l in range(d)] + [("std", standard_basis(d))]
+    bases = [(str(l), mub_basis(d, l)) for l in range(d)] + [("std", np.eye(d, dtype=np.complex128))]
     rows = [{"kind": "orthonormality", "i": i, "j": i, "value": gram_residual(b)} for i, b in bases]
     for (i, a), (j, b) in itertools.combinations(bases, 2):
         rows.append({"kind": "unbiasedness", "i": i, "j": j, "value": unbiasedness_residual(a, b)})
     machine = build_machine(d, *optimal_params(d))
     for l, basis in bases[:-1]:
-        for t, psi in enumerate(basis):
-            rows.append({"kind": "fidelity", "i": l, "j": str(t), "value": simulate_fidelity(machine, psi)})
+        for t, row in enumerate(basis):
+            rows.append({"kind": "fidelity", "i": l, "j": str(t), "value": simulate_fidelity(machine, Ket((d,), row))})
     return rows
 
 
@@ -205,15 +204,15 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
         gram = np.empty_like(red_a)  # ancilla Gram M^dag M of each draw
         norm2 = np.empty(n)  # ||M||_F^2 of each draw
         for machine in machines:
-            red0 = _single_clone(_output_factor(machine, phase_state(PhaseVector(d, (0.0,) * d)))).mat
+            red0 = _single_clone(_output_factor(machine, phase_state(PhaseVector(d, (0.0,) * d))))
             for k in range(n):
                 pv = random_phase_vector(d, next(seeds))
                 psi = phase_state(pv)
                 m = _output_factor(machine, psi)
                 phases[k] = pv.phases
                 amps[k] = psi.amps
-                red_a[k] = _single_clone(m, 0).mat
-                red_b[k] = _single_clone(m, 1).mat
+                red_a[k] = _single_clone(m, 0)
+                red_b[k] = _single_clone(m, 1)
                 np.matmul(m.conj().T, m, out=gram[k])
                 norm2[k] = np.vdot(m, m).real
 

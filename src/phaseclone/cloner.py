@@ -195,19 +195,19 @@ def _output_factor(machine: CloningMachine, psi: Ket) -> np.ndarray:
     return m
 
 
-def _single_clone(m: np.ndarray, clone: int = 0) -> DensityMatrix:
+def _single_clone(m: np.ndarray, clone: int = 0) -> np.ndarray:
     """Package-private: the reduced state of clone A (``clone=0``) or B (``clone=1``) of the output factor M.
 
     With X the (d, d^2) matrix whose rows index the kept clone and whose
-    columns index (other clone, ancilla), the reduction is X X^dag, so the
-    d^2-by-d^2 two-clone state is never formed.
+    columns index (other clone, ancilla), the reduction is the fresh d-by-d
+    array X X^dag, so the d^2-by-d^2 two-clone state is never formed.
     """
     d = m.shape[1]
     x = m.reshape(d, d, d)
     if clone == 1:
         x = x.transpose(1, 0, 2)
     x = x.reshape(d, d * d)
-    return DensityMatrix._adopt((d,), x @ x.conj().T)
+    return x @ x.conj().T
 
 
 def clone_state(machine: CloningMachine, psi: Ket) -> DensityMatrix:
@@ -282,7 +282,7 @@ def simulate_fidelity(machine: CloningMachine, psi: Ket) -> float:
     The single-clone state is reduced straight from the pure output factor
     M = V|psi>, in O(d^3) memory; the two-clone state is never formed.
     """
-    return fidelity_pure(psi, _single_clone(_output_factor(machine, psi)))
+    return fidelity_pure(psi, DensityMatrix._adopt((machine.d,), _single_clone(_output_factor(machine, psi))))
 
 
 def fidelity_report(

@@ -71,9 +71,9 @@ class Ket:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def require_normalized(self, tol: float = EQ_TOL) -> "Ket":
-        """Return self if the squared norm is within ``tol`` of 1, else raise."""
-        if abs(self.norm() ** 2 - 1.0) > tol:
+    def require_normalized(self) -> "Ket":
+        """Return self if the squared norm is within ``EQ_TOL`` of 1, else raise (a NaN norm raises too)."""
+        if not abs(self.norm() ** 2 - 1.0) <= EQ_TOL:
             raise ValueError(f"state is not normalized: |psi|^2 = {self.norm() ** 2!r}")
         return self
 

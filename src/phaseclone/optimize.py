@@ -47,14 +47,13 @@ def _objective(d: int):
     return f
 
 
-def maximize_fidelity(
-    d: int, tol: float = 1e-12, max_iterations: int = MAX_ITERATIONS
-) -> tuple[float, float]:
+def maximize_fidelity(d: int, tol: float = 1e-12) -> tuple[float, float]:
     """Golden-section maximization of the fidelity over alpha in [0, 1].
 
     Returns (alpha_star, f_star): the best evaluated point once the bracket
     width drops below ``tol``. Because only evaluated points are returned,
-    f_star can never exceed the true maximum.
+    f_star can never exceed the true maximum. Any ``tol >= 1e-14`` is met
+    within 67 steps, far inside ``MAX_ITERATIONS``.
     """
     _check_domain(d)
     if not tol >= 1e-14:  # also rejects NaN
@@ -67,7 +66,7 @@ def maximize_fidelity(
     fc, fe = f(c), f(e)
     best_x, best_f = (c, fc) if fc >= fe else (e, fe)
 
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         if hi - lo <= tol:
             return best_x, best_f
         if fc > fe:
@@ -82,9 +81,7 @@ def maximize_fidelity(
             best_x, best_f = c, fc
         if fe > best_f:
             best_x, best_f = e, fe
-    raise ConvergenceError(
-        f"bracket still {hi - lo!r} wide after {max_iterations} iterations (tol {tol!r})"
-    )
+    raise ConvergenceError(f"bracket still {hi - lo!r} wide after {MAX_ITERATIONS} iterations (tol {tol!r})")
 
 
 def sweep_alpha(d: int, n_points: int) -> SweepTable:

@@ -48,7 +48,7 @@ class PhaseVector:
             raise ValueError(f"expected {self.d} phases, got {len(phases)}")
         if phases[0] != 0.0:
             raise ValueError(f"phases[0] must be 0, got {phases[0]!r}")
-        if any(p < 0.0 or p >= TWO_PI for p in phases):
+        if not all(0.0 <= p < TWO_PI for p in phases):  # NaN fails this too
             raise ValueError("all phases must lie in [0, 2*pi)")
         object.__setattr__(self, "phases", phases)
 
@@ -95,13 +95,14 @@ def symmetric_pair(d: int, j: int, l: int) -> Ket:
     return Ket((d, d), amps)
 
 
-def mub_basis(d: int, l: int) -> list[Ket]:
-    """All d states of mutually unbiased basis l in odd prime dimension d (orthonormal by construction).
+def mub_basis(d: int, l: int) -> np.ndarray:
+    """Mutually unbiased basis l in odd prime dimension d: a read-only (d, d) complex array, one state per row.
 
-    Amplitude j of state t is ``omega^(t*(d-j) - l*s_j) / sqrt(d)`` with
-    ``omega = exp(2*pi*i/d)`` and ``s_j = j + (j+1) + ... + (d-1)``. The
-    exponent is reduced mod d in integer arithmetic before exponentiation,
-    so the amplitudes are d-th roots of unity to full precision.
+    The rows are orthonormal by construction. Amplitude j of row (state) t
+    is ``omega^(t*(d-j) - l*s_j) / sqrt(d)`` with ``omega = exp(2*pi*i/d)``
+    and ``s_j = j + (j+1) + ... + (d-1)``. The exponent is reduced mod d in
+    integer arithmetic before exponentiation, so the amplitudes are d-th
+    roots of unity to full precision.
     """
     _require_odd_prime(d)
     if not 0 <= l < d:
@@ -109,28 +110,31 @@ def mub_basis(d: int, l: int) -> list[Ket]:
     t, j = np.ogrid[:d, :d]
     s = (d * (d - 1) - j * (j - 1)) // 2
     amps = np.exp(2j * math.pi / d) ** ((t * (d - j) - l * s) % d) / math.sqrt(d)
-    return [Ket((d,), row) for row in amps]
+    amps.setflags(write=False)
+    return amps
 
 
-def standard_basis(d: int) -> list[Ket]:
-    """Computational basis e_0 .. e_{d-1}."""
-    eye = np.eye(d, dtype=np.complex128)
-    return [Ket((d,), eye[j]) for j in range(d)]
-
-
-def gram_residual(basis: list[Ket]) -> float:
-    """Max deviation of the Gram matrix from the identity (orthonormality residual)."""
-    a = np.array([k.amps for k in basis])
-    return float(np.abs(a.conj() @ a.T - np.eye(len(basis))).max())
-
-
-def unbiasedness_residual(basis_a: list[Ket], basis_b: list[Ket]) -> float:
-    """Worst ``| |<a|b>|^2 - 1/d |`` over all cross pairs of two nonempty bases of one dimension."""
-    if not basis_a or not basis_b:
+def _states(a) -> np.ndarray:
+    """The rows of a nonempty 2-d array, one state per row; any other shape raises."""
+    a = np.asarray(a)
+    if a.ndim != 2:
+        raise DimensionError(f"expected a (k, d) array of states, got shape {a.shape}")
+    if not a.size:
         raise ValueError("bases must be nonempty")
-    d = basis_a[0].total_dim
-    if any(k.total_dim != d for k in basis_a + basis_b):
-        raise DimensionError("all basis states must share one dimension")
-    a, b = np.array([k.amps for k in basis_a]), np.array([k.amps for k in basis_b])
+    return a
+
+
+def gram_residual(a) -> float:
+    """Max deviation from the identity of the Gram matrix of the states in the rows of a (k, d) array."""
+    a = _states(a)
+    return float(np.abs(a.conj() @ a.T - np.eye(len(a))).max())
+
+
+def unbiasedness_residual(a, b) -> float:
+    """Worst ``| |<a|b>|^2 - 1/d |`` over all cross pairs of two nonempty (k, d) arrays of states of one width d."""
+    a, b = _states(a), _states(b)
+    d = a.shape[1]
+    if b.shape[1] != d:
+        raise DimensionError(f"all basis states must share one dimension, got {d} and {b.shape[1]}")
     overlaps = np.abs(a.conj() @ b.T) ** 2
     return float(np.abs(overlaps - 1.0 / d).max())

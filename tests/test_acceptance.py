@@ -22,13 +22,12 @@ from phaseclone.cloner import (
     simulate_fidelity,
     uqcm_fidelity,
 )
-from phaseclone.linalg import fidelity_pure, frobenius_distance, partial_trace
+from phaseclone.linalg import Ket, fidelity_pure, frobenius_distance, partial_trace
 from phaseclone.optimize import maximize_fidelity
 from phaseclone.states import (
     mub_basis,
     phase_state,
     random_phase_vector,
-    standard_basis,
     unbiasedness_residual,
 )
 
@@ -165,15 +164,15 @@ def test_criterion_09_mub_suite():
     t0 = time.perf_counter()
     worst_unb = worst_fid = 0.0
     for d in (3, 5, 7, 11, 13):
-        bases = [mub_basis(d, l) for l in range(d)] + [standard_basis(d)]
+        bases = [mub_basis(d, l) for l in range(d)] + [np.eye(d, dtype=np.complex128)]
         for i in range(len(bases)):
             for k in range(i + 1, len(bases)):
                 worst_unb = max(worst_unb, unbiasedness_residual(bases[i], bases[k]))
         machine = build_machine(d, *optimal_params(d))
         target = optimal_fidelity(d)
         for l in range(d):
-            for psi in mub_basis(d, l):
-                worst_fid = max(worst_fid, abs(simulate_fidelity(machine, psi) - target))
+            for row in mub_basis(d, l):
+                worst_fid = max(worst_fid, abs(simulate_fidelity(machine, Ket((d,), row)) - target))
     elapsed = time.perf_counter() - t0
     assert worst_unb < 1e-10
     assert worst_fid < 1e-12

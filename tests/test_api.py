@@ -1,13 +1,14 @@
-"""The public surface: ``phaseclone.__all__``, the version, and every name the benchmark's tracer wraps.
+"""The public surface: ``phaseclone.__all__``, the version, and everything the benchmark's tracer uses.
 
-``perfbench/tracer.py`` patches functions and methods by name; the test
-reads its ``FUNCTIONS`` and ``METHODS`` tables without importing it, so
-deleting or renaming a traced name fails here rather than in a traced
-benchmark run.
+``perfbench/tracer.py`` patches functions and methods by name and sizes
+some of their results; these tests load it by path (it is not a package)
+and check its ``FUNCTIONS``, ``METHODS`` and ``SIZES`` tables against the
+library, so deleting or renaming a name it uses fails here rather than in a
+traced benchmark run.
 """
 
-import ast
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -49,19 +50,18 @@ PUBLIC = {
     "run_audit",
     "shrink_factor",
     "simulate_fidelity",
-    "standard_basis",
     "sweep_alpha",
     "symmetric_pair",
     "uqcm_fidelity",
 }
 
 
-def tracer_table(name):
-    """The literal value assigned to ``name`` at the top level of the tracer."""
-    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
-            return ast.literal_eval(node.value)
-    raise AssertionError(f"{name} not found in {TRACER}")
+def load_tracer():
+    """The tracer module, executed from its file; loading it installs nothing."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_all_is_the_agreed_public_set():
@@ -83,10 +83,22 @@ def test_version_matches_pyproject():
 
 
 def test_every_traced_name_exists():
-    for layer, functions in tracer_table("FUNCTIONS").items():
+    tracer = load_tracer()
+    for layer, functions in tracer.FUNCTIONS.items():
         module = importlib.import_module(f"phaseclone.{layer}")
         for fn in functions:
             assert callable(getattr(module, fn, None)), f"phaseclone.{layer}.{fn}"
-    for layer, cls, method in tracer_table("METHODS").values():
+    for layer, cls, method in tracer.METHODS.values():
         owner = getattr(importlib.import_module(f"phaseclone.{layer}"), cls)
         assert callable(getattr(owner, method, None)), f"phaseclone.{layer}.{cls}.{method}"
+
+
+def test_traced_size_metrics_run_on_a_small_machine():
+    # each SIZES entry maps a traced function's result to a byte count; a new entry needs a sample result here
+    machine = phaseclone.build_machine(3, *phaseclone.optimal_params(3))
+    psi = phaseclone.phase_state(phaseclone.random_phase_vector(3, 0))
+    samples = {"cloner.build_machine": machine, "cloner.clone_state": phaseclone.clone_state(machine, psi)}
+    for name, (metric, nbytes) in load_tracer().SIZES.items():
+        assert name in samples, name
+        size = nbytes(samples[name])
+        assert isinstance(size, int) and size > 0, (metric, size)

@@ -58,21 +58,20 @@ def per_draw_residuals(d_max: int, n_random: int, seed: int) -> dict[str, float]
 
     for d, grid in grids.items():
         for machine in grid:
-            red0 = _single_clone(_output_factor(machine, phase_state(PhaseVector(d, (0.0,) * d)))).mat
+            red0 = _single_clone(_output_factor(machine, phase_state(PhaseVector(d, (0.0,) * d))))
             fidelities = []
             for _ in range(max(2, n_random)):
                 pv = random_phase_vector(d, next(seeds))
                 psi = phase_state(pv)
                 update("phase_state_modulus", float(np.abs(np.abs(psi.amps) - 1.0 / math.sqrt(d)).max()))
                 m = _output_factor(machine, psi)
-                rho_a = _single_clone(m, 0)
-                red_a, red_b = rho_a.mat, _single_clone(m, 1).mat
+                red_a, red_b = _single_clone(m, 0), _single_clone(m, 1)
                 herm = max(frobenius_distance(red, red.conj().T) for red in (red_a, red_b))
                 tr_err = abs(np.vdot(m, m).real - 1.0)
                 min_eig = float(np.linalg.eigvalsh(m.conj().T @ m).min())
                 update("output_state_validity", max(herm, tr_err, max(0.0, -min_eig)))
                 update("clone_symmetry", frobenius_distance(red_a, red_b))
-                f_sim = fidelity_pure(psi, rho_a)
+                f_sim = fidelity_pure(psi, DensityMatrix((d,), red_a))
                 update("closed_form_agreement", abs(f_sim - fidelity_closed_form(d, machine.alpha, machine.beta)))
                 fidelities.append(f_sim)
                 eta = shrink_factor(d, machine.alpha, machine.beta)
@@ -300,10 +299,9 @@ class TestRunAudit:
         single_clone = phaseclone.audit._single_clone
 
         def poisoned(m, clone=0):
-            red = single_clone(m, clone)
-            mat = red.mat.copy()
-            mat[0, 1] = math.nan
-            return DensityMatrix(red.dims, mat)
+            red = single_clone(m, clone).copy()
+            red[0, 1] = math.nan
+            return red
 
         monkeypatch.setattr(phaseclone.audit, "_single_clone", poisoned)
         report = run_audit(d_max=4, n_random=2, seed=0)
@@ -328,7 +326,7 @@ class TestRunAudit:
 
     def test_a_nan_mub_fidelity_fails_mub_and_verify(self, monkeypatch, capsys):
         simulate_fidelity = phaseclone.audit.simulate_fidelity
-        target = mub_basis(3, 0)[1].amps
+        target = mub_basis(3, 0)[1]
 
         def poisoned(machine, psi):
             f = simulate_fidelity(machine, psi)
@@ -361,11 +359,10 @@ class TestRunAudit:
         eps = 1e-6
 
         def offset(m, clone=0):
-            red = single_clone(m, clone)
-            mat = red.mat.copy()
-            mat[0, 1] += eps
-            mat[1, 0] += eps
-            return DensityMatrix(red.dims, mat)
+            red = single_clone(m, clone).copy()
+            red[0, 1] += eps
+            red[1, 0] += eps
+            return red
 
         monkeypatch.setattr(phaseclone.audit, "_single_clone", offset)
         report = run_audit(d_max=4, n_random=2, seed=0)
@@ -379,11 +376,10 @@ class TestRunAudit:
         eps = 1e-6
 
         def skewed(m, clone=0):
-            red = single_clone(m, clone)
-            mat = red.mat.copy()
-            mat[0, 1] += 1j * eps
-            mat[1, 0] += 1j * eps
-            return DensityMatrix(red.dims, mat)
+            red = single_clone(m, clone).copy()
+            red[0, 1] += 1j * eps
+            red[1, 0] += 1j * eps
+            return red
 
         monkeypatch.setattr(phaseclone.audit, "_single_clone", skewed)
         by_name = {c.name: c for c in run_audit(d_max=4, n_random=2, seed=0).checks}

@@ -312,8 +312,8 @@ class TestCloneState:
             psi = phase_state(random_phase_vector(d, 7 * d))
             rho = clone_state(machine, psi)  # reference: the d^2-by-d^2 state, then a partial trace
             m = _output_factor(machine, psi)
-            np.testing.assert_allclose(_single_clone(m, 0).mat, reduced_clone(rho).mat, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(_single_clone(m, 1).mat, partial_trace(rho, keep=(1,)).mat, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(_single_clone(m, 0), reduced_clone(rho).mat, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(_single_clone(m, 1), partial_trace(rho, keep=(1,)).mat, rtol=0, atol=1e-15)
 
     def test_single_clone_keeps_the_right_factor_of_an_asymmetric_output(self):
         # the machine's two clones are equal, so only an asymmetric factor tells clone A from clone B
@@ -324,7 +324,7 @@ class TestCloneState:
             rho = DensityMatrix((d, d), m @ m.conj().T)
             for clone in (0, 1):
                 np.testing.assert_allclose(
-                    _single_clone(m, clone).mat, partial_trace(rho, keep=(clone,)).mat, rtol=0, atol=1e-15
+                    _single_clone(m, clone), partial_trace(rho, keep=(clone,)).mat, rtol=0, atol=1e-15
                 )
 
     def test_simulated_fidelity_at_d64_traces_under_16_megabytes(self):
@@ -360,6 +360,14 @@ class TestCloneState:
         machine = build_machine(2, 1.0, 0.0)
         with pytest.raises(ValueError):
             clone_state(machine, Ket((2,), np.array([1.0, 1.0])))
+
+    def test_rejects_nan_input_instead_of_returning_nan(self):
+        # |psi|^2 is NaN, which no tolerance test of the form "> tol" catches
+        machine = build_machine(2, *optimal_params(2))
+        psi = Ket((2,), [math.nan, 0.0])
+        for run in (simulate_fidelity, clone_state):
+            with pytest.raises(ValueError, match="not normalized"):
+                run(machine, psi)
 
 
 class TestReducedClone:

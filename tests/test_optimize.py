@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import phaseclone.optimize
 from phaseclone.audit import CONSISTENCY_TOL
 from phaseclone.cloner import fidelity_closed_form, optimal_fidelity, optimal_params
 from phaseclone.optimize import ConvergenceError, maximize_fidelity, optimum_residual, sweep_alpha
@@ -53,9 +54,10 @@ class TestMaximizeFidelity:
         with pytest.raises(ValueError):
             maximize_fidelity(1)
 
-    def test_iteration_cap_raises(self):
-        with pytest.raises(ConvergenceError):
-            maximize_fidelity(2, tol=1e-12, max_iterations=5)
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(phaseclone.optimize, "MAX_ITERATIONS", 5)
+        with pytest.raises(ConvergenceError, match="after 5 iterations"):
+            maximize_fidelity(2, tol=1e-12)
 
 
 class TestSweepAlpha:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaseclone.linalg import DimensionError, Ket
+from phaseclone.linalg import DimensionError
 from phaseclone.states import (
     PhaseVector,
     UnsupportedDimensionError,
@@ -14,7 +14,6 @@ from phaseclone.states import (
     mub_basis,
     phase_state,
     random_phase_vector,
-    standard_basis,
     symmetric_pair,
     unbiasedness_residual,
 )
@@ -52,6 +51,11 @@ class TestPhaseState:
             PhaseVector(3, (0.0, 1.0))  # wrong length
         with pytest.raises(ValueError):
             PhaseVector(1, (0.0,))
+
+    def test_nan_phase_rejected(self):
+        # every comparison with NaN is False, so an out-of-range test alone would let it through
+        with pytest.raises(ValueError, match=r"\[0, 2\*pi\)"):
+            PhaseVector(3, (0.0, math.nan, 1.0))
 
 
 class TestRandomPhaseVector:
@@ -113,22 +117,32 @@ class TestSymmetricPair:
             symmetric_pair(2, 0, 2)
 
 
+def standard_basis(d):
+    return np.eye(d, dtype=np.complex128)
+
+
 class TestMubConstruction:
     def test_first_basis_first_state_is_uniform(self):
-        psi = mub_basis(3, 0)[0]
-        np.testing.assert_allclose(psi.amps, np.ones(3) / math.sqrt(3), atol=1e-15)
+        np.testing.assert_allclose(mub_basis(3, 0)[0], np.ones(3) / math.sqrt(3), atol=1e-15)
 
     def test_first_basis_second_state(self):
         # exponents t*(d-j) mod 3 for t=1: (0, 2, 1)
         w = np.exp(2j * math.pi / 3)
-        psi = mub_basis(3, 0)[1]
-        np.testing.assert_allclose(psi.amps, np.array([1, w**2, w]) / math.sqrt(3), atol=1e-15)
+        np.testing.assert_allclose(mub_basis(3, 0)[1], np.array([1, w**2, w]) / math.sqrt(3), atol=1e-15)
+
+    def test_returns_a_read_only_complex_array(self):
+        # row t holding state t is pinned entry by entry in test_matches_the_per_state_loop_bit_for_bit
+        for d in MUB_DIMS:
+            basis = mub_basis(d, d - 1)
+            assert basis.shape == (d, d) and basis.dtype == np.complex128
+            with pytest.raises(ValueError, match="read-only"):
+                basis[0, 0] = 0.0
 
     def test_cross_basis_overlaps_d3(self):
         b0, b1 = mub_basis(3, 0), mub_basis(3, 1)
         for a in b0:
             for b in b1:
-                assert abs(np.vdot(a.amps, b.amps)) ** 2 == pytest.approx(1 / 3, abs=1e-12)
+                assert abs(np.vdot(a, b)) ** 2 == pytest.approx(1 / 3, abs=1e-12)
 
     def test_bases_orthonormal(self):
         for d in (3, 5, 7):
@@ -137,15 +151,13 @@ class TestMubConstruction:
 
     def test_unbiased_against_standard_basis(self):
         for l in range(3):
-            for psi in mub_basis(3, l):
-                np.testing.assert_allclose(np.abs(psi.amps) ** 2, np.full(3, 1 / 3), atol=1e-15)
+            np.testing.assert_allclose(np.abs(mub_basis(3, l)) ** 2, np.full((3, 3), 1 / 3), atol=1e-15)
 
     def test_every_mub_state_is_a_phase_state(self):
         # constant amplitude modulus is what makes them optimally cloneable
         for d in MUB_DIMS:
             for l in range(d):
-                for psi in mub_basis(d, l):
-                    assert np.abs(np.abs(psi.amps) - 1 / math.sqrt(d)).max() < 1e-15
+                assert np.abs(np.abs(mub_basis(d, l)) - 1 / math.sqrt(d)).max() < 1e-15
 
     def test_full_prime_family_pairwise_unbiased(self):
         for d in MUB_DIMS:
@@ -179,23 +191,20 @@ class TestMubConstruction:
         for d in (p for p in range(3, 62) if is_prime(p)):
             s = [sum(range(j, d)) for j in range(d)]
             for l in range(d):
-                got = np.array([psi.amps for psi in mub_basis(d, l)])
-                np.testing.assert_array_equal(got, [loop_state(d, l, t, s) for t in range(d)])
+                np.testing.assert_array_equal(mub_basis(d, l), [loop_state(d, l, t, s) for t in range(d)])
 
 
 class TestStandardBasisAndUnbiasedness:
     def test_standard_basis(self):
+        # the identity's rows are orthonormal exactly, and unbiased against every MUB of d = 3 to round-off
         basis = standard_basis(3)
-        assert len(basis) == 3
-        for j, psi in enumerate(basis):
-            expected = np.zeros(3)
-            expected[j] = 1.0
-            np.testing.assert_array_equal(psi.amps, expected)
+        assert gram_residual(basis) == 0.0
+        for l in range(3):
+            assert unbiasedness_residual(basis, mub_basis(3, l)) < 1e-15
 
     def test_textbook_qubit_pair(self):
-        plus = Ket((2,), np.array([1, 1]) / math.sqrt(2))
-        minus = Ket((2,), np.array([1, -1]) / math.sqrt(2))
-        assert unbiasedness_residual(standard_basis(2), [plus, minus]) < 1e-10
+        plus_minus = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+        assert unbiasedness_residual(standard_basis(2), plus_minus) < 1e-10
 
     def test_basis_not_unbiased_with_itself(self):
         # |<e_j|e_j>|^2 = 1 is the worst overlap: 1 - 1/d away from unbiased
@@ -213,9 +222,20 @@ class TestStandardBasisAndUnbiasedness:
             unbiasedness_residual(standard_basis(2), standard_basis(3))
 
     def test_empty_basis_rejected(self):
-        for a, b in [([], standard_basis(2)), (standard_basis(2), [])]:
-            with pytest.raises(ValueError):
+        empty = np.empty((0, 2), dtype=np.complex128)
+        for a, b in [(empty, standard_basis(2)), (standard_basis(2), empty)]:
+            with pytest.raises(ValueError, match="nonempty"):
                 unbiasedness_residual(a, b)
+        with pytest.raises(ValueError, match="nonempty"):
+            gram_residual(empty)
+
+    def test_one_dimensional_array_rejected(self):
+        # a single state is a (1, d) array; a bare (d,) vector is not a basis
+        for a, b in [(mub_basis(3, 0)[0], standard_basis(3)), (standard_basis(3), mub_basis(3, 0)[0])]:
+            with pytest.raises(DimensionError):
+                unbiasedness_residual(a, b)
+        with pytest.raises(DimensionError):
+            gram_residual(mub_basis(3, 0)[0])
 
     @pytest.mark.parametrize("d", [3, 5, 7])
     def test_matrix_residuals_match_pairwise_vdot(self, d):
@@ -224,10 +244,10 @@ class TestStandardBasisAndUnbiasedness:
         bases = [mub_basis(d, l) for l in range(d)] + [standard_basis(d)]
         ulps = 4 * np.finfo(float).eps
         for a in bases:
-            gram = max(abs(np.vdot(x.amps, y.amps) - (i == j)) for i, x in enumerate(a) for j, y in enumerate(a))
+            gram = max(abs(np.vdot(x, y) - (i == j)) for i, x in enumerate(a) for j, y in enumerate(a))
             assert abs(gram_residual(a) - gram) <= ulps
             for b in bases:
-                worst = max(abs(abs(np.vdot(x.amps, y.amps)) ** 2 - 1.0 / d) for x in a for y in b)
+                worst = max(abs(abs(np.vdot(x, y)) ** 2 - 1.0 / d) for x in a for y in b)
                 assert abs(unbiasedness_residual(a, b) - worst) <= ulps
 
 
