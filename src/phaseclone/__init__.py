@@ -42,7 +42,7 @@ from .states import (
     symmetric_pair,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 __all__ = [
     "AuditReport",

@@ -8,20 +8,22 @@ the point. A NaN residual is kept as the worst and fails its check. Reports
 are bit-for-bit reproducible for a fixed seed.
 
 The audit makes one pass over d, and only one d's machines (the optimum
-plus ``n_random`` random splits) are alive at a time. Each draw of a
-machine builds its pure output factor M = V|psi> (d^2 by d) and keeps only
-the d-by-d things M gives: its two single-clone reductions X X^dag (X a
-d-by-d^2 reshaping of M), its ancilla Gram M^dag M and its trace
-||M||_F^2. These fill (n, d, d) stacks over the machine's n draws, and
-every per-draw check, from output validity to phase covariance and the
-phase-state modulus, then runs once per machine on the stacks (one stacked
-eigensolve, one stacked overlap <psi|rho_A|psi>). The two-clone output
-rho_AB = M M^dag is never formed: its trace is ||M||_F^2, and its
-positivity is checked on the ancilla Gram, which has the same nonzero
-spectrum. The per-draw products cost d^4 time in O(d^3) memory; the stacks
-add O(n d^2). On a 2-core machine with numpy 2.4, ``verify --trials 20``
-takes 0.59 s at d_max 12 (``cli.main`` wall time, median of 10 benchmark
-runs, 38 MB of RSS) and 138 s at d_max 64 (one run, 66 MB of RSS).
+plus ``n_random`` random splits) are alive at a time. Each machine runs
+once on the stack of its n seeded phase states, through the simulation
+route of :mod:`phaseclone.cloner`, which reads each pure output
+M = V|psi> (d^2 by d) off V's nonzeros and keeps only the d-by-d things M
+gives: its two single-clone reductions, its ancilla Gram M^dag M and its
+trace ||M||_F^2, as (n, d, d) and (n,) stacks. Every per-draw check, from
+output validity to phase covariance and the phase-state modulus, then runs
+once per machine on the stacks (one stacked eigensolve, one stacked
+overlap <psi|rho_A|psi>). The two-clone output rho_AB = M M^dag is never
+formed: its trace is ||M||_F^2, and its positivity is checked on the
+ancilla Gram, which has the same nonzero spectrum. The simulation costs
+O(d^3) time per draw and O(n d^2) memory; the per-draw Python work is
+drawing the phase states. On a 2-core machine with numpy 2.4,
+``verify --trials 20`` takes 0.43-0.44 s at d_max 12 (``cli.main`` wall
+time, medians of two sets of 10 benchmark runs, 38.7 MB of RSS) and 18 s
+at d_max 64 (one run, 66 MB of RSS).
 
 MUB checks cover every odd prime d <= d_max; :func:`mub_rows` is also what
 ``phaseclone mub`` prints.
@@ -37,17 +39,15 @@ import numpy as np
 
 from .cloner import (
     CloningMachine,
-    _output_factor,
-    _single_clone,
+    _simulate,
     build_machine,
     fidelity_closed_form,
     optimal_fidelity,
     optimal_params,
     shrink_factor,
-    simulate_fidelity,
     uqcm_fidelity,
 )
-from .linalg import EQ_TOL, PSD_TOL, Ket, frobenius_distance
+from .linalg import EQ_TOL, PSD_TOL, frobenius_distance
 from .optimize import optimum_residual, sweep_alpha
 from .states import (
     PhaseVector,
@@ -138,7 +138,8 @@ def mub_rows(d: int) -> list[dict]:
 
     One orthonormality residual per basis, one unbiasedness residual per
     basis pair (the standard basis is labelled ``std``), then the simulated
-    fidelity of every MUB state under the optimal machine.
+    fidelity of every MUB state under the optimal machine, simulated one
+    basis (a stack of d states) at a time.
     """
     bases = [(str(l), mub_basis(d, l)) for l in range(d)] + [("std", np.eye(d, dtype=np.complex128))]
     rows = [{"kind": "orthonormality", "i": i, "j": i, "value": gram_residual(b)} for i, b in bases]
@@ -146,8 +147,8 @@ def mub_rows(d: int) -> list[dict]:
         rows.append({"kind": "unbiasedness", "i": i, "j": j, "value": unbiasedness_residual(a, b)})
     machine = build_machine(d, *optimal_params(d))
     for l, basis in bases[:-1]:
-        for t, row in enumerate(basis):
-            rows.append({"kind": "fidelity", "i": l, "j": str(t), "value": simulate_fidelity(machine, Ket((d,), row))})
+        fidelities = _simulate(machine, basis).fidelity()
+        rows += [{"kind": "fidelity", "i": l, "j": str(t), "value": float(f)} for t, f in enumerate(fidelities)]
     return rows
 
 
@@ -195,26 +196,20 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
             bad = CloningMachine(d, opt.alpha * math.sqrt(0.9), opt.beta * math.sqrt(0.9))
             note("isometry_unitarity", bad.unitarity_residual())
 
-        # one simulation sweep: each draw's output factor M fills that draw's slot of its machine's stacks,
-        # and every per-draw check then runs once per machine, over the stacks
+        # one simulation sweep: each machine runs once on the stack of its n draws, and every per-draw
+        # check then runs once per machine, over the stacks the outputs M = V|psi> give
+        zero = phase_state(PhaseVector(d, (0.0,) * d)).amps[None]
         phases = np.empty((n, d))
         amps = np.empty((n, d), dtype=np.complex128)
-        red_a = np.empty((n, d, d), dtype=np.complex128)  # clone A's reduction of each draw
-        red_b = np.empty_like(red_a)
-        gram = np.empty_like(red_a)  # ancilla Gram M^dag M of each draw
-        norm2 = np.empty(n)  # ||M||_F^2 of each draw
         for machine in machines:
-            red0 = _single_clone(_output_factor(machine, phase_state(PhaseVector(d, (0.0,) * d))))
             for k in range(n):
                 pv = random_phase_vector(d, next(seeds))
-                psi = phase_state(pv)
-                m = _output_factor(machine, psi)
                 phases[k] = pv.phases
-                amps[k] = psi.amps
-                red_a[k] = _single_clone(m, 0)
-                red_b[k] = _single_clone(m, 1)
-                np.matmul(m.conj().T, m, out=gram[k])
-                norm2[k] = np.vdot(m, m).real
+                amps[k] = phase_state(pv).amps
+            out = _simulate(machine, amps)
+            red_a, red_b = out.clone(0), out.clone(1)  # each clone's reduction of each draw
+            gram, norm2 = out.gram(), out.norm2()  # ancilla Gram M^dag M and ||M||_F^2 of each draw
+            red0 = _simulate(machine, zero).clone(0)[0]
 
             note("phase_state_modulus", float(np.abs(np.abs(amps) - 1.0 / math.sqrt(d)).max()))
 
@@ -255,8 +250,6 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
             # phase covariance: the reduced output is the phase-zero one conjugated by U_phi = diag(e^(i phi)),
             # which multiplies entry (j, k) by e^(i(phi_j - phi_k))
             note("phase_covariance", frobenius_distance(red_a, red0 * twist))
-            # release the (n, d, d) temporaries before the next machine's d^4 draws (5 MB at d = 64, n = 20)
-            del rho_in, scalar, twist, closed
 
         # optimizer, closed form and explicit parameters agree
         note("optimum_consistency", optimum_residual(d))

@@ -26,13 +26,20 @@ module evaluates these closed forms and also simulates the machine by
 brute force so the two routes can be checked against each other.
 
 The isometry V: C^d -> C^(d^3) has only 2d^2 - d nonzeros (the three kinds
-of term above), at most one per row. The machine stores just those,
-applies V by scattering them and checks V^dag V from them, all in O(d^2)
-memory; the dense d^3-by-d matrix is built only on request, for inspection
-and as a test reference. The simulation reduces to one clone straight from
-the pure output factor M = V|psi> (d^2 by d), in O(d^3) memory;
-:func:`clone_state` forms the d^2-by-d^2 two-clone state M M^dag only for
-callers that ask for it, and it stays the reference route in the tests.
+of term above), at most one per row. The machine stores just those and
+checks V^dag V from them, in O(d^2) memory; the dense d^3-by-d matrix is
+built only on request, for inspection and as a test reference.
+
+Every simulation goes through one route, :func:`_simulate`, which runs the
+machine on a stack of n input states at once. Which nonzeros of the pure
+output M = V|psi> (d^2 by d) meet in a clone reduction or in the ancilla
+Gram M^dag M depends only on the triples, so a :class:`_Plan` of them is
+built once per d, from ``rows``/``cols`` alone. A stack's reductions are
+then gathers of ``vals * psi[cols]`` plus batched products: O(d^3) time per
+state and O(n d^2) memory, with no d^3-sized array. The dense route
+(:func:`_output_factor`, :func:`_single_clone`, :func:`clone_state`, which
+forms the d^2-by-d^2 two-clone state M M^dag) stays for callers that ask
+for the two-clone state, and as the reference the tests hold the plan to.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EQ_TOL, DensityMatrix, DimensionError, Ket, fidelity_pure, partial_trace
+from .linalg import EQ_TOL, DensityMatrix, DimensionError, Ket, partial_trace
 from .states import phase_state, random_phase_vector
 
 PARAM_NORM_TOL = 1e-9  # max |alpha^2 + beta^2 - 1| accepted
@@ -175,8 +182,162 @@ def build_machine(d: int, alpha: float, beta: float) -> CloningMachine:
     return CloningMachine(d, alpha / scale, beta / scale)
 
 
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """Package-private: where each nonzero of V lands in the reductions of M = V|psi>, for one set of triples.
+
+    Built by :func:`_build_plan` from ``rows`` and ``cols`` alone, so it
+    reads no closed form. Nonzero k of V gives the output amplitude
+    ``vals[k] * psi[cols[k]]`` at the digits (a, b, c) of ``rows[k]``
+    (clone A, clone B, ancilla), and a reduction sums the products of the
+    amplitudes that share its traced digits (its key):
+
+    - ``clones[i]`` serves clone i's reduction X X^dag. The keys hit by
+      several nonzeros form a full (d, m) block, so ``block`` (the nonzero
+      at [kept digit, key rank]) and ``block_cols`` (its input column) make
+      it one ordered gather. A key hit once adds |amplitude|^2 to one
+      diagonal entry: ``single`` lists those nonzeros and ``single_bins``
+      their ``kept * d + col``.
+    - The ancilla Gram M^dag M sums over (a, b), whose keys hold one or two
+      nonzeros. The two of a pair meet at Gram entry (c_p, c_q) off the
+      diagonal. ``pairs`` (2, n_pairs) holds their indices and ``pair_cols``
+      their input columns, grouped by entry; ``pair_starts`` marks where
+      each entry's group starts and ``pair_bins`` is that entry as
+      ``c_p * d + c_q``. Every nonzero adds |amplitude|^2 to diagonal entry
+      c, at ``diag_bins`` = ``c * d + col``.
+    """
+
+    clones: tuple  # per clone: (block, block_cols, single, single_bins)
+    pairs: np.ndarray
+    pair_cols: np.ndarray
+    pair_starts: np.ndarray
+    pair_bins: np.ndarray
+    diag_bins: np.ndarray
+
+
+def _build_plan(d: int, rows: np.ndarray, cols: np.ndarray) -> _Plan:
+    """The :class:`_Plan` of the triples ``rows``/``cols`` of a d-level machine.
+
+    Checks, rather than assumes, what the plan relies on: at most one
+    nonzero per row, full blocks for both clones, and at most two nonzeros
+    per (A, B) key. A violation raises ValueError.
+    """
+    if not np.diff(np.sort(rows, kind="stable")).all():
+        raise ValueError("V has a row with more than one nonzero")
+    ab, c = rows // d, rows % d
+    a, b = ab // d, ab % d
+    clones = []
+    for name, kept, key in (("A", a, b * d + c), ("B", b, ab - b + c)):
+        count = np.bincount(key, minlength=d * d)
+        hit = count > 1
+        if not (count[hit] == d).all():
+            raise ValueError(f"the multiply-hit columns of clone {name} do not form a full block")
+        # one nonzero per row: the d nonzeros of a multiply-hit key have distinct kept digits, so the block is full
+        multi = hit[key]
+        block = np.empty((d, int(hit.sum())), dtype=np.intp)
+        block[kept[multi], (np.cumsum(hit) - 1)[key[multi]]] = np.flatnonzero(multi)
+        single = np.flatnonzero(~multi)
+        clones.append((block, cols[block], single, kept[single] * d + cols[single]))
+    if np.bincount(ab).max() > 2:
+        raise ValueError("an (A, B) key of V holds more than two nonzeros")
+    order = np.argsort(ab, kind="stable")
+    second = np.flatnonzero(np.diff(ab[order]) == 0) + 1
+    pairs = np.stack([order[second - 1], order[second]])
+    bins = c[pairs[0]] * d + c[pairs[1]]
+    pairs, bins = pairs[:, np.argsort(bins, kind="stable")], np.sort(bins, kind="stable")
+    starts = np.flatnonzero(np.diff(bins, prepend=-1))
+    return _Plan(tuple(clones), pairs, cols[pairs], starts, bins[starts], c * d + cols)
+
+
+_last_plan: tuple = (None, None, None)  # (rows, cols, plan) of the last plan built
+
+
+def _plan(machine: CloningMachine) -> _Plan:
+    """The plan of the machine's triples, rebuilt only when they differ from the last plan's.
+
+    Every machine of one d has the same triples, and callers work one d at
+    a time, so one plan per d is built.
+    """
+    global _last_plan
+    rows, cols, plan = _last_plan
+    if not (np.array_equal(rows, machine.rows) and np.array_equal(cols, machine.cols)):
+        plan = _build_plan(machine.d, machine.rows, machine.cols)
+        _last_plan = machine.rows, machine.cols, plan
+    return plan
+
+
+@dataclass(frozen=True, eq=False)
+class _Outputs:
+    """Package-private: the stacks that the pure outputs M = V|psi> of n input states give, each computed on request.
+
+    Returned by :func:`_simulate`. Each stack has one slice per row of
+    ``amps`` and is computed from the nonzeros of V in O(d^3) time per
+    state, with no d^3-sized array.
+    """
+
+    plan: _Plan
+    vals: np.ndarray
+    amps: np.ndarray
+
+    def _diag(self, bins: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """(n, d): W |psi|^2 for each state, with W the d-by-d sum of |vals|^2 over ``bins``."""
+        d = self.amps.shape[1]
+        w = np.bincount(bins, weights=np.abs(vals) ** 2, minlength=d * d).reshape(d, d)
+        return (w @ (np.abs(self.amps) ** 2)[:, :, None])[:, :, 0]
+
+    def _clone_parts(self, clone: int) -> tuple[np.ndarray, np.ndarray]:
+        """Clone ``clone``'s block X (n, d, m) and diagonal D (n, d): its reduction is X X^dag + diag(D)."""
+        block, block_cols, single, single_bins = self.plan.clones[clone]
+        return self.amps[:, block_cols] * self.vals[block], self._diag(single_bins, self.vals[single])
+
+    def clone(self, clone: int = 0) -> np.ndarray:
+        """(n, d, d) reductions of clone A (``clone=0``) or B (``clone=1``)."""
+        x, diag = self._clone_parts(clone)
+        red = x @ x.conj().swapaxes(1, 2)
+        red.reshape(len(red), -1)[:, :: red.shape[1] + 1] += diag
+        return red
+
+    def gram(self) -> np.ndarray:
+        """(n, d, d) ancilla Grams M^dag M: the pair products of each (A, B) key plus the diagonal."""
+        p = self.plan
+        n, d = self.amps.shape
+        first, second = (self.amps[:, p.pair_cols[i]] * self.vals[p.pairs[i]] for i in (0, 1))
+        gram = np.zeros((n, d * d), dtype=np.complex128)
+        gram[:, p.pair_bins] = np.add.reduceat(first.conj() * second, p.pair_starts, axis=1)
+        gram = gram.reshape(n, d, d)
+        gram += gram.conj().swapaxes(1, 2)
+        gram.reshape(n, -1)[:, :: d + 1] = self._diag(p.diag_bins, self.vals)
+        return gram
+
+    def norm2(self) -> np.ndarray:
+        """(n,) squared norms ||M||_F^2, the traces of the ancilla Grams."""
+        return self._diag(self.plan.diag_bins, self.vals).sum(axis=1)
+
+    def fidelity(self) -> np.ndarray:
+        """(n,) overlaps <psi|rho_A|psi>, as ||psi^dag X||^2 plus |psi|^2 . D; clone A's state is not formed."""
+        x, diag = self._clone_parts(0)
+        proj = self.amps.conj()[:, None, :] @ x
+        return (np.abs(proj[:, 0]) ** 2).sum(axis=1) + (np.abs(self.amps) ** 2 * diag).sum(axis=1)
+
+
+def _simulate(machine: CloningMachine, amps) -> _Outputs:
+    """Package-private: run the machine on the normalized states in the rows of an (n, d) amplitude stack.
+
+    The one simulation route of the package: :func:`simulate_fidelity`, the
+    MUB rows and the audit's sweep all read their stacks from the returned
+    :class:`_Outputs`, through the plan of the machine's triples.
+    """
+    amps = np.asarray(amps, dtype=np.complex128)
+    if amps.ndim != 2 or amps.shape[1] != machine.d:
+        raise DimensionError(f"expected an (n, {machine.d}) stack of input states, got shape {amps.shape}")
+    norm2 = (np.abs(amps) ** 2).sum(axis=1)
+    if not (np.abs(norm2 - 1.0) <= EQ_TOL).all():
+        raise ValueError(f"state is not normalized: |psi|^2 = {norm2!r}")
+    return _Outputs(_plan(machine), machine.vals, amps)
+
+
 def _output_factor(machine: CloningMachine, psi: Ket) -> np.ndarray:
-    """Package-private: the pure output V|psi> as a read-only (d^2, d) matrix M.
+    """Package-private dense reference: the pure output V|psi> as a read-only (d^2, d) matrix M.
 
     Rows index the clone pair (A, B), columns the ancilla. V is applied by
     scattering its nonzeros into the d^3 output vector, so no dense isometry
@@ -196,7 +357,7 @@ def _output_factor(machine: CloningMachine, psi: Ket) -> np.ndarray:
 
 
 def _single_clone(m: np.ndarray, clone: int = 0) -> np.ndarray:
-    """Package-private: the reduced state of clone A (``clone=0``) or B (``clone=1``) of the output factor M.
+    """Package-private dense reference: the reduced state of clone A (``clone=0``) or B (``clone=1``) of the output factor M.
 
     With X the (d, d^2) matrix whose rows index the kept clone and whose
     columns index (other clone, ancilla), the reduction is the fresh d-by-d
@@ -279,10 +440,13 @@ def shrink_factor(d: int, alpha: float, beta: float) -> float:
 def simulate_fidelity(machine: CloningMachine, psi: Ket) -> float:
     """Brute-force fidelity: run the machine, reduce to one clone, overlap with the input.
 
-    The single-clone state is reduced straight from the pure output factor
-    M = V|psi>, in O(d^3) memory; the two-clone state is never formed.
+    The overlap <psi|rho_A|psi> is read off the pure output M = V|psi> as a
+    stack of one state, from the nonzeros of V in O(d^3) time and O(d^2)
+    memory; neither clone's state nor the two-clone state is formed.
     """
-    return fidelity_pure(psi, DensityMatrix._adopt((machine.d,), _single_clone(_output_factor(machine, psi))))
+    if psi.dims != (machine.d,):
+        raise DimensionError(f"input must be a single factor of dimension {machine.d}, got dims {psi.dims}")
+    return float(_simulate(machine, psi.amps[None]).fidelity()[0])
 
 
 def fidelity_report(

@@ -173,7 +173,8 @@ def fidelity_pure(psi: Ket, rho: DensityMatrix) -> float:
     """Overlap <psi|rho|psi> between a normalized pure state and a density matrix.
 
     The value is returned as a real number; a residual imaginary part of
-    ``EQ_TOL`` or more indicates a malformed (non-Hermitian) input and raises.
+    ``EQ_TOL`` or more, or a NaN, indicates a malformed (non-Hermitian or
+    non-finite) input and raises.
     """
     if psi.total_dim != rho.total_dim:
         raise DimensionError(
@@ -181,6 +182,6 @@ def fidelity_pure(psi: Ket, rho: DensityMatrix) -> float:
         )
     psi.require_normalized()
     value = complex(psi.amps.conj() @ rho.mat @ psi.amps)
-    if abs(value.imag) >= EQ_TOL:
+    if not abs(value.imag) < EQ_TOL:
         raise ValueError(f"<psi|rho|psi> has non-negligible imaginary part: {value!r}")
     return value.real

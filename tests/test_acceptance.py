@@ -192,3 +192,17 @@ def test_criterion_10_reproducible_verify(tmp_path, capsys):
     assert first == second
     announce(10, f"verify with a fixed seed emits byte-identical JSON across runs "
                  f"({len(first)} bytes)")
+
+
+def test_criterion_11_full_range_within_budget(capsys):
+    timings = {}
+    for argv, budget in ((["verify", "--d-max", "64", "--trials", "2"], 20.0), (["mub", "--d", "61"], 5.0)):
+        t0 = time.perf_counter()
+        code = cli_main(argv)
+        elapsed = time.perf_counter() - t0
+        capsys.readouterr()
+        assert code == 0, argv
+        assert elapsed < budget, (argv, elapsed)
+        timings[argv[0]] = elapsed
+    announce(11, f"the whole accepted range runs clean: verify over d = 2..64 in {timings['verify']:.2f} s "
+                 f"(budget 20 s) and mub at d = 61 in {timings['mub']:.2f} s (budget 5 s)")

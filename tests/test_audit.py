@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -11,8 +12,8 @@ from phaseclone.audit import AuditReport, run_audit
 from phaseclone.cli import main
 from phaseclone.cloner import (
     CloningMachine,
-    _output_factor,
-    _single_clone,
+    _Outputs,
+    _simulate,
     build_machine,
     clone_state,
     fidelity_closed_form,
@@ -38,7 +39,8 @@ EQ_CHECKS = {
 def per_draw_residuals(d_max: int, n_random: int, seed: int) -> dict[str, float]:
     """The sweep's residuals computed one draw at a time, as the audit did before its checks ran over stacks.
 
-    Kept as the reference for the stacked sweep: same machine grid, same sub-seeds, same draw order.
+    Kept as the reference for the stacked sweep: same machine grid, same sub-seeds, same draw order, and
+    the same simulation route, run on a stack of one draw at a time.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     grids = {
@@ -58,17 +60,17 @@ def per_draw_residuals(d_max: int, n_random: int, seed: int) -> dict[str, float]
 
     for d, grid in grids.items():
         for machine in grid:
-            red0 = _single_clone(_output_factor(machine, phase_state(PhaseVector(d, (0.0,) * d))))
+            red0 = _simulate(machine, phase_state(PhaseVector(d, (0.0,) * d)).amps[None]).clone(0)[0]
             fidelities = []
             for _ in range(max(2, n_random)):
                 pv = random_phase_vector(d, next(seeds))
                 psi = phase_state(pv)
                 update("phase_state_modulus", float(np.abs(np.abs(psi.amps) - 1.0 / math.sqrt(d)).max()))
-                m = _output_factor(machine, psi)
-                red_a, red_b = _single_clone(m, 0), _single_clone(m, 1)
+                out = _simulate(machine, psi.amps[None])
+                red_a, red_b = out.clone(0)[0], out.clone(1)[0]
                 herm = max(frobenius_distance(red, red.conj().T) for red in (red_a, red_b))
-                tr_err = abs(np.vdot(m, m).real - 1.0)
-                min_eig = float(np.linalg.eigvalsh(m.conj().T @ m).min())
+                tr_err = abs(out.norm2()[0] - 1.0)
+                min_eig = float(np.linalg.eigvalsh(out.gram()[0]).min())
                 update("output_state_validity", max(herm, tr_err, max(0.0, -min_eig)))
                 update("clone_symmetry", frobenius_distance(red_a, red_b))
                 f_sim = fidelity_pure(psi, DensityMatrix((d,), red_a))
@@ -168,15 +170,15 @@ class TestRunAudit:
             run_audit(d_max=3, n_random=1, seed=-1)
 
     def test_unnormalized_machines_fail_the_output_trace_check(self, monkeypatch):
-        # the sweep runs each machine scaled by sqrt(0.9), so every output factor has ||M||_F^2 = 0.9;
+        # the sweep runs each machine scaled by sqrt(0.9), so every output has ||M||_F^2 = 0.9;
         # the closed forms still read the normalized split, which they alone accept
-        output_factor = phaseclone.audit._output_factor
+        simulate = phaseclone.audit._simulate
 
-        def scaled(machine, psi):
+        def scaled(machine, amps):
             s = math.sqrt(0.9)
-            return output_factor(CloningMachine(machine.d, machine.alpha * s, machine.beta * s), psi)
+            return simulate(CloningMachine(machine.d, machine.alpha * s, machine.beta * s), amps)
 
-        monkeypatch.setattr(phaseclone.audit, "_output_factor", scaled)
+        monkeypatch.setattr(phaseclone.audit, "_simulate", scaled)
         report = run_audit(d_max=4, n_random=2, seed=0)
         validity = next(c for c in report.checks if c.name == "output_state_validity")
         assert not validity.passed
@@ -200,9 +202,10 @@ class TestRunAudit:
 
     @pytest.mark.parametrize("d_max, n", [(5, 1), (4, 3), (7, 2)])
     def test_clone_state_call_count_matches_the_closed_count(self, monkeypatch, d_max, n):
-        # one pass: each draw builds one output factor, plus one phase-zero factor per machine; the audit
-        # never forms the two-clone state, and simulate_fidelity runs only for the MUB states
-        calls = {"clone_state": 0, "simulate_fidelity": 0, "random_phase_vector": 0, "_output_factor": 0}
+        # one pass: each machine is simulated once on the stack of its draws and once on the phase-zero state,
+        # and each MUB basis once as a stack of its states; the audit never forms the two-clone state and
+        # never simulates one state at a time
+        calls = {"clone_state": 0, "simulate_fidelity": 0, "random_phase_vector": 0, "_simulate": 0}
 
         def counting(name, original):
             def counted(*args, **kwargs):
@@ -215,17 +218,17 @@ class TestRunAudit:
             wrapped = counting(name, getattr(phaseclone.cloner, name))
             for module in (phaseclone.cloner, phaseclone.audit):
                 monkeypatch.setattr(module, name, wrapped, raising=False)
-        for name in ("random_phase_vector", "_output_factor"):  # as bound in the audit only
+        for name in ("random_phase_vector", "_simulate"):  # as bound in the audit only
             monkeypatch.setattr(phaseclone.audit, name, counting(name, getattr(phaseclone.audit, name)))
         run_audit(d_max=d_max, n_random=n, seed=0)
         machines = (d_max - 1) * (1 + n)
         draws = machines * max(2, n)
-        mub = sum(d * d for d in range(3, d_max + 1) if is_prime(d))
+        mub_bases = sum(d for d in range(3, d_max + 1) if is_prime(d))
         assert calls == {
             "clone_state": 0,
-            "simulate_fidelity": mub,
+            "simulate_fidelity": 0,
             "random_phase_vector": draws,
-            "_output_factor": draws + machines,
+            "_simulate": 2 * machines + mub_bases,
         }
 
     @pytest.mark.parametrize("d_max, n_random, seed", [(5, 1, 0), (6, 3, 5), (9, 2, 11), (4, 6, 3)])
@@ -270,24 +273,24 @@ class TestRunAudit:
     def test_machines_are_built_and_swept_one_dimension_at_a_time(self, monkeypatch):
         # the d of every machine the sweep builds or runs, in call order, up to the MUB checks' own machines
         seen = []
-        build_machine, output_factor, mub_rows = (
-            phaseclone.audit.build_machine, phaseclone.audit._output_factor, phaseclone.audit.mub_rows
+        build_machine, simulate, mub_rows = (
+            phaseclone.audit.build_machine, phaseclone.audit._simulate, phaseclone.audit.mub_rows
         )
 
         def building(d, *args):
             seen.append(d)
             return build_machine(d, *args)
 
-        def running(machine, psi):
+        def running(machine, amps):
             seen.append(machine.d)
-            return output_factor(machine, psi)
+            return simulate(machine, amps)
 
         def listing(d):
             seen.append("mub")
             return mub_rows(d)
 
         monkeypatch.setattr(phaseclone.audit, "build_machine", building)
-        monkeypatch.setattr(phaseclone.audit, "_output_factor", running)
+        monkeypatch.setattr(phaseclone.audit, "_simulate", running)
         monkeypatch.setattr(phaseclone.audit, "mub_rows", listing)
         assert run_audit(d_max=5, n_random=2, seed=0).overall
         sweep = seen[: seen.index("mub")]
@@ -296,14 +299,14 @@ class TestRunAudit:
 
     def test_a_nan_reduction_fails_every_check_that_reads_it(self, monkeypatch):
         # Python's max(worst, nan) keeps worst, so each fold must keep the NaN instead
-        single_clone = phaseclone.audit._single_clone
+        clone_stack = _Outputs.clone
 
-        def poisoned(m, clone=0):
-            red = single_clone(m, clone).copy()
-            red[0, 1] = math.nan
+        def poisoned(out, clone=0):
+            red = clone_stack(out, clone)
+            red[:, 0, 1] = math.nan
             return red
 
-        monkeypatch.setattr(phaseclone.audit, "_single_clone", poisoned)
+        monkeypatch.setattr(_Outputs, "clone", poisoned)
         report = run_audit(d_max=4, n_random=2, seed=0)
         assert report.overall is False
         by_name = {c.name: c for c in report.checks}
@@ -312,27 +315,30 @@ class TestRunAudit:
             assert math.isnan(by_name[name].residual) and not by_name[name].passed, name
 
     def test_a_nan_output_factor_fails_verify_instead_of_raising(self, monkeypatch, capsys):
-        # a NaN in M reaches the Gram M^dag M, whose eigensolve would raise on it
-        output_factor = phaseclone.audit._output_factor
+        # a NaN in M reaches the Gram M^dag M, whose eigensolve would raise on it; nonzero 0 of V sits
+        # in row 0, so a NaN there puts one at M[0, 0] of every output
+        simulate = phaseclone.audit._simulate
 
-        def poisoned(machine, psi):
-            m = output_factor(machine, psi).copy()
-            m[0, 0] = math.nan
-            return m
+        def poisoned(machine, amps):
+            out = simulate(machine, amps)
+            vals = out.vals.copy()
+            vals[0] = math.nan
+            return dataclasses.replace(out, vals=vals)
 
-        monkeypatch.setattr(phaseclone.audit, "_output_factor", poisoned)
+        monkeypatch.setattr(phaseclone.audit, "_simulate", poisoned)
         assert main(["verify", "--d-max", "4", "--trials", "2"]) == 1
         assert "output_state_validity,2..4,false,nan,1e-10\n" in capsys.readouterr().out
 
     def test_a_nan_mub_fidelity_fails_mub_and_verify(self, monkeypatch, capsys):
-        simulate_fidelity = phaseclone.audit.simulate_fidelity
+        fidelity = _Outputs.fidelity
         target = mub_basis(3, 0)[1]
 
-        def poisoned(machine, psi):
-            f = simulate_fidelity(machine, psi)
-            return math.nan if np.array_equal(psi.amps, target) else f
+        def poisoned(out):
+            f = fidelity(out)
+            f[[np.array_equal(psi, target) for psi in out.amps]] = math.nan
+            return f
 
-        monkeypatch.setattr(phaseclone.audit, "simulate_fidelity", poisoned)
+        monkeypatch.setattr(_Outputs, "fidelity", poisoned)
         assert main(["mub", "--d", "3"]) == 1
         assert "fidelity,0,1,nan\n" in capsys.readouterr().out
         checks = run_audit(d_max=3, n_random=1, seed=0).checks
@@ -355,16 +361,16 @@ class TestRunAudit:
 
     def test_a_phase_independent_offset_fails_the_phase_covariance_check(self, monkeypatch):
         # adding eps(|0><1| + |1><0|) to every reduction survives at phase zero but not under U_phi
-        single_clone = phaseclone.audit._single_clone
+        clone_stack = _Outputs.clone
         eps = 1e-6
 
-        def offset(m, clone=0):
-            red = single_clone(m, clone).copy()
-            red[0, 1] += eps
-            red[1, 0] += eps
+        def offset(out, clone=0):
+            red = clone_stack(out, clone)
+            red[:, 0, 1] += eps
+            red[:, 1, 0] += eps
             return red
 
-        monkeypatch.setattr(phaseclone.audit, "_single_clone", offset)
+        monkeypatch.setattr(_Outputs, "clone", offset)
         report = run_audit(d_max=4, n_random=2, seed=0)
         covariance = next(c for c in report.checks if c.name == "phase_covariance")
         assert not covariance.passed
@@ -372,16 +378,16 @@ class TestRunAudit:
 
     def test_a_non_hermitian_reduction_fails_checks_instead_of_raising(self, monkeypatch, capsys):
         # adding i eps(|0><1| + |1><0|) makes every reduction non-Hermitian and <psi|rho_A|psi> complex
-        single_clone = phaseclone.audit._single_clone
+        clone_stack = _Outputs.clone
         eps = 1e-6
 
-        def skewed(m, clone=0):
-            red = single_clone(m, clone).copy()
-            red[0, 1] += 1j * eps
-            red[1, 0] += 1j * eps
+        def skewed(out, clone=0):
+            red = clone_stack(out, clone)
+            red[:, 0, 1] += 1j * eps
+            red[:, 1, 0] += 1j * eps
             return red
 
-        monkeypatch.setattr(phaseclone.audit, "_single_clone", skewed)
+        monkeypatch.setattr(_Outputs, "clone", skewed)
         by_name = {c.name: c for c in run_audit(d_max=4, n_random=2, seed=0).checks}
         validity, agreement = by_name["output_state_validity"], by_name["closed_form_agreement"]
         assert not validity.passed and not agreement.passed

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phaseclone.audit import mub_rows, run_audit
 from phaseclone.cloner import (
     CloningMachine,
     FidelityReport,
     VerificationError,
+    _build_plan,
     _output_factor,
+    _simulate,
     _single_clone,
     build_machine,
     clone_state,
@@ -24,7 +27,7 @@ from phaseclone.cloner import (
     simulate_fidelity,
     uqcm_fidelity,
 )
-from phaseclone.linalg import EQ_TOL, PSD_TOL, DensityMatrix, DimensionError, Ket, partial_trace
+from phaseclone.linalg import EQ_TOL, PSD_TOL, DensityMatrix, DimensionError, Ket, frobenius_distance, partial_trace
 from phaseclone.states import PhaseVector, phase_state, random_phase_vector
 
 INV_SQRT2 = 0.7071067811865476
@@ -368,6 +371,88 @@ class TestCloneState:
         for run in (simulate_fidelity, clone_state):
             with pytest.raises(ValueError, match="not normalized"):
                 run(machine, psi)
+
+
+def dense_stacks(machine, amps):
+    """Reference for the simulation route: each state's clone A and B reductions, ancilla Gram and ||M||_F^2 from the dense M.
+
+    ||M||_F^2 is summed exactly (``math.fsum``): np.vdot(m, m) over the d^3 entries is off by up to 1.8e-15 at d = 61.
+    """
+    refs = []
+    for psi in amps:
+        m = _output_factor(machine, Ket((machine.d,), psi))
+        refs.append((_single_clone(m, 0), _single_clone(m, 1), m.conj().T @ m, math.fsum((np.abs(m) ** 2).ravel())))
+    return [np.array(stack) for stack in zip(*refs)]
+
+
+class TestSimulate:
+    """The one simulation route, from the plan of V's nonzeros over a stack of states, against the dense route."""
+
+    def test_matches_the_dense_route_entrywise(self):
+        rng = np.random.default_rng(53)
+        for d in [*range(2, 17), 61, 64]:
+            amps = np.array([phase_state(random_phase_vector(d, 10 * d + k)).amps for k in range(3)])
+            for alpha, beta in split_grid(d, rng):
+                machine = build_machine(d, alpha, beta)
+                out = _simulate(machine, amps)
+                stacks = (out.clone(0), out.clone(1), out.gram(), out.norm2())
+                for name, got, want in zip(("clone A", "clone B", "gram", "norm2"), stacks, dense_stacks(machine, amps)):
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15, err_msg=f"{name} at d = {d}")
+                # fidelity() sums ||psi^dag X||^2 instead of <psi|rho_A|psi>: 1.2e-15 apart at worst here (d = 61)
+                overlaps = (amps.conj()[:, None, :] @ stacks[0] @ amps[:, :, None])[:, 0, 0].real
+                np.testing.assert_allclose(out.fidelity(), overlaps, rtol=0, atol=5e-15)
+
+    def test_keeps_the_clones_apart_on_an_asymmetric_machine(self):
+        # the machine's two clones are equal, so only unequal values on V's nonzeros tell clone A from clone B
+        rng = np.random.default_rng(59)
+        for d in (2, 3, 5, 8):
+            machine = build_machine(d, *optimal_params(d))
+            object.__setattr__(machine, "vals", rng.normal(size=machine.vals.size))
+            amps = rng.normal(size=(4, d)) + 1j * rng.normal(size=(4, d))
+            amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+            out = _simulate(machine, amps)
+            reference = dense_stacks(machine, amps)
+            assert frobenius_distance(reference[0], reference[1]) > 1e-3
+            for got, want in zip((out.clone(0), out.clone(1), out.gram(), out.norm2()), reference):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_plan_builder_refuses_a_row_with_two_nonzeros(self):
+        machine = build_machine(3, *optimal_params(3))
+        rows = machine.rows.copy()
+        rows[-1] = rows[0]
+        object.__setattr__(machine, "rows", rows)
+        with pytest.raises(ValueError, match="more than one nonzero"):
+            _build_plan(3, machine.rows, machine.cols)
+        with pytest.raises(ValueError, match="more than one nonzero"):
+            simulate_fidelity(machine, phase_state(random_phase_vector(3, 0)))
+
+    def test_plan_builder_refuses_a_clone_block_with_a_gap(self):
+        # moving |00>|R_0> to the free row |00>|R_1> leaves clone A's block column (0, 0) one nonzero short
+        machine = build_machine(3, *optimal_params(3))
+        rows = machine.rows.copy()
+        rows[0] = 1
+        with pytest.raises(ValueError, match="clone A do not form a full block"):
+            _build_plan(3, rows, machine.cols)
+
+    def test_rejects_a_stack_of_the_wrong_width_or_norm(self):
+        machine = build_machine(3, *optimal_params(3))
+        with pytest.raises(DimensionError):
+            _simulate(machine, np.eye(2))
+        with pytest.raises(DimensionError):
+            _simulate(machine, np.ones(3) / math.sqrt(3))
+        with pytest.raises(ValueError, match="not normalized"):
+            _simulate(machine, [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+
+    def test_mub_rows_at_d29_traces_under_2_megabytes(self):
+        # one basis (29 states) is simulated at a time, and clone A's reduction is never stacked
+        rows, peak = traced_peak_bytes(lambda: mub_rows(29))
+        assert len(rows) == 30 + 435 + 29 * 29
+        assert peak < 2.0e6
+
+    def test_audit_at_d12_traces_under_2_5_megabytes(self):
+        report, peak = traced_peak_bytes(lambda: run_audit(12, 20, 1))
+        assert report.overall
+        assert peak < 2.5e6
 
 
 class TestReducedClone:

@@ -120,6 +120,12 @@ class TestFidelityPure:
         with pytest.raises(DimensionError):
             fidelity_pure(random_ket(3, 0), DensityMatrix((2,), np.eye(2) / 2))
 
+    def test_nan_matrix_raises_instead_of_returning_nan(self):
+        # the overlap's imaginary part is NaN, which no test of the form ">= tol" catches
+        rho = DensityMatrix((2,), [[math.nan, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="imaginary part"):
+            fidelity_pure(Ket((2,), [1.0, 0.0]), rho)
+
     def test_unnormalized_state_rejected(self):
         psi = Ket((2,), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
