@@ -26,14 +26,12 @@ from .linalg import (
     PSD_TOL,
     DensityMatrix,
     DimensionError,
-    Ket,
     fidelity_pure,
     frobenius_distance,
     partial_trace,
 )
 from .optimize import ConvergenceError, SweepTable, maximize_fidelity, sweep_alpha
 from .states import (
-    PhaseVector,
     UnsupportedDimensionError,
     is_prime,
     mub_basis,
@@ -42,7 +40,7 @@ from .states import (
     symmetric_pair,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 __all__ = [
     "AuditReport",
@@ -53,9 +51,7 @@ __all__ = [
     "DimensionError",
     "EQ_TOL",
     "FidelityReport",
-    "Ket",
     "PSD_TOL",
-    "PhaseVector",
     "SweepTable",
     "UnsupportedDimensionError",
     "VerificationError",

@@ -20,10 +20,11 @@ overlap <psi|rho_A|psi>). The two-clone output rho_AB = M M^dag is never
 formed: its trace is ||M||_F^2, and its positivity is checked on the
 ancilla Gram, which has the same nonzero spectrum. The simulation costs
 O(d^3) time per draw and O(n d^2) memory; the per-draw Python work is
-drawing the phase states. On a 2-core machine with numpy 2.4,
-``verify --trials 20`` takes 0.43-0.44 s at d_max 12 (``cli.main`` wall
-time, medians of two sets of 10 benchmark runs, 38.7 MB of RSS) and 18 s
-at d_max 64 (one run, 66 MB of RSS).
+drawing the phase vectors, which one call of ``phase_state`` per machine
+turns into its stack of states. On a 2-core machine with numpy 2.4,
+``verify --trials 20`` takes 0.38 s at d_max 12 (``cli.main`` wall time,
+median of 12 benchmark runs, 38.2 MB of RSS) and 16 s at d_max 64 (one
+run, 68 MB of RSS).
 
 MUB checks cover every odd prime d <= d_max; :func:`mub_rows` is also what
 ``phaseclone mub`` prints.
@@ -50,7 +51,6 @@ from .cloner import (
 from .linalg import EQ_TOL, PSD_TOL, frobenius_distance
 from .optimize import optimum_residual, sweep_alpha
 from .states import (
-    PhaseVector,
     gram_residual,
     is_prime,
     mub_basis,
@@ -198,14 +198,10 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
 
         # one simulation sweep: each machine runs once on the stack of its n draws, and every per-draw
         # check then runs once per machine, over the stacks the outputs M = V|psi> give
-        zero = phase_state(PhaseVector(d, (0.0,) * d)).amps[None]
-        phases = np.empty((n, d))
-        amps = np.empty((n, d), dtype=np.complex128)
+        zero = phase_state(np.zeros((1, d)))
         for machine in machines:
-            for k in range(n):
-                pv = random_phase_vector(d, next(seeds))
-                phases[k] = pv.phases
-                amps[k] = phase_state(pv).amps
+            phases = np.array([random_phase_vector(d, next(seeds)) for _ in range(n)])
+            amps = phase_state(phases)
             out = _simulate(machine, amps)
             red_a, red_b = out.clone(0), out.clone(1)  # each clone's reduction of each draw
             gram, norm2 = out.gram(), out.norm2()  # ancilla Gram M^dag M and ||M||_F^2 of each draw
@@ -261,7 +257,7 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
         worst["objective_unimodal"] += int(np.sum(np.diff(np.sign(diffs)) != 0)) != 1
 
         # the symmetric two-qudit pair states are invariant under swapping the qudits
-        pairs = (symmetric_pair(d, j, l).amps for j in range(d) for l in range(d))
+        pairs = (symmetric_pair(d, j, l) for j in range(d) for l in range(d))
         note("symmetric_pair_swap", *(float(np.abs(a - a.reshape(d, d).T.reshape(-1)).max()) for a in pairs))
 
     # strict superiority over the universal baseline, with a shrinking gap

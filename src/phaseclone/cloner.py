@@ -45,11 +45,12 @@ for the two-clone state, and as the reference the tests hold the plan to.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EQ_TOL, DensityMatrix, DimensionError, Ket, partial_trace
+from .linalg import EQ_TOL, DensityMatrix, DimensionError, _normalized, partial_trace
 from .states import phase_state, random_phase_vector
 
 PARAM_NORM_TOL = 1e-9  # max |alpha^2 + beta^2 - 1| accepted
@@ -58,12 +59,13 @@ PARAM_NORM_TOL = 1e-9  # max |alpha^2 + beta^2 - 1| accepted
 def _check_domain(
     d: int, alpha: float | None = None, beta: float | None = None, norm_tol: float = PARAM_NORM_TOL
 ) -> None:
-    """Reject d < 2 and, when given, a split that is negative, NaN or off the unit circle by more than ``norm_tol``.
+    """Reject a d that is not an integer >= 2 (a NaN, an infinity, 2.5) and, when given, a split that is negative, NaN or off the unit circle by more than ``norm_tol``.
 
-    Never renormalizes: a split that passes is used exactly as given.
+    Any integer type passes, numpy's too. Never renormalizes: a split that
+    passes is used exactly as given.
     """
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    if not (isinstance(d, numbers.Integral) and d >= 2):
+        raise ValueError(f"d must be >= 2 and an integer, got {d!r}")
     if alpha is None:
         return
     if not (alpha >= 0.0 and beta >= 0.0):
@@ -71,6 +73,13 @@ def _check_domain(
     norm2 = alpha * alpha + beta * beta
     if abs(norm2 - 1.0) > norm_tol:
         raise ValueError(f"alpha^2 + beta^2 = {norm2!r} is not within {norm_tol} of 1")
+
+
+def _one_nonzero_per_row(rows: np.ndarray) -> None:
+    """Raise ValueError unless the row indices of V's nonzeros are distinct, i.e. V has at most one nonzero per row."""
+    # a stable sort: with numpy 2.4, np.unique adds 1.5 MB to verify's peak RSS and the default sort 0.3 MB
+    if not np.diff(np.sort(rows, kind="stable")).all():
+        raise ValueError("V has a row with more than one nonzero")
 
 
 @dataclass(frozen=True)
@@ -127,9 +136,7 @@ class CloningMachine:
         diagonal, so V^dag V is diagonal and its entry j sums |V[r, j]|^2 over
         column j. That invariant is checked, not assumed.
         """
-        # a stable sort: with numpy 2.4, np.unique adds 1.5 MB to verify's peak RSS and the default sort 0.3 MB
-        if not np.diff(np.sort(self.rows, kind="stable")).all():
-            raise ValueError("V has a row with more than one nonzero; V^dag V is not diagonal")
+        _one_nonzero_per_row(self.rows)
         gram_diag = np.bincount(self.cols, weights=np.abs(self.vals) ** 2, minlength=self.d)
         return float(np.linalg.norm(gram_diag - 1.0))
 
@@ -222,8 +229,7 @@ def _build_plan(d: int, rows: np.ndarray, cols: np.ndarray) -> _Plan:
     nonzero per row, full blocks for both clones, and at most two nonzeros
     per (A, B) key. A violation raises ValueError.
     """
-    if not np.diff(np.sort(rows, kind="stable")).all():
-        raise ValueError("V has a row with more than one nonzero")
+    _one_nonzero_per_row(rows)
     ab, c = rows // d, rows % d
     a, b = ab // d, ab % d
     clones = []
@@ -327,17 +333,12 @@ def _simulate(machine: CloningMachine, amps) -> _Outputs:
     MUB rows and the audit's sweep all read their stacks from the returned
     :class:`_Outputs`, through the plan of the machine's triples.
     """
-    amps = np.asarray(amps, dtype=np.complex128)
-    if amps.ndim != 2 or amps.shape[1] != machine.d:
-        raise DimensionError(f"expected an (n, {machine.d}) stack of input states, got shape {amps.shape}")
-    norm2 = (np.abs(amps) ** 2).sum(axis=1)
-    if not (np.abs(norm2 - 1.0) <= EQ_TOL).all():
-        raise ValueError(f"state is not normalized: |psi|^2 = {norm2!r}")
+    amps = _normalized(amps, machine.d, ndim=2)
     return _Outputs(_plan(machine), machine.vals, amps)
 
 
-def _output_factor(machine: CloningMachine, psi: Ket) -> np.ndarray:
-    """Package-private dense reference: the pure output V|psi> as a read-only (d^2, d) matrix M.
+def _output_factor(machine: CloningMachine, psi) -> np.ndarray:
+    """Package-private dense reference: the pure output V|psi> of a normalized (d,) state as a read-only (d^2, d) matrix M.
 
     Rows index the clone pair (A, B), columns the ancilla. V is applied by
     scattering its nonzeros into the d^3 output vector, so no dense isometry
@@ -346,11 +347,9 @@ def _output_factor(machine: CloningMachine, psi: Ket) -> np.ndarray:
     ``M^dag M``.
     """
     d = machine.d
-    if psi.dims != (d,):
-        raise DimensionError(f"input must be a single factor of dimension {d}, got dims {psi.dims}")
-    psi.require_normalized()
+    psi = _normalized(psi, d)
     out = np.zeros(d**3, dtype=np.complex128)
-    out[machine.rows] = machine.vals * psi.amps[machine.cols]
+    out[machine.rows] = machine.vals * psi[machine.cols]
     m = out.reshape(d * d, d)
     m.setflags(write=False)
     return m
@@ -371,8 +370,8 @@ def _single_clone(m: np.ndarray, clone: int = 0) -> np.ndarray:
     return x @ x.conj().T
 
 
-def clone_state(machine: CloningMachine, psi: Ket) -> DensityMatrix:
-    """Run the machine on a single-qudit pure state; return the two-clone output.
+def clone_state(machine: CloningMachine, psi) -> DensityMatrix:
+    """Run the machine on a single-qudit pure state, a normalized (d,) amplitude array; return the two-clone output.
 
     The ancilla is traced out without ever materializing the d^3-by-d^3
     three-factor density matrix: rho_out = M M^dag with M the (clone pair,
@@ -437,16 +436,14 @@ def shrink_factor(d: int, alpha: float, beta: float) -> float:
     return alpha * beta * math.sqrt(2.0 / (d - 1)) + beta * beta * (d - 2) / (2.0 * (d - 1))
 
 
-def simulate_fidelity(machine: CloningMachine, psi: Ket) -> float:
-    """Brute-force fidelity: run the machine, reduce to one clone, overlap with the input.
+def simulate_fidelity(machine: CloningMachine, psi) -> float:
+    """Brute-force fidelity of a normalized (d,) input state: run the machine, reduce to one clone, overlap with the input.
 
     The overlap <psi|rho_A|psi> is read off the pure output M = V|psi> as a
     stack of one state, from the nonzeros of V in O(d^3) time and O(d^2)
     memory; neither clone's state nor the two-clone state is formed.
     """
-    if psi.dims != (machine.d,):
-        raise DimensionError(f"input must be a single factor of dimension {machine.d}, got dims {psi.dims}")
-    return float(_simulate(machine, psi.amps[None]).fidelity()[0])
+    return float(_simulate(machine, _normalized(psi, machine.d)[None]).fidelity()[0])
 
 
 def fidelity_report(

@@ -6,6 +6,11 @@ state ``|i0 i1 ... in>`` sits at flat index ``((i0*d1 + i1)*d2 + ...)``,
 exactly the ordering produced by ``numpy.kron``. Every partial trace and
 every isometry in the package assumes this layout.
 
+A pure state is a plain complex amplitude array, (d,) for one state and
+(n, d) for a stack; every function that takes one checks it through
+:func:`_normalized`. A mixed state is a :class:`DensityMatrix`, which keeps
+its factor dimensions for :func:`partial_trace`.
+
 Tolerances: ``EQ_TOL`` (1e-12) for equality-style checks, ``PSD_TOL``
 (1e-10) for eigenvalue positivity, which is checked by Hermitian
 eigendecomposition so that tiny negative round-off eigenvalues pass.
@@ -33,10 +38,6 @@ def _lock(arr: np.ndarray, shape_len: int) -> np.ndarray:
     return arr
 
 
-def _as_locked_array(values, shape_len: int) -> np.ndarray:
-    return _lock(np.array(values, dtype=np.complex128, copy=True), shape_len)
-
-
 def _check_dims(dims) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 2 for d in dims):
@@ -44,38 +45,22 @@ def _check_dims(dims) -> tuple[int, ...]:
     return dims
 
 
-@dataclass(frozen=True)
-class Ket:
-    """Pure state of one or more qudits: factor dimensions plus amplitudes.
+def _normalized(amps, d: int, ndim: int = 1) -> np.ndarray:
+    """Package-private: the one check of input states; return ``amps`` as a complex128 array.
 
-    The amplitude vector has length ``prod(dims)`` and is stored read-only;
-    a Ket never mutates after construction.
+    ``amps`` must be one state of shape (d,) (``ndim=1``) or a stack of
+    states of shape (n, d) (``ndim=2``), else DimensionError; and each
+    state's |psi|^2 must lie within ``EQ_TOL`` of 1, else ValueError (a NaN
+    amplitude fails too).
     """
-
-    dims: tuple[int, ...]
-    amps: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", _check_dims(self.dims))
-        amps = _as_locked_array(self.amps, 1)
-        if amps.size != self.total_dim:
-            raise DimensionError(
-                f"amplitude vector of length {amps.size} does not match dims {self.dims}"
-            )
-        object.__setattr__(self, "amps", amps)
-
-    @property
-    def total_dim(self) -> int:
-        return math.prod(self.dims)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def require_normalized(self) -> "Ket":
-        """Return self if the squared norm is within ``EQ_TOL`` of 1, else raise (a NaN norm raises too)."""
-        if not abs(self.norm() ** 2 - 1.0) <= EQ_TOL:
-            raise ValueError(f"state is not normalized: |psi|^2 = {self.norm() ** 2!r}")
-        return self
+    amps = np.asarray(amps, dtype=np.complex128)
+    if amps.ndim != ndim or amps.shape[-1] != d:
+        want = f"({d},)" if ndim == 1 else f"(n, {d})"
+        raise DimensionError(f"expected input states of shape {want}, got shape {amps.shape}")
+    norm2 = (np.abs(amps) ** 2).sum(axis=-1)
+    if not (np.abs(norm2 - 1.0) <= EQ_TOL).all():
+        raise ValueError(f"state is not normalized: |psi|^2 = {norm2!r}")
+    return amps
 
 
 @dataclass(frozen=True)
@@ -91,7 +76,7 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        self._settle(self.dims, _as_locked_array(self.mat, 2))
+        self._settle(self.dims, _lock(np.array(self.mat, dtype=np.complex128, copy=True), 2))
 
     @classmethod
     def _adopt(cls, dims, mat: np.ndarray) -> "DensityMatrix":
@@ -169,19 +154,15 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix._adopt(kept_dims, tensor.reshape(side, side))  # np.trace made it fresh
 
 
-def fidelity_pure(psi: Ket, rho: DensityMatrix) -> float:
-    """Overlap <psi|rho|psi> between a normalized pure state and a density matrix.
+def fidelity_pure(psi, rho: DensityMatrix) -> float:
+    """Overlap <psi|rho|psi> between a normalized pure state, a (d,) amplitude array, and a density matrix of side d.
 
     The value is returned as a real number; a residual imaginary part of
     ``EQ_TOL`` or more, or a NaN, indicates a malformed (non-Hermitian or
     non-finite) input and raises.
     """
-    if psi.total_dim != rho.total_dim:
-        raise DimensionError(
-            f"state dimension {psi.total_dim} does not match matrix side {rho.total_dim}"
-        )
-    psi.require_normalized()
-    value = complex(psi.amps.conj() @ rho.mat @ psi.amps)
+    psi = _normalized(psi, rho.total_dim)
+    value = complex(psi.conj() @ rho.mat @ psi)
     if not abs(value.imag) < EQ_TOL:
         raise ValueError(f"<psi|rho|psi> has non-negligible imaginary part: {value!r}")
     return value.real

@@ -5,16 +5,19 @@ with the global phase fixed by ``phi_0 = 0``; every amplitude has modulus
 ``1/sqrt(d)``. The mutually unbiased bases built here (odd prime d only) are
 phase states too, which is what makes them cloneable at the optimal fidelity
 by the machine in :mod:`phaseclone.cloner`.
+
+Every state and phase vector here is a plain read-only numpy array: (d,)
+for one, (n, d) for a stack of n, one per row. Phases are float64 and
+amplitudes complex128.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, Ket
+from .linalg import DimensionError
 
 TWO_PI = 2.0 * math.pi
 
@@ -33,26 +36,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PhaseVector:
-    """The d phase parameters of a phase state, with ``phases[0] == 0``."""
-
-    d: int
-    phases: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"d must be >= 2, got {self.d}")
-        phases = tuple(float(p) for p in self.phases)
-        if len(phases) != self.d:
-            raise ValueError(f"expected {self.d} phases, got {len(phases)}")
-        if phases[0] != 0.0:
-            raise ValueError(f"phases[0] must be 0, got {phases[0]!r}")
-        if not all(0.0 <= p < TWO_PI for p in phases):  # NaN fails this too
-            raise ValueError("all phases must lie in [0, 2*pi)")
-        object.__setattr__(self, "phases", phases)
-
-
 def _require_odd_prime(d: int) -> None:
     if not is_prime(d):
         raise UnsupportedDimensionError(f"d = {d} is not prime; no MUB construction here")
@@ -63,14 +46,30 @@ def _require_odd_prime(d: int) -> None:
         raise UnsupportedDimensionError("d = 2 is not supported by this MUB construction")
 
 
-def phase_state(pv: PhaseVector) -> Ket:
-    """Equal-modulus superposition ``(1/sqrt(d)) * sum_j exp(i*phi_j) |j>``."""
-    amps = np.exp(1j * np.array(pv.phases)) / math.sqrt(pv.d)
-    return Ket((pv.d,), amps)
+def phase_state(phases) -> np.ndarray:
+    """Equal-modulus superposition ``(1/sqrt(d)) * sum_j exp(i*phi_j) |j>`` of a (d,) phase vector, or of each row of an (n, d) stack.
+
+    Every phase vector must have d >= 2 phases, a first phase of exactly 0
+    and every phase in [0, 2*pi); anything else (a NaN too) raises
+    ValueError. Returns a read-only complex array of the shape of ``phases``.
+    """
+    phases = np.asarray(phases, dtype=np.float64)
+    if phases.ndim not in (1, 2):
+        raise DimensionError(f"expected a (d,) or (n, d) array of phases, got shape {phases.shape}")
+    d = phases.shape[-1]
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
+    if not (phases[..., 0] == 0.0).all():
+        raise ValueError("the first phase of every phase vector must be 0")
+    if not ((phases >= 0.0) & (phases < TWO_PI)).all():  # NaN fails this too
+        raise ValueError("all phases must lie in [0, 2*pi)")
+    amps = np.exp(1j * phases) / math.sqrt(d)
+    amps.setflags(write=False)
+    return amps
 
 
-def random_phase_vector(d: int, seed: int) -> PhaseVector:
-    """Deterministic random phase vector: ``phases[0] = 0``, the rest uniform on [0, 2*pi).
+def random_phase_vector(d: int, seed: int) -> np.ndarray:
+    """Deterministic random phase vector, a read-only (d,) float array: ``phases[0] = 0``, the rest uniform on [0, 2*pi).
 
     The stream is PCG64 keyed by ``seed`` (stable across releases: the
     bit generator is pinned by name, not taken from numpy's default).
@@ -80,11 +79,13 @@ def random_phase_vector(d: int, seed: int) -> PhaseVector:
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    return PhaseVector(d, (0.0, *rng.uniform(0.0, TWO_PI, d - 1)))
+    phases = np.concatenate(([0.0], rng.uniform(0.0, TWO_PI, d - 1)))
+    phases.setflags(write=False)
+    return phases
 
 
-def symmetric_pair(d: int, j: int, l: int) -> Ket:
-    """Normalized symmetric two-qudit basis state: |jj> if j == l, else (|jl> + |lj>)/sqrt(2)."""
+def symmetric_pair(d: int, j: int, l: int) -> np.ndarray:
+    """Normalized symmetric two-qudit basis state, a read-only (d^2,) array: |jj> if j == l, else (|jl> + |lj>)/sqrt(2)."""
     if not (0 <= j < d and 0 <= l < d):
         raise DimensionError(f"indices ({j}, {l}) out of range for d = {d}")
     amps = np.zeros(d * d, dtype=np.complex128)
@@ -92,7 +93,8 @@ def symmetric_pair(d: int, j: int, l: int) -> Ket:
         amps[j * d + j] = 1.0
     else:
         amps[j * d + l] = amps[l * d + j] = 1.0 / math.sqrt(2.0)
-    return Ket((d, d), amps)
+    amps.setflags(write=False)
+    return amps
 
 
 def mub_basis(d: int, l: int) -> np.ndarray:

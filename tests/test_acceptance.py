@@ -22,7 +22,7 @@ from phaseclone.cloner import (
     simulate_fidelity,
     uqcm_fidelity,
 )
-from phaseclone.linalg import Ket, fidelity_pure, frobenius_distance, partial_trace
+from phaseclone.linalg import fidelity_pure, frobenius_distance, partial_trace
 from phaseclone.optimize import maximize_fidelity
 from phaseclone.states import (
     mub_basis,
@@ -119,7 +119,7 @@ def test_criterion_05_d2_scalar_form():
     for seed in range(100):
         psi = phase_state(random_phase_vector(2, seed))
         red = reduced_clone(clone_state(machine, psi)).mat
-        expected = eta * np.outer(psi.amps, psi.amps.conj()) + isotropic * np.eye(2)
+        expected = eta * np.outer(psi, psi.conj()) + isotropic * np.eye(2)
         worst = max(worst, float(np.abs(red - expected).max()))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-12
@@ -172,7 +172,7 @@ def test_criterion_09_mub_suite():
         target = optimal_fidelity(d)
         for l in range(d):
             for row in mub_basis(d, l):
-                worst_fid = max(worst_fid, abs(simulate_fidelity(machine, Ket((d,), row)) - target))
+                worst_fid = max(worst_fid, abs(simulate_fidelity(machine, row) - target))
     elapsed = time.perf_counter() - t0
     assert worst_unb < 1e-10
     assert worst_fid < 1e-12

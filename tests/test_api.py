@@ -26,9 +26,7 @@ PUBLIC = {
     "DimensionError",
     "EQ_TOL",
     "FidelityReport",
-    "Ket",
     "PSD_TOL",
-    "PhaseVector",
     "SweepTable",
     "UnsupportedDimensionError",
     "VerificationError",

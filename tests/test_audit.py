@@ -21,8 +21,8 @@ from phaseclone.cloner import (
     reduced_clone,
     shrink_factor,
 )
-from phaseclone.linalg import DensityMatrix, Ket, fidelity_pure, frobenius_distance
-from phaseclone.states import PhaseVector, is_prime, mub_basis, phase_state, random_phase_vector
+from phaseclone.linalg import DensityMatrix, fidelity_pure, frobenius_distance
+from phaseclone.states import is_prime, mub_basis, phase_state, random_phase_vector
 
 EQ_CHECKS = {
     "isometry_unitarity",
@@ -60,13 +60,13 @@ def per_draw_residuals(d_max: int, n_random: int, seed: int) -> dict[str, float]
 
     for d, grid in grids.items():
         for machine in grid:
-            red0 = _simulate(machine, phase_state(PhaseVector(d, (0.0,) * d)).amps[None]).clone(0)[0]
+            red0 = _simulate(machine, phase_state(np.zeros((1, d)))).clone(0)[0]
             fidelities = []
             for _ in range(max(2, n_random)):
-                pv = random_phase_vector(d, next(seeds))
-                psi = phase_state(pv)
-                update("phase_state_modulus", float(np.abs(np.abs(psi.amps) - 1.0 / math.sqrt(d)).max()))
-                out = _simulate(machine, psi.amps[None])
+                phases = random_phase_vector(d, next(seeds))
+                psi = phase_state(phases)
+                update("phase_state_modulus", float(np.abs(np.abs(psi) - 1.0 / math.sqrt(d)).max()))
+                out = _simulate(machine, psi[None])
                 red_a, red_b = out.clone(0)[0], out.clone(1)[0]
                 herm = max(frobenius_distance(red, red.conj().T) for red in (red_a, red_b))
                 tr_err = abs(out.norm2()[0] - 1.0)
@@ -77,9 +77,8 @@ def per_draw_residuals(d_max: int, n_random: int, seed: int) -> dict[str, float]
                 update("closed_form_agreement", abs(f_sim - fidelity_closed_form(d, machine.alpha, machine.beta)))
                 fidelities.append(f_sim)
                 eta = shrink_factor(d, machine.alpha, machine.beta)
-                scalar = eta * np.outer(psi.amps, psi.amps.conj()) + (1.0 - eta) / d * np.eye(d)
+                scalar = eta * np.outer(psi, psi.conj()) + (1.0 - eta) / d * np.eye(d)
                 update("scalar_form", frobenius_distance(red_a, scalar))
-                phases = np.array(pv.phases)
                 twist = np.exp(1j * (phases[:, None] - phases[None, :]))
                 closed = (eta / d) * twist
                 np.fill_diagonal(closed, 1.0 / d)
@@ -347,10 +346,10 @@ class TestRunAudit:
 
     def test_unequal_moduli_fail_the_phase_state_modulus_check(self, monkeypatch):
         # a normalized state whose amplitudes are not all 1/sqrt(d): |amps|^2 = (2, 1, ..., 1) / (d + 1)
-        def lopsided(pv):
-            amps = np.exp(1j * np.array(pv.phases))
-            amps[0] *= math.sqrt(2.0)
-            return Ket((pv.d,), amps / math.sqrt(pv.d + 1))
+        def lopsided(phases):
+            amps = np.exp(1j * np.asarray(phases))
+            amps[..., 0] *= math.sqrt(2.0)
+            return amps / math.sqrt(amps.shape[-1] + 1)
 
         monkeypatch.setattr(phaseclone.audit, "phase_state", lopsided)
         report = run_audit(d_max=4, n_random=2, seed=0)
@@ -414,16 +413,16 @@ class TestCovarianceStructure:
     def test_beta_zero_is_trivially_covariant(self):
         # both sides of reduced(rho(phi)) = U_phi reduced(rho(0)) U_phi^dag are I/d
         machine = build_machine(3, 1.0, 0.0)
-        red0 = reduced_clone(clone_state(machine, phase_state(PhaseVector(3, (0.0,) * 3)))).mat
+        red0 = reduced_clone(clone_state(machine, phase_state(np.zeros(3)))).mat
         for seed in range(5):
-            pv = random_phase_vector(3, seed)
-            red = reduced_clone(clone_state(machine, phase_state(pv))).mat
-            u = np.diag(np.exp(1j * np.array(pv.phases)))
+            phases = random_phase_vector(3, seed)
+            red = reduced_clone(clone_state(machine, phase_state(phases))).mat
+            u = np.diag(np.exp(1j * phases))
             assert frobenius_distance(red, u @ red0 @ u.conj().T) < 1e-14
 
     def test_d2_pi_phase_flips_off_diagonal_sign(self):
         machine = build_machine(2, *optimal_params(2))
-        red0 = reduced_clone(clone_state(machine, phase_state(PhaseVector(2, (0.0, 0.0)))))
-        red_pi = reduced_clone(clone_state(machine, phase_state(PhaseVector(2, (0.0, math.pi)))))
+        red0 = reduced_clone(clone_state(machine, phase_state([0.0, 0.0])))
+        red_pi = reduced_clone(clone_state(machine, phase_state([0.0, math.pi])))
         assert red_pi.mat[0, 1] == pytest.approx(-red0.mat[0, 1], abs=1e-15)
         np.testing.assert_allclose(np.diag(red_pi.mat), np.diag(red0.mat), atol=1e-15)

@@ -27,8 +27,17 @@ from phaseclone.cloner import (
     simulate_fidelity,
     uqcm_fidelity,
 )
-from phaseclone.linalg import EQ_TOL, PSD_TOL, DensityMatrix, DimensionError, Ket, frobenius_distance, partial_trace
-from phaseclone.states import PhaseVector, phase_state, random_phase_vector
+from phaseclone.linalg import (
+    EQ_TOL,
+    PSD_TOL,
+    DensityMatrix,
+    DimensionError,
+    fidelity_pure,
+    frobenius_distance,
+    partial_trace,
+)
+from phaseclone.optimize import maximize_fidelity, sweep_alpha
+from phaseclone.states import phase_state, random_phase_vector
 
 INV_SQRT2 = 0.7071067811865476
 INV_SQRT8 = 0.35355339059327373
@@ -65,6 +74,27 @@ def traced_peak_bytes(fn):
     finally:
         tracemalloc.stop()
     return result, peak - base
+
+
+# every function that checks d through cloner._check_domain, called with a valid split where it takes one
+DOMAIN_CHECKED = {
+    "optimal_params": optimal_params,
+    "optimal_fidelity": optimal_fidelity,
+    "uqcm_fidelity": uqcm_fidelity,
+    "fidelity_closed_form": lambda d: fidelity_closed_form(d, 0.6, 0.8),
+    "shrink_factor": lambda d: shrink_factor(d, 0.6, 0.8),
+    "sweep_alpha": lambda d: sweep_alpha(d, 5),
+    "maximize_fidelity": maximize_fidelity,
+    "build_machine": lambda d: build_machine(d, 0.6, 0.8),
+}
+
+# every entry point that takes input states, each called on one (d,) state
+STATE_ENTRY_POINTS = {
+    "simulate_fidelity": simulate_fidelity,
+    "clone_state": clone_state,
+    "fidelity_pure": lambda machine, psi: fidelity_pure(psi, DensityMatrix((machine.d,), np.eye(machine.d) / machine.d)),
+    "_simulate": lambda machine, psi: _simulate(machine, np.asarray(psi)[None]),
+}
 
 
 def two_clone_output_oracle(d, alpha, beta, phases):
@@ -239,8 +269,7 @@ class TestBuildMachine:
 class TestCloneState:
     def test_basis_copier_on_basis_state(self):
         machine = build_machine(3, 1.0, 0.0)
-        psi = Ket((3,), np.array([1, 0, 0], dtype=complex))
-        rho = clone_state(machine, psi)
+        rho = clone_state(machine, np.array([1, 0, 0], dtype=complex))
         expected = np.zeros((9, 9))
         expected[0, 0] = 1.0
         np.testing.assert_allclose(rho.mat, expected, atol=1e-15)
@@ -250,15 +279,14 @@ class TestCloneState:
         alpha, beta = optimal_params(d)
         machine = build_machine(d, alpha, beta)
         for seed in range(5):
-            pv = random_phase_vector(d, seed)
-            rho = clone_state(machine, phase_state(pv))
-            oracle = two_clone_output_oracle(d, alpha, beta, pv.phases)
+            phases = random_phase_vector(d, seed)
+            rho = clone_state(machine, phase_state(phases))
+            oracle = two_clone_output_oracle(d, alpha, beta, phases)
             np.testing.assert_allclose(rho.mat, oracle, atol=1e-12)
 
     def test_d2_optimal_reductions_have_expected_off_diagonal(self):
         machine = build_machine(2, *optimal_params(2))
-        psi = phase_state(PhaseVector(2, (0.0, 0.0)))
-        rho = clone_state(machine, psi)
+        rho = clone_state(machine, phase_state(np.zeros(2)))
         for keep in [(0,), (1,)]:
             red = partial_trace(rho, keep=keep)
             assert red.mat[0, 1] == pytest.approx(INV_SQRT8, abs=1e-12)
@@ -283,7 +311,7 @@ class TestCloneState:
             for k, (alpha, beta) in enumerate(split_grid(d, rng)):
                 machine = build_machine(d, alpha, beta)
                 psi = phase_state(random_phase_vector(d, 100 * d + k))
-                m = (isometry_loop_reference(d, machine.alpha, machine.beta) @ psi.amps).reshape(d * d, d)
+                m = (isometry_loop_reference(d, machine.alpha, machine.beta) @ psi).reshape(d * d, d)
                 np.testing.assert_array_equal(clone_state(machine, psi).mat, m @ m.conj().T)
 
     def test_output_factor_is_read_only_and_gives_the_two_clone_state(self):
@@ -352,25 +380,27 @@ class TestCloneState:
         rho, peak = traced_peak_bytes(lambda: clone_state(machine, psi))
         assert peak < 1.25 * rho.mat.nbytes
 
+    # the rejection tests of every entry point that takes an input state, all checked by linalg._normalized
+
     def test_rejects_wrong_input_shape(self):
-        machine = build_machine(2, 1.0, 0.0)
-        with pytest.raises(DimensionError):
-            clone_state(machine, Ket((3,), np.array([1, 0, 0], dtype=complex)))
-        with pytest.raises(DimensionError):
-            clone_state(machine, Ket((2, 2), np.array([1, 0, 0, 0], dtype=complex)))
+        machine = build_machine(3, *optimal_params(3))
+        for bad in (np.ones(4) / 2, np.ones((1, 3)) / math.sqrt(3)):  # a wrong width, a stack for one state
+            for run in STATE_ENTRY_POINTS.values():
+                with pytest.raises(DimensionError):
+                    run(machine, bad)
 
     def test_rejects_unnormalized_input(self):
-        machine = build_machine(2, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            clone_state(machine, Ket((2,), np.array([1.0, 1.0])))
+        machine = build_machine(3, *optimal_params(3))
+        for run in STATE_ENTRY_POINTS.values():
+            with pytest.raises(ValueError, match="not normalized"):
+                run(machine, np.array([1.0, 1.0, 0.0]))
 
     def test_rejects_nan_input_instead_of_returning_nan(self):
         # |psi|^2 is NaN, which no tolerance test of the form "> tol" catches
-        machine = build_machine(2, *optimal_params(2))
-        psi = Ket((2,), [math.nan, 0.0])
-        for run in (simulate_fidelity, clone_state):
+        machine = build_machine(3, *optimal_params(3))
+        for run in STATE_ENTRY_POINTS.values():
             with pytest.raises(ValueError, match="not normalized"):
-                run(machine, psi)
+                run(machine, np.array([math.nan, 1.0, 0.0]))
 
 
 def dense_stacks(machine, amps):
@@ -380,7 +410,7 @@ def dense_stacks(machine, amps):
     """
     refs = []
     for psi in amps:
-        m = _output_factor(machine, Ket((machine.d,), psi))
+        m = _output_factor(machine, psi)
         refs.append((_single_clone(m, 0), _single_clone(m, 1), m.conj().T @ m, math.fsum((np.abs(m) ** 2).ravel())))
     return [np.array(stack) for stack in zip(*refs)]
 
@@ -391,7 +421,7 @@ class TestSimulate:
     def test_matches_the_dense_route_entrywise(self):
         rng = np.random.default_rng(53)
         for d in [*range(2, 17), 61, 64]:
-            amps = np.array([phase_state(random_phase_vector(d, 10 * d + k)).amps for k in range(3)])
+            amps = phase_state(np.array([random_phase_vector(d, 10 * d + k) for k in range(3)]))
             for alpha, beta in split_grid(d, rng):
                 machine = build_machine(d, alpha, beta)
                 out = _simulate(machine, amps)
@@ -458,7 +488,7 @@ class TestSimulate:
 class TestReducedClone:
     def test_d2_optimal_zero_phases(self):
         machine = build_machine(2, *optimal_params(2))
-        red = reduced_clone(clone_state(machine, phase_state(PhaseVector(2, (0.0, 0.0)))))
+        red = reduced_clone(clone_state(machine, phase_state(np.zeros(2))))
         expected = np.array([[0.5, INV_SQRT8], [INV_SQRT8, 0.5]])
         np.testing.assert_allclose(red.mat, expected, atol=1e-12)
 
@@ -473,16 +503,15 @@ class TestReducedClone:
         machine = build_machine(d, alpha, beta)
         coeff = alpha * beta * math.sqrt(2.0 / (d - 1)) / d + beta**2 * (d - 2) / (2 * d * (d - 1))
         for seed in range(10):
-            pv = random_phase_vector(d, seed)
-            red = reduced_clone(clone_state(machine, phase_state(pv)))
-            phases = np.array(pv.phases)
+            phases = random_phase_vector(d, seed)
+            red = reduced_clone(clone_state(machine, phase_state(phases)))
             expected = coeff * np.exp(1j * (phases[:, None] - phases[None, :]))
             np.fill_diagonal(expected, 1.0 / d)
             np.testing.assert_allclose(red.mat, expected, atol=1e-12)
 
     def test_rejects_non_two_clone_input(self):
         machine = build_machine(2, 1.0, 0.0)
-        rho = clone_state(machine, Ket((2,), np.array([1, 0], dtype=complex)))
+        rho = clone_state(machine, np.array([1, 0], dtype=complex))
         with pytest.raises(DimensionError):
             reduced_clone(partial_trace(rho, keep=(0,)))
 
@@ -547,6 +576,19 @@ class TestClosedForms:
                     fn(*args)
 
 
+    @pytest.mark.parametrize("d", [math.nan, math.inf, 2.5])
+    @pytest.mark.parametrize("name", DOMAIN_CHECKED)
+    def test_a_dimension_that_is_not_an_integer_is_rejected(self, name, d):
+        # d < 2 alone lets these through: NaN compares false, and inf or 2.5 give a NaN or a number for no d
+        with pytest.raises(ValueError, match="d must be >= 2 and an integer"):
+            DOMAIN_CHECKED[name](d)
+
+    def test_numpy_integer_dimensions_are_accepted(self):
+        for d in (np.int64(3), np.int32(64)):
+            for name, fn in DOMAIN_CHECKED.items():
+                assert fn(d) == fn(int(d)), name
+
+
 class TestShrinkFactor:
     def test_d2_optimal(self):
         assert shrink_factor(2, INV_SQRT2, INV_SQRT2) == pytest.approx(INV_SQRT2, abs=1e-12)
@@ -565,7 +607,7 @@ class TestShrinkFactor:
             for seed in (1, 2):
                 psi = phase_state(random_phase_vector(d, seed))
                 red = reduced_clone(clone_state(machine, psi))
-                rho_in = np.outer(psi.amps, psi.amps.conj())
+                rho_in = np.outer(psi, psi.conj())
                 expected = eta * rho_in + (1 - eta) / d * np.eye(d)
                 np.testing.assert_allclose(red.mat, expected, atol=1e-12)
 
@@ -596,11 +638,11 @@ class TestSimulationAgainstClosedForm:
     def test_phase_covariance_as_conjugation(self):
         for d in (2, 3, 4):
             machine = build_machine(d, *optimal_params(d))
-            red0 = reduced_clone(clone_state(machine, phase_state(PhaseVector(d, (0.0,) * d)))).mat
+            red0 = reduced_clone(clone_state(machine, phase_state(np.zeros(d)))).mat
             for seed in range(5):
-                pv = random_phase_vector(d, seed)
-                red = reduced_clone(clone_state(machine, phase_state(pv))).mat
-                u = np.diag(np.exp(1j * np.array(pv.phases)))
+                phases = random_phase_vector(d, seed)
+                red = reduced_clone(clone_state(machine, phase_state(phases))).mat
+                u = np.diag(np.exp(1j * phases))
                 np.testing.assert_allclose(red, u @ red0 @ u.conj().T, atol=1e-12)
 
     def test_clone_reductions_agree(self):

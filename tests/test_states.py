@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaseclone.linalg import DimensionError
+from phaseclone.linalg import EQ_TOL, DimensionError
 from phaseclone.states import (
-    PhaseVector,
     UnsupportedDimensionError,
     gram_residual,
     is_prime,
@@ -23,51 +22,72 @@ MUB_DIMS = (3, 5, 7, 11, 13)
 
 class TestPhaseState:
     def test_all_zero_phases(self):
-        psi = phase_state(PhaseVector(2, (0.0, 0.0)))
-        np.testing.assert_allclose(psi.amps, np.array([1, 1]) / math.sqrt(2), atol=1e-15)
+        psi = phase_state([0.0, 0.0])
+        np.testing.assert_allclose(psi, np.array([1, 1]) / math.sqrt(2), atol=1e-15)
 
     def test_pi_phase_gives_real_minus(self):
-        psi = phase_state(PhaseVector(2, (0.0, math.pi)))
-        np.testing.assert_allclose(psi.amps, np.array([1, -1]) / math.sqrt(2), atol=1e-15)
+        psi = phase_state([0.0, math.pi])
+        np.testing.assert_allclose(psi, np.array([1, -1]) / math.sqrt(2), atol=1e-15)
 
     def test_quarter_turns_d4(self):
-        psi = phase_state(PhaseVector(4, (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)))
-        np.testing.assert_allclose(psi.amps, np.array([1, 1j, -1, -1j]) / 2, atol=1e-15)
+        psi = phase_state([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
+        np.testing.assert_allclose(psi, np.array([1, 1j, -1, -1j]) / 2, atol=1e-15)
 
     @given(st.integers(2, 16), st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)
     def test_amplitude_moduli_all_equal(self, d, seed):
         psi = phase_state(random_phase_vector(d, seed))
-        assert np.abs(np.abs(psi.amps) - 1.0 / math.sqrt(d)).max() < 1e-15
+        assert np.abs(np.abs(psi) - 1.0 / math.sqrt(d)).max() < 1e-15
         # phases[0] = 0 pins the first amplitude on the positive real axis
-        assert psi.amps[0] == 1.0 / math.sqrt(d)
+        assert psi[0] == 1.0 / math.sqrt(d)
 
-    def test_phase_vector_validation(self):
-        with pytest.raises(ValueError):
-            PhaseVector(2, (0.1, 0.0))  # first phase not zero
-        with pytest.raises(ValueError):
-            PhaseVector(2, (0.0, 2 * math.pi))  # outside [0, 2*pi)
-        with pytest.raises(ValueError):
-            PhaseVector(3, (0.0, 1.0))  # wrong length
-        with pytest.raises(ValueError):
-            PhaseVector(1, (0.0,))
+    @pytest.mark.parametrize("d, n", [(2, 1), (3, 5), (12, 20), (64, 8)])
+    def test_a_stack_equals_its_rows_bit_for_bit(self, d, n):
+        # the audit builds each machine's draws as one stack; the states must be those of the per-draw calls
+        phases = np.array([random_phase_vector(d, 1000 * d + k) for k in range(n)])
+        stack = phase_state(phases)
+        assert stack.shape == (n, d) and stack.dtype == np.complex128
+        assert (stack == np.array([phase_state(row) for row in phases])).all()
+
+    def test_phase_state_validation(self):
+        # one rejection per condition, for a single phase vector and for a row of a stack
+        for bad in ([0.1, 0.0], [[0.0, 1.0], [0.1, 1.0]]):
+            with pytest.raises(ValueError, match="first phase"):
+                phase_state(bad)
+        for bad in ([0.0, 2 * math.pi], [0.0, -1e-300], [[0.0, 1.0], [0.0, 7.0]]):
+            with pytest.raises(ValueError, match=r"\[0, 2\*pi\)"):
+                phase_state(bad)
+        for bad in (0.0, np.zeros((2, 2, 3))):  # neither one phase vector nor a stack of them
+            with pytest.raises(DimensionError):
+                phase_state(bad)
+        with pytest.raises(ValueError, match="d must be >= 2"):
+            phase_state([0.0])
 
     def test_nan_phase_rejected(self):
         # every comparison with NaN is False, so an out-of-range test alone would let it through
-        with pytest.raises(ValueError, match=r"\[0, 2\*pi\)"):
-            PhaseVector(3, (0.0, math.nan, 1.0))
+        for bad in ([0.0, math.nan, 1.0], [[0.0, 1.0, 1.0], [0.0, 1.0, math.nan]]):
+            with pytest.raises(ValueError, match=r"\[0, 2\*pi\)"):
+                phase_state(bad)
 
 
 class TestRandomPhaseVector:
     def test_deterministic_for_fixed_seed(self):
-        assert random_phase_vector(3, 42) == random_phase_vector(3, 42)
+        assert np.array_equal(random_phase_vector(3, 42), random_phase_vector(3, 42))
 
     def test_distinct_seeds_differ(self):
-        assert random_phase_vector(3, 0) != random_phase_vector(3, 1)
+        assert not np.array_equal(random_phase_vector(3, 0), random_phase_vector(3, 1))
 
     def test_first_phase_always_zero(self):
         for seed in range(50):
-            assert random_phase_vector(5, seed).phases[0] == 0.0
+            assert random_phase_vector(5, seed)[0] == 0.0
+
+    def test_is_the_pinned_pcg64_stream(self):
+        # phases 1..d-1 are the first d - 1 uniforms of PCG64(seed); every fixed-seed output depends on this
+        for d, seed in ((2, 0), (7, 3), (64, 123_456)):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            expected = np.concatenate(([0.0], rng.uniform(0.0, 2 * math.pi, d - 1)))
+            assert random_phase_vector(d, seed).dtype == np.float64
+            assert (random_phase_vector(d, seed) == expected).all()
 
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
@@ -82,7 +102,7 @@ class TestRandomPhaseVector:
         n = 100_000
         total = 0.0
         for seed in range(n):
-            total += random_phase_vector(2, seed).phases[1]
+            total += random_phase_vector(2, seed)[1]
         sigma_mean = (2 * math.pi / math.sqrt(12.0)) / math.sqrt(n)
         assert abs(total / n - math.pi) < 3 * sigma_mean
 
@@ -90,31 +110,46 @@ class TestRandomPhaseVector:
 class TestSymmetricPair:
     def test_equal_indices_give_product_state(self):
         psi = symmetric_pair(2, 0, 0)
-        np.testing.assert_array_equal(psi.amps, np.array([1, 0, 0, 0], dtype=complex))
+        np.testing.assert_array_equal(psi, np.array([1, 0, 0, 0], dtype=complex))
 
     def test_distinct_indices_give_symmetric_superposition(self):
         psi = symmetric_pair(2, 0, 1)
         expected = np.array([0, 1, 1, 0]) / math.sqrt(2)
-        np.testing.assert_allclose(psi.amps, expected, atol=1e-15)
+        np.testing.assert_allclose(psi, expected, atol=1e-15)
 
     def test_symmetric_in_arguments(self):
-        np.testing.assert_array_equal(symmetric_pair(3, 2, 1).amps, symmetric_pair(3, 1, 2).amps)
+        np.testing.assert_array_equal(symmetric_pair(3, 2, 1), symmetric_pair(3, 1, 2))
 
     def test_swap_of_factors_is_exact_identity(self):
         for d in (2, 3, 5):
             for j in range(d):
                 for l in range(d):
-                    amps = symmetric_pair(d, j, l).amps
+                    amps = symmetric_pair(d, j, l)
                     swapped = amps.reshape(d, d).T.reshape(-1)
                     np.testing.assert_array_equal(amps, swapped)
 
     def test_normalized(self):
         for j, l in [(0, 0), (0, 2), (3, 1)]:
-            symmetric_pair(4, j, l).require_normalized()
+            amps = symmetric_pair(4, j, l)
+            assert abs(np.vdot(amps, amps) - 1.0) <= EQ_TOL
 
     def test_index_out_of_range(self):
         with pytest.raises(DimensionError):
             symmetric_pair(2, 0, 2)
+
+
+def test_states_are_read_only_arrays():
+    # a state is shared by reference (the audit reuses each stack across its checks), so none may be written
+    states = {
+        "phase_state": phase_state(random_phase_vector(3, 0)),
+        "phase_state stack": phase_state(np.zeros((2, 3))),
+        "random_phase_vector": random_phase_vector(3, 0),
+        "symmetric_pair": symmetric_pair(3, 0, 1),
+    }
+    for name, arr in states.items():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+        assert not arr.flags.writeable, name
 
 
 def standard_basis(d):
