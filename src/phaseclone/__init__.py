@@ -40,7 +40,7 @@ from .states import (
     symmetric_pair,
 )
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 __all__ = [
     "AuditReport",

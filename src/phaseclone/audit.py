@@ -9,22 +9,23 @@ are bit-for-bit reproducible for a fixed seed.
 
 The audit makes one pass over d, and only one d's machines (the optimum
 plus ``n_random`` random splits) are alive at a time. Each machine runs
-once on the stack of its n seeded phase states, through the simulation
-route of :mod:`phaseclone.cloner`, which reads each pure output
-M = V|psi> (d^2 by d) off V's nonzeros and keeps only the d-by-d things M
-gives: its two single-clone reductions, its ancilla Gram M^dag M and its
-trace ||M||_F^2, as (n, d, d) and (n,) stacks. Every per-draw check, from
+once, through the simulation route of :mod:`phaseclone.cloner`, on one
+stack of phase states: row 0 is the phase-zero state, the reference of
+the phase covariance check, and rows 1..n are its seeded draws. The route
+reads each pure output M = V|psi> (d^2 by d) off V's nonzeros and keeps
+only the d-by-d things M gives: its two single-clone reductions and its
+ancilla Gram M^dag M, as (n, d, d) stacks. Every per-draw check, from
 output validity to phase covariance and the phase-state modulus, then runs
 once per machine on the stacks (one stacked eigensolve, one stacked
 overlap <psi|rho_A|psi>). The two-clone output rho_AB = M M^dag is never
-formed: its trace is ||M||_F^2, and its positivity is checked on the
-ancilla Gram, which has the same nonzero spectrum. The simulation costs
+formed: its trace ||M||_F^2 is the Gram's, and its positivity is checked
+on the Gram, which has the same nonzero spectrum. The simulation costs
 O(d^3) time per draw and O(n d^2) memory; the per-draw Python work is
 drawing the phase vectors, which one call of ``phase_state`` per machine
 turns into its stack of states. On a 2-core machine with numpy 2.4,
-``verify --trials 20`` takes 0.38 s at d_max 12 (``cli.main`` wall time,
-median of 12 benchmark runs, 38.2 MB of RSS) and 16 s at d_max 64 (one
-run, 68 MB of RSS).
+``verify --trials 20`` takes 0.31 s at d_max 12 (``cli.main`` wall time,
+median of 10 benchmark runs, 38.3 MB of RSS) and 16 s at d_max 64 (two
+runs, 71 MB of RSS).
 
 MUB checks cover every odd prime d <= d_max; :func:`mub_rows` is also what
 ``phaseclone mub`` prints.
@@ -48,7 +49,7 @@ from .cloner import (
     shrink_factor,
     uqcm_fidelity,
 )
-from .linalg import EQ_TOL, PSD_TOL, frobenius_distance
+from .linalg import EQ_TOL, PSD_TOL, _integer, frobenius_distance
 from .optimize import optimum_residual, sweep_alpha
 from .states import (
     gram_residual,
@@ -168,12 +169,8 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
     failure demonstrates that the suite actually has teeth. Failures are
     recorded, never raised.
     """
-    if d_max < 2:
-        raise ValueError(f"d_max must be >= 2, got {d_max}")
-    if n_random < 1:
-        raise ValueError(f"n_random must be >= 1, got {n_random}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    d_max, n_random = _integer(d_max, "d_max", 2), _integer(n_random, "n_random", 1)
+    seed = _integer(seed, "seed", 0)
 
     rng = np.random.Generator(np.random.PCG64(seed))
     seeds = itertools.count(seed * 1_000_003 + 1)  # sub-seeds of the phase draws
@@ -196,16 +193,18 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
             bad = CloningMachine(d, opt.alpha * math.sqrt(0.9), opt.beta * math.sqrt(0.9))
             note("isometry_unitarity", bad.unitarity_residual())
 
-        # one simulation sweep: each machine runs once on the stack of its n draws, and every per-draw
-        # check then runs once per machine, over the stacks the outputs M = V|psi> give
-        zero = phase_state(np.zeros((1, d)))
+        # one simulation sweep: each machine runs once on a stack whose row 0 is the phase-zero state and
+        # whose rows 1..n are its draws, and every per-draw check then runs once per machine, over the
+        # stacks the outputs M = V|psi> give
+        zero = np.zeros(d)
         for machine in machines:
-            phases = np.array([random_phase_vector(d, next(seeds)) for _ in range(n)])
-            amps = phase_state(phases)
-            out = _simulate(machine, amps)
-            red_a, red_b = out.clone(0), out.clone(1)  # each clone's reduction of each draw
-            gram, norm2 = out.gram(), out.norm2()  # ancilla Gram M^dag M and ||M||_F^2 of each draw
-            red0 = _simulate(machine, zero).clone(0)[0]
+            phases = np.array([zero] + [random_phase_vector(d, next(seeds)) for _ in range(n)])
+            states = phase_state(phases)
+            out = _simulate(machine, states)
+            red_a, red_b, gram = out.clone(0), out.clone(1)[1:], out.gram()[1:]  # each clone's reductions, M^dag M
+            red0, red_a = red_a[0], red_a[1:]  # clone A of the phase-zero state, then of each draw
+            norm2 = gram.diagonal(axis1=1, axis2=2).real.sum(axis=1)  # ||M||_F^2, the trace of M^dag M
+            phases, amps = phases[1:], states[1:]
 
             note("phase_state_modulus", float(np.abs(np.abs(amps) - 1.0 / math.sqrt(d)).max()))
 

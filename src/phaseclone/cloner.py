@@ -31,26 +31,27 @@ checks V^dag V from them, in O(d^2) memory; the dense d^3-by-d matrix is
 built only on request, for inspection and as a test reference.
 
 Every simulation goes through one route, :func:`_simulate`, which runs the
-machine on a stack of n input states at once. Which nonzeros of the pure
-output M = V|psi> (d^2 by d) meet in a clone reduction or in the ancilla
-Gram M^dag M depends only on the triples, so a :class:`_Plan` of them is
-built once per d, from ``rows``/``cols`` alone. A stack's reductions are
-then gathers of ``vals * psi[cols]`` plus batched products: O(d^3) time per
-state and O(n d^2) memory, with no d^3-sized array. The dense route
-(:func:`_output_factor`, :func:`_single_clone`, :func:`clone_state`, which
+machine on a stack of n input states at once. Where V's nonzeros sit depends
+on d alone (the split only sets their values), so :func:`_triples` gives
+every machine of one d the same ``rows``/``cols``, and the :class:`_Plan`
+of which nonzeros of the pure output M = V|psi> (d^2 by d) meet in a clone
+reduction or in the ancilla Gram M^dag M is built once per d from them. A
+stack's reductions are then gathers of ``vals * psi[cols]`` plus batched
+products: O(d^3) time per state and O(n d^2) memory, with no d^3-sized
+array. The dense route (:func:`_output_factor`, :func:`clone_state`, which
 forms the d^2-by-d^2 two-clone state M M^dag) stays for callers that ask
 for the two-clone state, and as the reference the tests hold the plan to.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EQ_TOL, DensityMatrix, DimensionError, _normalized, partial_trace
+from .linalg import EQ_TOL, DensityMatrix, DimensionError, _integer, _normalized, partial_trace
 from .states import phase_state, random_phase_vector
 
 PARAM_NORM_TOL = 1e-9  # max |alpha^2 + beta^2 - 1| accepted
@@ -58,21 +59,37 @@ PARAM_NORM_TOL = 1e-9  # max |alpha^2 + beta^2 - 1| accepted
 
 def _check_domain(
     d: int, alpha: float | None = None, beta: float | None = None, norm_tol: float = PARAM_NORM_TOL
-) -> None:
-    """Reject a d that is not an integer >= 2 (a NaN, an infinity, 2.5) and, when given, a split that is negative, NaN or off the unit circle by more than ``norm_tol``.
+) -> int:
+    """Return d as an int; reject a d that is not an integer >= 2 (a NaN, an infinity, 2.5) and, when given, a split that is negative, NaN or off the unit circle by more than ``norm_tol``.
 
-    Any integer type passes, numpy's too. Never renormalizes: a split that
-    passes is used exactly as given.
+    Any integer type passes, numpy's too, and the caller computes with the
+    returned int, so a narrow one cannot wrap. Never renormalizes: a split
+    that passes is used exactly as given.
     """
-    if not (isinstance(d, numbers.Integral) and d >= 2):
-        raise ValueError(f"d must be >= 2 and an integer, got {d!r}")
+    d = _integer(d, "d", 2)
     if alpha is None:
-        return
+        return d
     if not (alpha >= 0.0 and beta >= 0.0):
         raise ValueError(f"alpha and beta must be nonnegative, got ({alpha!r}, {beta!r})")
     norm2 = alpha * alpha + beta * beta
     if abs(norm2 - 1.0) > norm_tol:
         raise ValueError(f"alpha^2 + beta^2 = {norm2!r} is not within {norm_tol} of 1")
+    return d
+
+
+def _triples(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``rows`` and ``cols`` of V's 2d^2 - d nonzeros, which depend on d alone.
+
+    Three blocks: |jj>|R_j> in column j, then |jl>|R_l> and |lj>|R_l> in
+    column j for every ordered pair j != l.
+    """
+    j, l = np.nonzero(~np.eye(d, dtype=bool))
+    diag = np.arange(d)
+    rows = np.concatenate([diag * (d * d + d + 1), (j * d + l) * d + l, (l * d + j) * d + l])
+    cols = np.concatenate([diag, j, j])
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 def _one_nonzero_per_row(rows: np.ndarray) -> None:
@@ -89,9 +106,10 @@ class CloningMachine:
     V has exactly 2d^2 - d nonzeros and each of its rows holds at most one,
     so the machine stores only those: ``rows``, ``cols`` and ``vals`` are
     read-only arrays with ``V[rows[k], cols[k]] == vals[k]``, computed once
-    at construction. Rows are indexed by (clone A, clone B, ancilla) in the
-    fixed tensor convention, and column j is the image of input basis state
-    |j>. :attr:`isometry` rebuilds the dense d^3-by-d matrix on each access.
+    at construction (``rows``/``cols`` by :func:`_triples`). Rows are
+    indexed by (clone A, clone B, ancilla) in the fixed tensor convention,
+    and column j is the image of input basis state |j>. :attr:`isometry`
+    rebuilds the dense d^3-by-d matrix on each access.
     Machines compare and hash by ``(d, alpha, beta)``. The constructor checks
     d and the signs but not alpha^2 + beta^2 = 1, so an unnormalized machine
     can be built on purpose; :func:`build_machine` is the checked entry point.
@@ -105,20 +123,13 @@ class CloningMachine:
     vals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = self.d
-        _check_domain(d, self.alpha, self.beta, norm_tol=math.inf)
-        j, l = np.nonzero(~np.eye(d, dtype=bool))  # every ordered pair j != l
-        diag = np.arange(d)
-        off = self.beta / math.sqrt(2.0 * (d - 1))
-        # three blocks: alpha at |jj>|R_j>, then off at |jl>|R_l> and at |lj>|R_l>, both in column j
-        triples = {
-            "rows": np.concatenate([diag * (d * d + d + 1), (j * d + l) * d + l, (l * d + j) * d + l]),
-            "cols": np.concatenate([diag, j, j]),
-            "vals": np.concatenate([np.full(d, self.alpha), np.full(2 * j.size, off)]),
-        }
-        for name, arr in triples.items():
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        d = _check_domain(self.d, self.alpha, self.beta, norm_tol=math.inf)
+        rows, cols = _triples(d)
+        # alpha on the d nonzeros |jj>|R_j>, which _triples lists first, and beta / sqrt(2(d-1)) on the rest
+        vals = np.concatenate([np.full(d, self.alpha), np.full(rows.size - d, self.beta / math.sqrt(2.0 * (d - 1)))])
+        vals.setflags(write=False)
+        for name, value in (("d", d), ("rows", rows), ("cols", cols), ("vals", vals)):
+            object.__setattr__(self, name, value)
 
     @property
     def isometry(self) -> np.ndarray:
@@ -184,7 +195,7 @@ def build_machine(d: int, alpha: float, beta: float) -> CloningMachine:
     1e-9 of 1; they are renormalized internally so the stored pair satisfies
     the constraint to better than 1e-15. Anything further off is rejected.
     """
-    _check_domain(d, alpha, beta)
+    d = _check_domain(d, alpha, beta)
     scale = math.sqrt(alpha * alpha + beta * beta)
     return CloningMachine(d, alpha / scale, beta / scale)
 
@@ -255,21 +266,10 @@ def _build_plan(d: int, rows: np.ndarray, cols: np.ndarray) -> _Plan:
     return _Plan(tuple(clones), pairs, cols[pairs], starts, bins[starts], c * d + cols)
 
 
-_last_plan: tuple = (None, None, None)  # (rows, cols, plan) of the last plan built
-
-
-def _plan(machine: CloningMachine) -> _Plan:
-    """The plan of the machine's triples, rebuilt only when they differ from the last plan's.
-
-    Every machine of one d has the same triples, and callers work one d at
-    a time, so one plan per d is built.
-    """
-    global _last_plan
-    rows, cols, plan = _last_plan
-    if not (np.array_equal(rows, machine.rows) and np.array_equal(cols, machine.cols)):
-        plan = _build_plan(machine.d, machine.rows, machine.cols)
-        _last_plan = machine.rows, machine.cols, plan
-    return plan
+@functools.lru_cache(maxsize=1)
+def _plan(d: int) -> _Plan:
+    """The plan of every d-level machine; callers work one d at a time, so one plan per d is built."""
+    return _build_plan(d, *_triples(d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,10 +315,6 @@ class _Outputs:
         gram.reshape(n, -1)[:, :: d + 1] = self._diag(p.diag_bins, self.vals)
         return gram
 
-    def norm2(self) -> np.ndarray:
-        """(n,) squared norms ||M||_F^2, the traces of the ancilla Grams."""
-        return self._diag(self.plan.diag_bins, self.vals).sum(axis=1)
-
     def fidelity(self) -> np.ndarray:
         """(n,) overlaps <psi|rho_A|psi>, as ||psi^dag X||^2 plus |psi|^2 . D; clone A's state is not formed."""
         x, diag = self._clone_parts(0)
@@ -331,10 +327,10 @@ def _simulate(machine: CloningMachine, amps) -> _Outputs:
 
     The one simulation route of the package: :func:`simulate_fidelity`, the
     MUB rows and the audit's sweep all read their stacks from the returned
-    :class:`_Outputs`, through the plan of the machine's triples.
+    :class:`_Outputs`, through the plan of the machine's d.
     """
     amps = _normalized(amps, machine.d, ndim=2)
-    return _Outputs(_plan(machine), machine.vals, amps)
+    return _Outputs(_plan(machine.d), machine.vals, amps)
 
 
 def _output_factor(machine: CloningMachine, psi) -> np.ndarray:
@@ -353,21 +349,6 @@ def _output_factor(machine: CloningMachine, psi) -> np.ndarray:
     m = out.reshape(d * d, d)
     m.setflags(write=False)
     return m
-
-
-def _single_clone(m: np.ndarray, clone: int = 0) -> np.ndarray:
-    """Package-private dense reference: the reduced state of clone A (``clone=0``) or B (``clone=1``) of the output factor M.
-
-    With X the (d, d^2) matrix whose rows index the kept clone and whose
-    columns index (other clone, ancilla), the reduction is the fresh d-by-d
-    array X X^dag, so the d^2-by-d^2 two-clone state is never formed.
-    """
-    d = m.shape[1]
-    x = m.reshape(d, d, d)
-    if clone == 1:
-        x = x.transpose(1, 0, 2)
-    x = x.reshape(d, d * d)
-    return x @ x.conj().T
 
 
 def clone_state(machine: CloningMachine, psi) -> DensityMatrix:
@@ -398,7 +379,7 @@ def fidelity_closed_form(d: int, alpha: float, beta: float) -> float:
     Defined on the domain :func:`build_machine` accepts (d >= 2, a nonnegative
     split within 1e-9 of the unit circle); anything else raises ValueError.
     """
-    _check_domain(d, alpha, beta)
+    d = _check_domain(d, alpha, beta)
     return 1.0 / d + alpha * beta * math.sqrt(2.0 * (d - 1)) / d + beta * beta * (d - 2) / (2.0 * d)
 
 
@@ -408,20 +389,20 @@ def optimal_params(d: int) -> tuple[float, float]:
     alpha = sqrt(1/2 - (d-2) / (2 sqrt(d^2+4d-4))), beta the complementary
     root; alpha <= beta with equality only at d = 2.
     """
-    _check_domain(d)
+    d = _check_domain(d)
     shift = (d - 2) / (2.0 * math.sqrt(d * d + 4.0 * d - 4.0))
     return math.sqrt(0.5 - shift), math.sqrt(0.5 + shift)
 
 
 def optimal_fidelity(d: int) -> float:
     """F_opt(d) = 1/d + (d - 2 + sqrt(d^2 + 4d - 4)) / (4d)."""
-    _check_domain(d)
+    d = _check_domain(d)
     return 1.0 / d + (d - 2 + math.sqrt(d * d + 4.0 * d - 4.0)) / (4.0 * d)
 
 
 def uqcm_fidelity(d: int) -> float:
     """Universal-cloner baseline (d+3) / (2(d+1)), the bar the phase cloner beats."""
-    _check_domain(d)
+    d = _check_domain(d)
     return (d + 3.0) / (2.0 * (d + 1.0))
 
 
@@ -432,7 +413,7 @@ def shrink_factor(d: int, alpha: float, beta: float) -> float:
     eta = alpha*beta*sqrt(2/(d-1)) + beta^2 (d-2) / (2(d-1)), on the domain
     of :func:`fidelity_closed_form`.
     """
-    _check_domain(d, alpha, beta)
+    d = _check_domain(d, alpha, beta)
     return alpha * beta * math.sqrt(2.0 / (d - 1)) + beta * beta * (d - 2) / (2.0 * (d - 1))
 
 
@@ -443,7 +424,7 @@ def simulate_fidelity(machine: CloningMachine, psi) -> float:
     stack of one state, from the nonzeros of V in O(d^3) time and O(d^2)
     memory; neither clone's state nor the two-clone state is formed.
     """
-    return float(_simulate(machine, _normalized(psi, machine.d)[None]).fidelity()[0])
+    return float(_simulate(machine, np.asarray(psi)[None]).fidelity()[0])
 
 
 def fidelity_report(

@@ -19,6 +19,7 @@ eigendecomposition so that tiny negative round-off eigenvalues pass.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,18 @@ def _check_dims(dims) -> tuple[int, ...]:
     if not dims or any(d < 2 for d in dims):
         raise DimensionError(f"factor dimensions must all be >= 2, got {dims}")
     return dims
+
+
+def _integer(value, name: str, minimum: int) -> int:
+    """Package-private: the one integer rule; return ``value`` as an int.
+
+    ``value`` must be an integer (any ``numbers.Integral``, numpy's too) of
+    at least ``minimum``; anything else (a NaN, an infinity, 2.5) raises
+    ValueError.
+    """
+    if not (isinstance(value, numbers.Integral) and value >= minimum):
+        raise ValueError(f"{name} must be >= {minimum} and an integer, got {value!r}")
+    return int(value)
 
 
 def _normalized(amps, d: int, ndim: int = 1) -> np.ndarray:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloner import _check_domain, fidelity_closed_form, optimal_fidelity, optimal_params
+from .linalg import _integer
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_ITERATIONS = 200
@@ -55,7 +56,7 @@ def maximize_fidelity(d: int, tol: float = 1e-12) -> tuple[float, float]:
     f_star can never exceed the true maximum. Any ``tol >= 1e-14`` is met
     within 67 steps, far inside ``MAX_ITERATIONS``.
     """
-    _check_domain(d)
+    d = _check_domain(d)
     if not tol >= 1e-14:  # also rejects NaN
         raise ValueError(f"tol must be >= 1e-14, got {tol!r}")
 
@@ -86,9 +87,7 @@ def maximize_fidelity(d: int, tol: float = 1e-12) -> tuple[float, float]:
 
 def sweep_alpha(d: int, n_points: int) -> SweepTable:
     """Evaluate the closed-form fidelity on a uniform alpha grid over [0, 1]."""
-    _check_domain(d)
-    if n_points < 3:
-        raise ValueError(f"n_points must be >= 3, got {n_points}")
+    d, n_points = _check_domain(d), _integer(n_points, "n_points", 3)
     f = _objective(d)
     rows = []
     for alpha in np.linspace(0.0, 1.0, n_points):

@@ -1,7 +1,7 @@
 """Input-state families: phase states, symmetric pairs and mutually unbiased bases.
 
 A *phase state* of a d-level system is ``(1/sqrt(d)) * sum_j exp(i*phi_j) |j>``
-with the global phase fixed by ``phi_0 = 0``; every amplitude has modulus
+with the overall phase fixed by ``phi_0 = 0``; every amplitude has modulus
 ``1/sqrt(d)``. The mutually unbiased bases built here (odd prime d only) are
 phase states too, which is what makes them cloneable at the optimal fidelity
 by the machine in :mod:`phaseclone.cloner`.
@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .linalg import DimensionError
+from .linalg import DimensionError, _integer
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,7 +41,7 @@ def _require_odd_prime(d: int) -> None:
         raise UnsupportedDimensionError(f"d = {d} is not prime; no MUB construction here")
     if d == 2:
         # s_j = j + ... + (d-1) is constant for d = 2, so the exponent
-        # construction degenerates to a global phase and cannot produce the
+        # construction degenerates to an overall phase and cannot produce the
         # +-i basis. Refuse rather than return a wrong basis.
         raise UnsupportedDimensionError("d = 2 is not supported by this MUB construction")
 
@@ -74,10 +74,7 @@ def random_phase_vector(d: int, seed: int) -> np.ndarray:
     The stream is PCG64 keyed by ``seed`` (stable across releases: the
     bit generator is pinned by name, not taken from numpy's default).
     """
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    d, seed = _integer(d, "d", 2), _integer(seed, "seed", 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     phases = np.concatenate(([0.0], rng.uniform(0.0, TWO_PI, d - 1)))
     phases.setflags(write=False)
@@ -86,6 +83,7 @@ def random_phase_vector(d: int, seed: int) -> np.ndarray:
 
 def symmetric_pair(d: int, j: int, l: int) -> np.ndarray:
     """Normalized symmetric two-qudit basis state, a read-only (d^2,) array: |jj> if j == l, else (|jl> + |lj>)/sqrt(2)."""
+    d = _integer(d, "d", 2)
     if not (0 <= j < d and 0 <= l < d):
         raise DimensionError(f"indices ({j}, {l}) out of range for d = {d}")
     amps = np.zeros(d * d, dtype=np.complex128)
@@ -106,8 +104,9 @@ def mub_basis(d: int, l: int) -> np.ndarray:
     integer arithmetic before exponentiation, so the amplitudes are d-th
     roots of unity to full precision.
     """
+    d, l = _integer(d, "d", 2), _integer(l, "basis label", 0)
     _require_odd_prime(d)
-    if not 0 <= l < d:
+    if l >= d:
         raise ValueError(f"basis label must lie in 0..{d - 1}, got {l}")
     t, j = np.ogrid[:d, :d]
     s = (d * (d - 1) - j * (j - 1)) // 2

@@ -67,10 +67,10 @@ def per_draw_residuals(d_max: int, n_random: int, seed: int) -> dict[str, float]
                 psi = phase_state(phases)
                 update("phase_state_modulus", float(np.abs(np.abs(psi) - 1.0 / math.sqrt(d)).max()))
                 out = _simulate(machine, psi[None])
-                red_a, red_b = out.clone(0)[0], out.clone(1)[0]
+                red_a, red_b, gram = out.clone(0)[0], out.clone(1)[0], out.gram()[0]
                 herm = max(frobenius_distance(red, red.conj().T) for red in (red_a, red_b))
-                tr_err = abs(out.norm2()[0] - 1.0)
-                min_eig = float(np.linalg.eigvalsh(out.gram()[0]).min())
+                tr_err = abs(gram.diagonal().real.sum() - 1.0)  # ||M||_F^2 is the trace of M^dag M
+                min_eig = float(np.linalg.eigvalsh(gram).min())
                 update("output_state_validity", max(herm, tr_err, max(0.0, -min_eig)))
                 update("clone_symmetry", frobenius_distance(red_a, red_b))
                 f_sim = fidelity_pure(psi, DensityMatrix((d,), red_a))
@@ -165,7 +165,7 @@ class TestRunAudit:
             run_audit(d_max=1, n_random=1, seed=0)
         with pytest.raises(ValueError):
             run_audit(d_max=2, n_random=0, seed=0)
-        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        with pytest.raises(ValueError, match="seed must be >= 0 and an integer, got -1"):
             run_audit(d_max=3, n_random=1, seed=-1)
 
     def test_unnormalized_machines_fail_the_output_trace_check(self, monkeypatch):
@@ -201,9 +201,9 @@ class TestRunAudit:
 
     @pytest.mark.parametrize("d_max, n", [(5, 1), (4, 3), (7, 2)])
     def test_clone_state_call_count_matches_the_closed_count(self, monkeypatch, d_max, n):
-        # one pass: each machine is simulated once on the stack of its draws and once on the phase-zero state,
-        # and each MUB basis once as a stack of its states; the audit never forms the two-clone state and
-        # never simulates one state at a time
+        # one pass: each machine is simulated once, on the phase-zero state stacked with its draws, and each
+        # MUB basis once as a stack of its states; the audit never forms the two-clone state and never
+        # simulates one state at a time
         calls = {"clone_state": 0, "simulate_fidelity": 0, "random_phase_vector": 0, "_simulate": 0}
 
         def counting(name, original):
@@ -227,8 +227,29 @@ class TestRunAudit:
             "clone_state": 0,
             "simulate_fidelity": 0,
             "random_phase_vector": draws,
-            "_simulate": 2 * machines + mub_bases,
+            "_simulate": machines + mub_bases,
         }
+
+    def test_plans_are_built_once_per_run_of_one_dimension(self, monkeypatch):
+        # every machine of one d shares the plan of its d, so a plan is built only where the d of consecutive
+        # simulations changes: once per d of the sweep, then once per MUB dimension
+        dims, builds = [], []
+        simulate, build_plan = phaseclone.audit._simulate, phaseclone.cloner._build_plan
+
+        def running(machine, amps):
+            dims.append(machine.d)
+            return simulate(machine, amps)
+
+        def building(d, rows, cols):
+            builds.append(d)
+            return build_plan(d, rows, cols)
+
+        monkeypatch.setattr(phaseclone.audit, "_simulate", running)
+        monkeypatch.setattr(phaseclone.cloner, "_build_plan", building)
+        phaseclone.cloner._plan.cache_clear()
+        assert run_audit(d_max=7, n_random=2, seed=0).overall
+        changes = [d for previous, d in zip([None, *dims], dims) if d != previous]
+        assert builds == changes == [2, 3, 4, 5, 6, 7, 3, 5, 7]
 
     @pytest.mark.parametrize("d_max, n_random, seed", [(5, 1, 0), (6, 3, 5), (9, 2, 11), (4, 6, 3)])
     def test_stacked_checks_match_the_per_draw_loop_bit_for_bit(self, d_max, n_random, seed):

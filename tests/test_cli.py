@@ -80,7 +80,7 @@ class TestTable:
     def test_bad_library_arguments_raise_instead_of_failing_verification(self, capsys):
         with pytest.raises(ValueError, match="d must be >= 2"):
             cmd_table(1, 3, "csv")
-        with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+        with pytest.raises(ValueError, match="seed must be >= 0 and an integer, got -5"):
             cmd_table(2, 3, "csv", seed=-5)
         assert "verification failed" not in capsys.readouterr().err
 

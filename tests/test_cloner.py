@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from phaseclone.cloner import (
     _build_plan,
     _output_factor,
     _simulate,
-    _single_clone,
     build_machine,
     clone_state,
     fidelity_closed_form,
@@ -403,6 +403,26 @@ class TestCloneState:
                 run(machine, np.array([math.nan, 1.0, 0.0]))
 
 
+def _single_clone(m, clone=0):
+    """Dense reference: the reduced state of clone A (``clone=0``) or B (``clone=1``) of the output factor M.
+
+    With X the (d, d^2) matrix whose rows index the kept clone and whose
+    columns index (other clone, ancilla), the reduction is X X^dag, so the
+    d^2-by-d^2 two-clone state is never formed.
+    """
+    d = m.shape[1]
+    x = m.reshape(d, d, d)
+    if clone == 1:
+        x = x.transpose(1, 0, 2)
+    x = x.reshape(d, d * d)
+    return x @ x.conj().T
+
+
+def gram_trace(gram):
+    """||M||_F^2 of each output, read off the diagonal of its ancilla Gram M^dag M as the audit reads it."""
+    return gram.diagonal(axis1=-2, axis2=-1).real.sum(axis=-1)
+
+
 def dense_stacks(machine, amps):
     """Reference for the simulation route: each state's clone A and B reductions, ancilla Gram and ||M||_F^2 from the dense M.
 
@@ -425,7 +445,8 @@ class TestSimulate:
             for alpha, beta in split_grid(d, rng):
                 machine = build_machine(d, alpha, beta)
                 out = _simulate(machine, amps)
-                stacks = (out.clone(0), out.clone(1), out.gram(), out.norm2())
+                gram = out.gram()
+                stacks = (out.clone(0), out.clone(1), gram, gram_trace(gram))
                 for name, got, want in zip(("clone A", "clone B", "gram", "norm2"), stacks, dense_stacks(machine, amps)):
                     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15, err_msg=f"{name} at d = {d}")
                 # fidelity() sums ||psi^dag X||^2 instead of <psi|rho_A|psi>: 1.2e-15 apart at worst here (d = 61)
@@ -443,7 +464,8 @@ class TestSimulate:
             out = _simulate(machine, amps)
             reference = dense_stacks(machine, amps)
             assert frobenius_distance(reference[0], reference[1]) > 1e-3
-            for got, want in zip((out.clone(0), out.clone(1), out.gram(), out.norm2()), reference):
+            gram = out.gram()
+            for got, want in zip((out.clone(0), out.clone(1), gram, gram_trace(gram)), reference):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
     def test_plan_builder_refuses_a_row_with_two_nonzeros(self):
@@ -453,8 +475,6 @@ class TestSimulate:
         object.__setattr__(machine, "rows", rows)
         with pytest.raises(ValueError, match="more than one nonzero"):
             _build_plan(3, machine.rows, machine.cols)
-        with pytest.raises(ValueError, match="more than one nonzero"):
-            simulate_fidelity(machine, phase_state(random_phase_vector(3, 0)))
 
     def test_plan_builder_refuses_a_clone_block_with_a_gap(self):
         # moving |00>|R_0> to the free row |00>|R_1> leaves clone A's block column (0, 0) one nonzero short
@@ -584,9 +604,12 @@ class TestClosedForms:
             DOMAIN_CHECKED[name](d)
 
     def test_numpy_integer_dimensions_are_accepted(self):
-        for d in (np.int64(3), np.int32(64)):
-            for name, fn in DOMAIN_CHECKED.items():
-                assert fn(d) == fn(int(d)), name
+        # a narrow integer type would wrap in d * d if the closed forms computed in it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d in (np.int64(3), np.int32(64), np.int8(64), np.uint8(64)):
+                for name, fn in DOMAIN_CHECKED.items():
+                    assert fn(d) == fn(int(d)), (name, type(d))
 
 
 class TestShrinkFactor:

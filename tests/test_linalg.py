@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phaseclone.audit import run_audit
 from phaseclone.cloner import build_machine, optimal_params
 from phaseclone.linalg import (
     EQ_TOL,
@@ -15,8 +16,23 @@ from phaseclone.linalg import (
     frobenius_distance,
     partial_trace,
 )
+from phaseclone.optimize import sweep_alpha
+from phaseclone.states import mub_basis, random_phase_vector, symmetric_pair
 
 INV_SQRT8 = 0.35355339059327373  # sqrt(1/8)
+
+# every integer argument checked by linalg._integer outside the closed forms: (call on the value, minimum)
+INTEGER_ARGUMENTS = {
+    "random_phase_vector d": (lambda v: random_phase_vector(v, 0), 2),
+    "random_phase_vector seed": (lambda v: random_phase_vector(3, v), 0),
+    "run_audit d_max": (lambda v: run_audit(v, 1, 0), 2),
+    "run_audit n_random": (lambda v: run_audit(3, v, 0), 1),
+    "run_audit seed": (lambda v: run_audit(3, 1, v), 0),
+    "mub_basis d": (lambda v: mub_basis(v, 0), 2),
+    "mub_basis l": (lambda v: mub_basis(5, v), 0),
+    "symmetric_pair d": (lambda v: symmetric_pair(v, 0, 0), 2),
+    "sweep_alpha n_points": (lambda v: sweep_alpha(3, v), 3),
+}
 
 
 def basis_ket(d, j):
@@ -170,3 +186,14 @@ class TestDomainTypes:
     def test_density_shape_check(self):
         with pytest.raises(DimensionError):
             DensityMatrix((2,), np.eye(3))
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("bad", ["2.5", "nan", "inf", "below"])
+    @pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+    def test_a_value_that_is_not_an_integer_at_or_above_the_minimum_is_rejected(self, name, bad):
+        # without the rule 2.5, NaN and inf reach NumPy (a TypeError) or give a wrong result, e.g. mub_basis(5, 1.5)
+        call, minimum = INTEGER_ARGUMENTS[name]
+        value = {"2.5": 2.5, "nan": math.nan, "inf": math.inf, "below": minimum - 1}[bad]
+        with pytest.raises(ValueError, match=f"must be >= {minimum} and an integer, got"):
+            call(value)

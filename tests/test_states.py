@@ -94,7 +94,7 @@ class TestRandomPhaseVector:
             random_phase_vector(1, 0)
 
     def test_rejects_negative_seed(self):
-        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        with pytest.raises(ValueError, match="seed must be >= 0 and an integer, got -1"):
             random_phase_vector(3, -1)
 
     def test_mean_matches_uniform_distribution(self):
