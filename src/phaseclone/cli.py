@@ -1,6 +1,6 @@
 """Command-line front end: fidelity tables, alpha sweeps, MUB checks, audits.
 
-    phaseclone table  --d-min 2 --d-max 8 [--seed 0]
+    phaseclone table  [--d-min 2] [--d-max 8] [--seed 0]
     phaseclone sweep  --d 3 [--points 101]
     phaseclone verify [--d-max 8] [--trials 20] [--seed 0]
     phaseclone mub    --d 5
@@ -11,12 +11,18 @@ Exit codes: 0 success, 1 verification failure, 2 usage error. Floats are
 printed with 17 significant digits so CSV and JSON round-trip to identical
 doubles. Output is UTF-8 with LF line endings, and runs with the same seed
 are byte-identical.
+
+Each argument's domain is declared once, on its ``add_argument``. Each
+``cmd_*`` takes its command's arguments and returns ``(exit_code, doc)``:
+``doc["rows"]`` is the table (its keys are the CSV columns), and any other
+keys of ``doc`` go into the JSON document ahead of the rows.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .audit import CHECKS, mub_rows, mub_worst, run_audit
@@ -52,76 +58,66 @@ def _emit(text: str, output: str | None) -> None:
         raise SystemExit(2) from None
 
 
-def _render(fmt: str, command: str, params: dict, header: list[str], rows: list[dict],
-            extra: dict | None = None) -> str:
+def _render(fmt: str, command: str, params: dict, doc: dict) -> str:
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(row[col]) for col in header) for row in rows]
+        rows = doc["rows"]
+        lines = [",".join(rows[0])] + [",".join(_fmt(value) for value in row.values()) for row in rows]
         return "\n".join(lines) + "\n"
-    doc = {"schema_version": SCHEMA_VERSION, "command": command, "params": params}
-    if extra:
-        doc.update(extra)
-    doc["rows"] = rows
-    return json.dumps(doc) + "\n"
+    return json.dumps({"schema_version": SCHEMA_VERSION, "command": command, "params": params, **doc}) + "\n"
 
 
-def cmd_table(d_min: int, d_max: int, fmt: str, output: str | None = None, seed: int = 0) -> int:
+def cmd_table(d_min: int, d_max: int, seed: int = 0) -> tuple[int, dict]:
     """One row per dimension at the optimal parameters.
 
     Each row is cross-checked by simulating one seeded phase state through
     the machine before it is emitted (FidelityReport refuses rows where the
-    closed form and the simulation disagree); such a row exits 1. Bad
-    arguments raise ValueError, as they do in the library.
+    closed form and the simulation disagree); such a row raises
+    VerificationError naming its d, and the CLI exits 1 without output.
+    Bad arguments raise ValueError, as they do in the library.
     """
     rows = []
     for d in range(d_min, d_max + 1):
         try:
             rep = fidelity_report(d, phase_seed=seed)
         except VerificationError as exc:
-            print(f"table: verification failed at d={d}: {exc}", file=sys.stderr)
-            return 1
-        rows.append(
-            {
-                "d": d,
-                "alpha": rep.alpha,
-                "beta": rep.beta,
-                "f_optimal": rep.f_closed,
-                "f_uqcm": rep.f_uqcm,
-                "eta": rep.eta,
-            }
-        )
-    params = {"d_min": d_min, "d_max": d_max, "seed": seed}
-    header = ["d", "alpha", "beta", "f_optimal", "f_uqcm", "eta"]
-    _emit(_render(fmt, "table", params, header, rows), output)
-    return 0
+            raise VerificationError(f"verification failed at d={d}: {exc}") from None
+        rows.append({"d": d, "alpha": rep.alpha, "beta": rep.beta, "f_optimal": rep.f_closed,
+                     "f_uqcm": rep.f_uqcm, "eta": rep.eta})
+    return 0, {"rows": rows}
 
 
-def cmd_sweep(d: int, points: int, fmt: str, output: str | None = None) -> int:
+def cmd_sweep(d: int, points: int) -> tuple[int, dict]:
     """Objective curve: fidelity along a uniform alpha grid."""
-    table = sweep_alpha(d, points)
-    rows = [{"alpha": a, "beta": b, "f": f} for a, b, f in table.rows]
-    params = {"d": d, "points": points}
-    _emit(_render(fmt, "sweep", params, ["alpha", "beta", "f"], rows), output)
-    return 0
+    return 0, {"rows": [{"alpha": a, "beta": b, "f": f} for a, b, f in sweep_alpha(d, points).rows]}
 
 
-def cmd_verify(d_max: int, trials: int, seed: int, fmt: str, output: str | None = None,
-               corrupt: bool = False) -> int:
+def cmd_verify(d_max: int, trials: int, seed: int, corrupt: bool = False) -> tuple[int, dict]:
     """Run the audit suite; exit 0 only if every check passes."""
     report = run_audit(d_max, trials, seed, corrupt=corrupt)
-    params = {"d_max": d_max, "trials": trials, "seed": seed, "corrupt": corrupt}
-    header = ["check", "d_range", "passed", "residual", "tolerance"]
-    extra = {"seed": report.seed, "overall": report.overall}
-    _emit(_render(fmt, "verify", params, header, report.to_rows(), extra), output)
-    return 0 if report.overall else 1
+    return 0 if report.overall else 1, {"seed": report.seed, "overall": report.overall, "rows": report.to_rows()}
 
 
-def cmd_mub(d: int, fmt: str, output: str | None = None) -> int:
+def cmd_mub(d: int) -> tuple[int, dict]:
     """Unbiasedness residuals for the d+1 bases and the cloning fidelity of every MUB state."""
     rows = mub_rows(d)
     worst_basis, worst_uniform = mub_worst(d, rows)
-    _emit(_render(fmt, "mub", {"d": d}, ["kind", "i", "j", "value"], rows), output)
-    return 0 if worst_basis < CHECKS["mub_unbiasedness"] and worst_uniform < CHECKS["mub_cloning_uniformity"] else 1
+    passed = worst_basis < CHECKS["mub_unbiasedness"] and worst_uniform < CHECKS["mub_cloning_uniformity"]
+    return 0 if passed else 1, {"rows": rows}
+
+
+def _int_in(lo: int, hi: float = math.inf):
+    """An argparse ``type``: an integer in ``lo..hi``."""
+    want = f"an integer >= {lo}" if hi == math.inf else f"an integer in {lo}..{hi}"
+
+    def parse(text: str) -> int:
+        try:
+            if lo <= (value := int(text)) <= hi:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,6 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         "phase-covariant qudit cloner.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    dim, seed = _int_in(2, MAX_D), _int_in(0)
 
     def common(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -138,25 +135,31 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write to PATH instead of stdout")
 
     p = sub.add_parser("table", help="optimal fidelity per dimension, against the universal baseline")
-    p.add_argument("--d-min", type=int, default=2)
-    p.add_argument("--d-max", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0, help="seed of the per-row verification state")
+    p.set_defaults(run=cmd_table)
+    p.add_argument("--d-min", type=dim, default=2)
+    p.add_argument("--d-max", type=dim, default=8)
+    p.add_argument("--seed", type=seed, default=0, help="seed of the per-row verification state")
     common(p)
 
     p = sub.add_parser("sweep", help="fidelity along a uniform alpha grid")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--points", type=int, default=101)
+    p.set_defaults(run=cmd_sweep)
+    p.add_argument("--d", type=dim, required=True)
+    p.add_argument("--points", type=_int_in(3), default=101)
     common(p)
 
     p = sub.add_parser("verify", help="run the full audit suite")
-    p.add_argument("--d-max", type=int, default=8)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=cmd_verify)
+    p.add_argument("--d-max", type=dim, default=8)
+    p.add_argument("--trials", type=_int_in(1), default=20)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     common(p)
 
     p = sub.add_parser("mub", help="unbiasedness and cloning uniformity of the d+1 bases")
-    p.add_argument("--d", type=int, required=True)
+    p.set_defaults(run=cmd_mub)
+    p.add_argument("--d", type=int, required=True,
+                   choices=[d for d in range(3, MAX_D + 1, 2) if is_prime(d)],
+                   help="the MUB construction needs an odd prime")
     common(p)
 
     return parser
@@ -164,34 +167,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if getattr(args, "seed", 0) < 0:
-        parser.error(f"need --seed >= 0, got {args.seed}")
-    if args.command == "table":
-        if not 2 <= args.d_min <= args.d_max <= MAX_D:
-            parser.error(f"need 2 <= d-min <= d-max <= {MAX_D}, got {args.d_min}..{args.d_max}")
-        return cmd_table(args.d_min, args.d_max, args.format, args.output, args.seed)
-    if args.command == "sweep":
-        if not 2 <= args.d <= MAX_D:
-            parser.error(f"need 2 <= d <= {MAX_D}, got {args.d}")
-        if args.points < 3:
-            parser.error(f"need at least 3 points, got {args.points}")
-        return cmd_sweep(args.d, args.points, args.format, args.output)
-    if args.command == "verify":
-        if not 2 <= args.d_max <= MAX_D:
-            parser.error(f"need 2 <= d-max <= {MAX_D}, got {args.d_max}")
-        if args.trials < 1:
-            parser.error(f"need at least 1 trial, got {args.trials}")
-        return cmd_verify(args.d_max, args.trials, args.seed, args.format, args.output, args.corrupt)
-    if args.command == "mub":
-        if not (is_prime(args.d) and args.d % 2 == 1 and args.d <= MAX_D):
-            parser.error(
-                f"--d must be an odd prime <= {MAX_D} (the MUB construction "
-                f"is undefined otherwise), got {args.d}"
-            )
-        return cmd_mub(args.d, args.format, args.output)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    params = vars(parser.parse_args(argv))
+    # what is left after these four are the command's own arguments, in declaration order
+    command, fmt, output, run = (params.pop(key) for key in ("command", "format", "output", "run"))
+    if "d_min" in params and params["d_min"] > params["d_max"]:
+        parser.error(f"need --d-min <= --d-max, got {params['d_min']}..{params['d_max']}")
+    try:
+        code, doc = run(**params)
+    except VerificationError as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return 1
+    _emit(_render(fmt, command, params, doc), output)
+    return code
 
 
 def console_main() -> None:

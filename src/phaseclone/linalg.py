@@ -40,21 +40,21 @@ def _lock(arr: np.ndarray, shape_len: int) -> np.ndarray:
 
 
 def _check_dims(dims) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 2 for d in dims):
-        raise DimensionError(f"factor dimensions must all be >= 2, got {dims}")
+    dims = tuple(_integer(d, "factor dimension", 2, DimensionError) for d in dims)
+    if not dims:
+        raise DimensionError("need at least one factor dimension, got none")
     return dims
 
 
-def _integer(value, name: str, minimum: int) -> int:
+def _integer(value, name: str, minimum: int, error: type[ValueError] = ValueError) -> int:
     """Package-private: the one integer rule; return ``value`` as an int.
 
     ``value`` must be an integer (any ``numbers.Integral``, numpy's too) of
     at least ``minimum``; anything else (a NaN, an infinity, 2.5) raises
-    ValueError.
+    ``error``, a ValueError (DimensionError for shapes and indices).
     """
     if not (isinstance(value, numbers.Integral) and value >= minimum):
-        raise ValueError(f"{name} must be >= {minimum} and an integer, got {value!r}")
+        raise error(f"{name} must be >= {minimum} and an integer, got {value!r}")
     return int(value)
 
 
@@ -150,10 +150,10 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         preserved exactly up to round-off.
     """
     n = len(rho.dims)
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted(set(_integer(k, "keep index", 0, DimensionError) for k in keep))
     if not keep or len(keep) >= n:
         raise DimensionError(f"keep={keep} must be a nonempty proper subset of 0..{n - 1}")
-    if keep[0] < 0 or keep[-1] >= n:
+    if keep[-1] >= n:
         raise DimensionError(f"keep index out of range for {n} factors: {keep}")
 
     dims = rho.dims

@@ -31,11 +31,6 @@ class SweepTable:
     rows: tuple[tuple[float, float, float], ...]  # (alpha, beta, f_closed), ascending alpha
 
     @property
-    def argmax_alpha(self) -> float:
-        """The first grid alpha where ``max_f`` is reached."""
-        return max(self.rows, key=lambda row: row[2])[0]
-
-    @property
     def max_f(self) -> float:
         return max(f for _, _, f in self.rows)
 

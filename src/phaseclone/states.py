@@ -84,7 +84,8 @@ def random_phase_vector(d: int, seed: int) -> np.ndarray:
 def symmetric_pair(d: int, j: int, l: int) -> np.ndarray:
     """Normalized symmetric two-qudit basis state, a read-only (d^2,) array: |jj> if j == l, else (|jl> + |lj>)/sqrt(2)."""
     d = _integer(d, "d", 2)
-    if not (0 <= j < d and 0 <= l < d):
+    j, l = (_integer(k, "pair index", 0, DimensionError) for k in (j, l))
+    if not (j < d and l < d):
         raise DimensionError(f"indices ({j}, {l}) out of range for d = {d}")
     amps = np.zeros(d * d, dtype=np.complex128)
     if j == l:

@@ -1,10 +1,14 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+import phaseclone.cli
 import phaseclone.cloner
-from phaseclone.cli import cmd_table, main
+from phaseclone.cli import build_parser, cmd_table, main
 from phaseclone.cloner import optimal_fidelity, optimal_params
 
 INV_SQRT2 = 0.7071067811865476
@@ -79,9 +83,9 @@ class TestTable:
 
     def test_bad_library_arguments_raise_instead_of_failing_verification(self, capsys):
         with pytest.raises(ValueError, match="d must be >= 2"):
-            cmd_table(1, 3, "csv")
+            cmd_table(1, 3)
         with pytest.raises(ValueError, match="seed must be >= 0 and an integer, got -5"):
-            cmd_table(2, 3, "csv", seed=-5)
+            cmd_table(2, 3, seed=-5)
         assert "verification failed" not in capsys.readouterr().err
 
     def test_disagreeing_simulation_exits_1(self, capsys, monkeypatch):
@@ -232,3 +236,65 @@ class TestOutputHandling:
 
     def test_unknown_command_exits_2(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
+
+
+# every command argument with each value just outside its domain
+OUT_OF_DOMAIN = [
+    ("table", "--d-min", "1"),
+    ("table", "--d-max", "65"),
+    ("table", "--seed", "-1"),
+    ("sweep", "--d", "1"),
+    ("sweep", "--d", "65"),
+    ("sweep", "--points", "2"),
+    ("verify", "--d-max", "1"),
+    ("verify", "--d-max", "65"),
+    ("verify", "--trials", "0"),
+    ("verify", "--seed", "-1"),
+    ("mub", "--d", "1"),
+    ("mub", "--d", "2"),
+    ("mub", "--d", "4"),
+    ("mub", "--d", "9"),
+    ("mub", "--d", "67"),
+]
+REQUIRED = {"sweep": ["--d", "3"], "mub": ["--d", "3"]}
+
+
+class TestArgumentDomains:
+    @pytest.mark.parametrize("command,flag,value", OUT_OF_DOMAIN)
+    def test_a_value_outside_the_domain_is_a_usage_error(self, capsys, command, flag, value):
+        code, out, err = run_cli(capsys, command, *REQUIRED.get(command, []), flag, value)
+        assert code == 2
+        assert "usage" in err and "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv,params", [
+        (["table", "--seed", "4", "--d-max", "3"], {"d_min": 2, "d_max": 3, "seed": 4}),
+        (["sweep", "--points", "3", "--d", "2"], {"d": 2, "points": 3}),
+        (["verify", "--seed", "5", "--trials", "1", "--d-max", "2"],
+         {"d_max": 2, "trials": 1, "seed": 5, "corrupt": False}),
+        (["mub", "--d", "3"], {"d": 3}),
+    ], ids=["table", "sweep", "verify", "mub"])
+    def test_json_params_are_the_arguments_in_declaration_order(self, capsys, argv, params):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["command"] == argv[0]
+        assert list(doc["params"].items()) == list(params.items())
+
+
+def usage_lines():
+    """Every ``phaseclone ...`` line of the CLI docstring and of README's "Command line" block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.DOTALL)
+    assert block is not None
+    text = phaseclone.cli.__doc__ + block.group(1)
+    lines = [line.split("#")[0].strip() for line in text.splitlines()]
+    return [line for line in lines if line.startswith("phaseclone ")]
+
+
+@pytest.mark.parametrize("line", usage_lines())
+def test_documented_usage_parses(line):
+    # optional arguments are documented in brackets
+    argv = shlex.split(line.replace("[", "").replace("]", ""))[1:]
+    args = build_parser().parse_args(argv)
+    assert args.command == argv[0]

@@ -32,6 +32,11 @@ INTEGER_ARGUMENTS = {
     "mub_basis l": (lambda v: mub_basis(5, v), 0),
     "symmetric_pair d": (lambda v: symmetric_pair(v, 0, 0), 2),
     "sweep_alpha n_points": (lambda v: sweep_alpha(3, v), 3),
+    # factor dimensions and indices raise DimensionError, a ValueError
+    "DensityMatrix dims": (lambda v: DensityMatrix((v,), np.eye(2)), 2),
+    "partial_trace keep": (lambda v: partial_trace(DensityMatrix((2, 2), np.eye(4) / 4), keep=(v,)), 0),
+    "symmetric_pair j": (lambda v: symmetric_pair(3, v, 1), 0),
+    "symmetric_pair l": (lambda v: symmetric_pair(3, 1, v), 0),
 }
 
 

@@ -80,9 +80,9 @@ class TestSweepAlpha:
             assert abs(alpha**2 + beta**2 - 1.0) < 1e-14
 
     def test_d2_dense_grid_argmax(self):
-        table = sweep_alpha(2, 101)
-        assert abs(table.argmax_alpha - INV_SQRT2) <= 0.01 + 1e-12  # one grid step
-        assert table.argmax_alpha == pytest.approx(0.71, abs=1e-12)
+        argmax_alpha = max(sweep_alpha(2, 101).rows, key=lambda r: r[2])[0]
+        assert abs(argmax_alpha - INV_SQRT2) <= 0.01 + 1e-12  # one grid step
+        assert argmax_alpha == pytest.approx(0.71, abs=1e-12)
 
     def test_grid_max_is_a_lower_bound(self):
         for d in range(2, 17):
@@ -99,7 +99,8 @@ class TestSweepAlpha:
     def test_max_f_matches_rows(self):
         table = sweep_alpha(3, 21)
         assert table.max_f == max(row[2] for row in table.rows)
-        assert fidelity_closed_form(3, table.argmax_alpha, math.sqrt(1 - table.argmax_alpha**2)) == pytest.approx(table.max_f, abs=1e-15)
+        argmax_alpha = max(table.rows, key=lambda r: r[2])[0]
+        assert fidelity_closed_form(3, argmax_alpha, math.sqrt(1 - argmax_alpha**2)) == pytest.approx(table.max_f, abs=1e-15)
 
     def test_table_is_immutable_and_hashable(self):
         table = sweep_alpha(3, 5)
