@@ -40,7 +40,7 @@ from .states import (
     symmetric_pair,
 )
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 __all__ = [
     "AuditReport",

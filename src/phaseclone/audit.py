@@ -20,12 +20,15 @@ once per machine on the stacks (one stacked eigensolve, one stacked
 overlap <psi|rho_A|psi>). The two-clone output rho_AB = M M^dag is never
 formed: its trace ||M||_F^2 is the Gram's, and its positivity is checked
 on the Gram, which has the same nonzero spectrum. The simulation costs
-O(d^3) time per draw and O(n d^2) memory; the per-draw Python work is
-drawing the phase vectors, which one call of ``phase_state`` per machine
-turns into its stack of states. On a 2-core machine with numpy 2.4,
-``verify --trials 20`` takes 0.31 s at d_max 12 (``cli.main`` wall time,
-median of 10 benchmark runs, 38.3 MB of RSS) and 16 s at d_max 64 (two
-runs, 71 MB of RSS).
+O(d^3) time per draw and O(n d^2) memory, and no Python work is left per
+draw: all of one d's phase vectors, machine by machine in sub-seed order,
+come from one call of the batch route of :mod:`phaseclone.states`, whose
+rows are bit-identical to one ``random_phase_vector`` call per sub-seed,
+and one call of ``phase_state`` per machine turns its rows into its stack
+of states. On a 2-core machine with numpy 2.4, ``verify --trials 20``
+takes 0.24 s at d_max 12 (``cli.main`` wall time, median of 10 benchmark
+runs, 38.6 MB of RSS) and 13-14 s at d_max 64 (in-process, two runs,
+65 MB of RSS).
 
 MUB checks cover every odd prime d <= d_max; :func:`mub_rows` is also what
 ``phaseclone mub`` prints.
@@ -52,11 +55,11 @@ from .cloner import (
 from .linalg import EQ_TOL, PSD_TOL, _integer, frobenius_distance
 from .optimize import optimum_residual, sweep_alpha
 from .states import (
+    _random_phase_vectors,
     gram_residual,
     is_prime,
     mub_basis,
     phase_state,
-    random_phase_vector,
     symmetric_pair,
     unbiasedness_residual,
 )
@@ -173,7 +176,7 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
     seed = _integer(seed, "seed", 0)
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    seeds = itertools.count(seed * 1_000_003 + 1)  # sub-seeds of the phase draws
+    first = seed * 1_000_003 + 1  # the sub-seed of the first phase draw; each later draw takes the next one
     dims = range(2, d_max + 1)
     n = max(2, n_random)
     worst = dict.fromkeys(CHECKS, 0.0)
@@ -194,11 +197,12 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
             note("isometry_unitarity", bad.unitarity_residual())
 
         # one simulation sweep: each machine runs once on a stack whose row 0 is the phase-zero state and
-        # whose rows 1..n are its draws, and every per-draw check then runs once per machine, over the
-        # stacks the outputs M = V|psi> give
-        zero = np.zeros(d)
-        for machine in machines:
-            phases = np.array([zero] + [random_phase_vector(d, next(seeds)) for _ in range(n)])
+        # whose rows 1..n are its draws (all of this d's draws come in one batch, machine by machine), and
+        # every per-draw check then runs once per machine, over the stacks the outputs M = V|psi> give
+        draws = _random_phase_vectors(d, range(first, first + len(machines) * n))
+        first += len(draws)
+        stacks = np.concatenate([np.zeros((len(machines), 1, d)), draws.reshape(len(machines), n, d)], axis=1)
+        for machine, phases in zip(machines, stacks):
             states = phase_state(phases)
             out = _simulate(machine, states)
             red_a, red_b, gram = out.clone(0), out.clone(1)[1:], out.gram()[1:]  # each clone's reductions, M^dag M
@@ -258,6 +262,9 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
         # the symmetric two-qudit pair states are invariant under swapping the qudits
         pairs = (symmetric_pair(d, j, l) for j in range(d) for l in range(d))
         note("symmetric_pair_swap", *(float(np.abs(a - a.reshape(d, d).T.reshape(-1)).max()) for a in pairs))
+
+    # release the last d's machines and stacks, so the MUB checks do not run on top of them
+    del machines, draws, stacks, phases, states, out, red_a, red_b, red0, gram, amps, fid, rho_in, scalar, twist, closed
 
     # strict superiority over the universal baseline, with a shrinking gap
     gaps = [optimal_fidelity(d) - uqcm_fidelity(d) for d in dims]

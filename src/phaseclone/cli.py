@@ -32,6 +32,7 @@ from .states import is_prime
 
 SCHEMA_VERSION = 1
 MAX_D = 64
+MAX_TRIALS, MAX_POINTS = 100, 100_000  # at these bounds verify --d-max 64 and sweep run in minutes and under 500 MB
 
 
 def _fmt(value) -> str:
@@ -144,13 +145,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="fidelity along a uniform alpha grid")
     p.set_defaults(run=cmd_sweep)
     p.add_argument("--d", type=dim, required=True)
-    p.add_argument("--points", type=_int_in(3), default=101)
+    p.add_argument("--points", type=_int_in(3, MAX_POINTS), default=101)
     common(p)
 
     p = sub.add_parser("verify", help="run the full audit suite")
     p.set_defaults(run=cmd_verify)
     p.add_argument("--d-max", type=dim, default=8)
-    p.add_argument("--trials", type=_int_in(1), default=20)
+    p.add_argument("--trials", type=_int_in(1, MAX_TRIALS), default=20)
     p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     common(p)

@@ -77,8 +77,9 @@ def _check_domain(
     return d
 
 
+@functools.lru_cache(maxsize=1)
 def _triples(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``rows`` and ``cols`` of V's 2d^2 - d nonzeros, which depend on d alone.
+    """Read-only ``rows`` and ``cols`` of V's 2d^2 - d nonzeros, which depend on d alone; like :func:`_plan`, built once per d.
 
     Three blocks: |jj>|R_j> in column j, then |jl>|R_l> and |lj>|R_l> in
     column j for every ordered pair j != l.

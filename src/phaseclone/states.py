@@ -9,10 +9,21 @@ by the machine in :mod:`phaseclone.cloner`.
 Every state and phase vector here is a plain read-only numpy array: (d,)
 for one, (n, d) for a stack of n, one per row. Phases are float64 and
 amplitudes complex128.
+
+Seeded phase vectors come by two routes. :func:`random_phase_vector` draws
+one through numpy's ``Generator(PCG64(seed))``. The package-private
+:func:`_random_phase_vectors` draws a whole batch of seeds at once, as the
+audit does for each d: numpy documents PCG64's stream, its SeedSequence
+seeding included, as stable across releases, so the batch re-runs those
+integer steps in vectorized numpy and each of its rows is bit-identical
+to the one-draw route for that seed. The one-draw route stays the public
+one, and the reference the batch is tested against; it is also the
+cheaper one for a single draw.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -77,6 +88,95 @@ def random_phase_vector(d: int, seed: int) -> np.ndarray:
     d, seed = _integer(d, "d", 2), _integer(seed, "seed", 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     phases = np.concatenate(([0.0], rng.uniform(0.0, TWO_PI, d - 1)))
+    phases.setflags(write=False)
+    return phases
+
+
+# numpy's SeedSequence hash constants and PCG64's LCG multiplier M (numpy/random/bit_generator.pyx, pcg64.h)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _M32, _PCG_MULT = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF, 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products of two uint64 arrays, from 32-bit halves."""
+    a1, a0, b1, b0 = a >> 32, a & _M32, b >> 32, b & _M32
+    mid = a0 * b1 + (a0 * b0 >> 32)
+    return a1 * b1 + (mid >> 32) + (a1 * b0 + (mid & _M32) >> 32)
+
+
+def _mul128(a: tuple, b: tuple) -> tuple:
+    """Products mod 2^128 of (hi, lo) uint64 limb pairs."""
+    return _mulhi64(a[1], b[1]) + a[1] * b[0] + a[0] * b[1], a[1] * b[1]
+
+
+def _limbs(values) -> tuple:
+    """(hi, lo) uint64 limbs of nonnegative Python ints, taken mod 2^128."""
+    return tuple(np.array([(v >> s) % 2**64 for v in values], np.uint64) for s in (64, 0))
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash of uint32 arrays: each call xors in the hash constant, steps it by ``mult`` and mixes."""
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _M32
+        value = value * const
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _seed_states(seeds: list[int]) -> list[np.ndarray]:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` for every seed: four (n,) uint64 arrays."""
+    counts = np.array([max(1, -(-s.bit_length() // 32)) for s in seeds], dtype=int)  # 32-bit entropy words
+    width = max(4, counts.max(initial=0))
+    words = np.frombuffer(b"".join(s.to_bytes(4 * width, "little") for s in seeds), "<u4")
+    words = words.astype(np.uint32).reshape(len(seeds), width).T  # zero words pad each seed to the 4-word pool
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        x = _MIX_L * x - _MIX_R * y
+        return x ^ x >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, width):  # the words of seeds >= 2^128 beyond the pool, each seed's only as far as it has
+        for dst in range(4):
+            pool[dst] = np.where(counts > src, mix(pool[dst], hashmix(words[src])), pool[dst])
+    generate = _hasher(_INIT_B, _MULT_B)
+    out = [generate(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _random_phase_vectors(d: int, seeds) -> np.ndarray:
+    """Package-private: ``random_phase_vector(d, seed)`` for every seed at once, bit for bit; a read-only (n, d) array.
+
+    numpy documents the PCG64 stream, its seeding included, as stable, so
+    this re-runs numpy's steps, vectorized over the seeds: the SeedSequence
+    hash on uint32 words gives each seed a 128-bit s and seq; PCG64 seeds
+    its LCG state to M (s + inc) + inc, with inc = 2 seq + 1 and M the
+    multiplier; draw k = 1..d-1 outputs the state k steps later,
+    ``M^(k+1) s + (1 + M + ... + M^(k+1)) inc``. So every draw of every seed
+    is one jump, in 128-bit arithmetic on (hi, lo) uint64 limbs, and the
+    XSL-RR output x of the state gives the phase ``(x >> 11) * 2^-53 * 2*pi``.
+    """
+    d = _integer(d, "d", 2)
+    seeds = [_integer(seed, "seed", 0) for seed in seeds]
+    s_hi, s_lo, seq_hi, seq_lo = (words[:, None] for words in _seed_states(seeds))
+    inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
+    powers = [pow(_PCG_MULT, k, 1 << 128) for k in range(d + 1)]  # M^0..M^d
+    a = _mul128((s_hi, s_lo), _limbs(powers[2:]))
+    b = _mul128(inc, _limbs(list(itertools.accumulate(powers))[2:]))
+    lo = a[1] + b[1]
+    hi = a[0] + b[0] + (lo < b[1])
+    x, rot = hi ^ lo, hi >> 58
+    x = x >> rot | x << (64 - rot & 63)
+    phases = np.zeros((len(seeds), d))
+    phases[:, 1:] = (x >> 11).astype(np.float64) * 2.0**-53 * TWO_PI
     phases.setflags(write=False)
     return phases
 

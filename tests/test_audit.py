@@ -8,6 +8,7 @@ import pytest
 
 import phaseclone.audit
 import phaseclone.cloner
+import phaseclone.states
 from phaseclone.audit import AuditReport, run_audit
 from phaseclone.cli import main
 from phaseclone.cloner import (
@@ -204,7 +205,8 @@ class TestRunAudit:
         # one pass: each machine is simulated once, on the phase-zero state stacked with its draws, and each
         # MUB basis once as a stack of its states; the audit never forms the two-clone state and never
         # simulates one state at a time
-        calls = {"clone_state": 0, "simulate_fidelity": 0, "random_phase_vector": 0, "_simulate": 0}
+        calls = {"clone_state": 0, "simulate_fidelity": 0, "random_phase_vector": 0, "_random_phase_vectors": 0,
+                 "_simulate": 0}
 
         def counting(name, original):
             def counted(*args, **kwargs):
@@ -217,16 +219,20 @@ class TestRunAudit:
             wrapped = counting(name, getattr(phaseclone.cloner, name))
             for module in (phaseclone.cloner, phaseclone.audit):
                 monkeypatch.setattr(module, name, wrapped, raising=False)
-        for name in ("random_phase_vector", "_simulate"):  # as bound in the audit only
+        for name in ("_random_phase_vectors", "_simulate"):  # as bound in the audit only
             monkeypatch.setattr(phaseclone.audit, name, counting(name, getattr(phaseclone.audit, name)))
+        # the one-draw route, wherever the audit could reach it
+        wrapped = counting("random_phase_vector", phaseclone.states.random_phase_vector)
+        for module in (phaseclone.states, phaseclone.cloner, phaseclone.audit):
+            monkeypatch.setattr(module, "random_phase_vector", wrapped, raising=False)
         run_audit(d_max=d_max, n_random=n, seed=0)
         machines = (d_max - 1) * (1 + n)
-        draws = machines * max(2, n)
         mub_bases = sum(d for d in range(3, d_max + 1) if is_prime(d))
         assert calls == {
             "clone_state": 0,
             "simulate_fidelity": 0,
-            "random_phase_vector": draws,
+            "random_phase_vector": 0,
+            "_random_phase_vectors": d_max - 1,  # every draw of one d in one batch
             "_simulate": machines + mub_bases,
         }
 
@@ -255,6 +261,14 @@ class TestRunAudit:
     def test_stacked_checks_match_the_per_draw_loop_bit_for_bit(self, d_max, n_random, seed):
         residuals = {c.name: c.residual for c in run_audit(d_max, n_random, seed).checks}
         reference = per_draw_residuals(d_max, n_random, seed)
+        assert {name: residuals[name] for name in reference} == reference
+
+    def test_sub_seeds_crossing_2_to_the_128_match_the_per_draw_loop(self):
+        # this seed's sub-seeds cross 2^128, where SeedSequence takes a fifth entropy word, at draw 3025 (from 0)
+        seed = 340281346076900232762676319402810
+        assert seed * 1_000_003 + 3025 < 2**128 <= seed * 1_000_003 + 3026
+        residuals = {c.name: c.residual for c in run_audit(9, 20, seed).checks}
+        reference = per_draw_residuals(9, 20, seed)
         assert {name: residuals[name] for name in reference} == reference
 
     @pytest.mark.parametrize("d_max", [2, 5])

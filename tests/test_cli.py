@@ -246,9 +246,11 @@ OUT_OF_DOMAIN = [
     ("sweep", "--d", "1"),
     ("sweep", "--d", "65"),
     ("sweep", "--points", "2"),
+    ("sweep", "--points", "100001"),
     ("verify", "--d-max", "1"),
     ("verify", "--d-max", "65"),
     ("verify", "--trials", "0"),
+    ("verify", "--trials", "101"),
     ("verify", "--seed", "-1"),
     ("mub", "--d", "1"),
     ("mub", "--d", "2"),

@@ -166,6 +166,12 @@ class TestBuildMachine:
                 expected[(j * d + j) * d + j] = 1.0
                 np.testing.assert_array_equal(machine.isometry[:, j], expected)
 
+    def test_machines_of_one_dimension_share_the_index_layout(self):
+        # rows/cols depend on d alone, so every machine of one d holds the same read-only arrays
+        first, second = build_machine(5, *optimal_params(5)), build_machine(5, 1.0, 0.0)
+        assert first.rows is second.rows and first.cols is second.cols
+        assert not first.rows.flags.writeable
+
     def test_derived_isometry_matches_the_loop_reference_bit_for_bit(self):
         rng = np.random.default_rng(5)
         for d in range(2, 17):

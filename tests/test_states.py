@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from phaseclone.linalg import EQ_TOL, DimensionError
 from phaseclone.states import (
     UnsupportedDimensionError,
+    _random_phase_vectors,
     gram_residual,
     is_prime,
     mub_basis,
@@ -105,6 +106,49 @@ class TestRandomPhaseVector:
             total += random_phase_vector(2, seed)[1]
         sigma_mean = (2 * math.pi / math.sqrt(12.0)) / math.sqrt(n)
         assert abs(total / n - math.pi) < 3 * sigma_mean
+
+
+# seeds on both sides of every SeedSequence entropy-word boundary (a seed >= 2^128 overflows the 4-word pool)
+WORD_BOUNDARY_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**200 + 5)
+
+
+class TestRandomPhaseVectors:
+    @pytest.mark.parametrize("d", [2, 3, 12, 64])
+    def test_rows_are_the_one_draw_route_bit_for_bit(self, d):
+        seeds = [*WORD_BOUNDARY_SEEDS, *range(1_000_004, 1_000_024)]
+        batch = _random_phase_vectors(d, seeds)
+        assert batch.shape == (len(seeds), d) and batch.dtype == np.float64 and not batch.flags.writeable
+        for row, seed in zip(batch, seeds):
+            assert (row == random_phase_vector(d, seed)).all()
+
+    @pytest.mark.parametrize("order", [slice(None), slice(None, None, -1)])
+    def test_mixed_batches_straddling_every_word_boundary(self, order):
+        # each seed's draws are its own, whatever the widest seed of its batch
+        seeds = WORD_BOUNDARY_SEEDS[order]
+        for k in range(1, len(seeds) + 1):
+            batch = _random_phase_vectors(5, seeds[:k])
+            assert all((row == random_phase_vector(5, seed)).all() for row, seed in zip(batch, seeds))
+
+    @given(st.integers(2, 16), st.lists(st.integers(0, 2**300), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_any_seeds_of_any_width(self, d, seeds):
+        batch = _random_phase_vectors(d, seeds)
+        assert all((row == random_phase_vector(d, seed)).all() for row, seed in zip(batch, seeds))
+
+    def test_empty_batch(self):
+        assert _random_phase_vectors(4, []).shape == (0, 4)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, 1.0])
+    def test_rejects_a_bad_seed_as_the_one_draw_route_does(self, seed):
+        with pytest.raises(ValueError) as one:
+            random_phase_vector(3, seed)
+        with pytest.raises(ValueError) as batch:
+            _random_phase_vectors(3, [0, seed])
+        assert str(batch.value) == str(one.value)
+
+    def test_rejects_small_dimension(self):
+        with pytest.raises(ValueError, match="d must be >= 2"):
+            _random_phase_vectors(1, [0])
 
 
 class TestSymmetricPair:
