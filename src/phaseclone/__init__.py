@@ -37,10 +37,9 @@ from .states import (
     mub_basis,
     phase_state,
     random_phase_vector,
-    symmetric_pair,
 )
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 __all__ = [
     "AuditReport",
@@ -74,6 +73,5 @@ __all__ = [
     "shrink_factor",
     "simulate_fidelity",
     "sweep_alpha",
-    "symmetric_pair",
     "uqcm_fidelity",
 ]

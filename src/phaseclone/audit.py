@@ -60,7 +60,6 @@ from .states import (
     is_prime,
     mub_basis,
     phase_state,
-    symmetric_pair,
     unbiasedness_residual,
 )
 
@@ -135,6 +134,24 @@ class AuditReport:
 def _random_split(rng: np.random.Generator) -> tuple[float, float]:
     theta = rng.uniform(0.0, math.pi / 2.0)
     return math.cos(theta), math.sin(theta)
+
+
+def _swap_residual(d: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> float:
+    """Worst ``|V[(a, b, c), j] - V[(b, a, c), j]|`` over the nonzeros at ``rows``/``cols`` of every V whose values are a row of ``vals``.
+
+    V maps every input into Sym(A (x) B) (x) ancilla exactly when it is
+    unchanged by swapping the two clone digits, so a correct machine gives
+    exactly 0. A nonzero whose swapped position holds no nonzero is compared
+    with 0. The partners are looked up once for the layout, and each row of
+    ``vals`` then costs one gather.
+    """
+    ab, c = np.divmod(rows, d)
+    a, b = np.divmod(ab, d)
+    here, there = rows * d + cols, ((b * d + a) * d + c) * d + cols  # flat positions in the d^3-by-d matrix V
+    order = np.argsort(here, kind="stable")  # with numpy 2.4 the default sort adds 0.3 MB to verify's peak RSS
+    found = order[np.searchsorted(here, there, sorter=order).clip(max=len(rows) - 1)]
+    mirrored = np.where(here[found] == there, vals[..., found], 0.0)
+    return float(np.abs(vals - mirrored).max())
 
 
 def mub_rows(d: int) -> list[dict]:
@@ -259,12 +276,13 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
         diffs = np.diff([row[2] for row in table.rows])
         worst["objective_unimodal"] += int(np.sum(np.diff(np.sign(diffs)) != 0)) != 1
 
-        # the symmetric two-qudit pair states are invariant under swapping the qudits
-        pairs = (symmetric_pair(d, j, l) for j in range(d) for l in range(d))
-        note("symmetric_pair_swap", *(float(np.abs(a - a.reshape(d, d).T.reshape(-1)).max()) for a in pairs))
+        # V maps into the symmetric subspace of the two clones: swapping their digits leaves every machine unchanged
+        opt = machines[0]  # every machine of one d shares its rows and cols
+        note("symmetric_pair_swap", _swap_residual(d, opt.rows, opt.cols, np.stack([m.vals for m in machines])))
 
     # release the last d's machines and stacks, so the MUB checks do not run on top of them
-    del machines, draws, stacks, phases, states, out, red_a, red_b, red0, gram, amps, fid, rho_in, scalar, twist, closed
+    del machines, opt, draws, stacks, phases, states, out
+    del red_a, red_b, red0, gram, amps, fid, rho_in, scalar, twist, closed
 
     # strict superiority over the universal baseline, with a shrinking gap
     gaps = [optimal_fidelity(d) - uqcm_fidelity(d) for d in dims]

@@ -32,10 +32,12 @@ built only on request, for inspection and as a test reference.
 
 Every simulation goes through one route, :func:`_simulate`, which runs the
 machine on a stack of n input states at once. Where V's nonzeros sit depends
-on d alone (the split only sets their values), so :func:`_triples` gives
-every machine of one d the same ``rows``/``cols``, and the :class:`_Plan`
+on d alone (the split only sets their values), so :func:`_layout` gives
+every machine of one d the same ``rows``/``cols`` and the :class:`_Plan`
 of which nonzeros of the pure output M = V|psi> (d^2 by d) meet in a clone
-reduction or in the ancilla Gram M^dag M is built once per d from them. A
+reduction or in the ancilla Gram M^dag M. Both are written down, once per
+d, from one enumeration of d's index pairs; no sort discovers the plan,
+and the tests hold it to a generic derivation from ``rows``/``cols``. A
 stack's reductions are then gathers of ``vals * psi[cols]`` plus batched
 products: O(d^3) time per state and O(n d^2) memory, with no d^3-sized
 array. The dense route (:func:`_output_factor`, :func:`clone_state`, which
@@ -46,6 +48,7 @@ for the two-clone state, and as the reference the tests hold the plan to.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -77,22 +80,6 @@ def _check_domain(
     return d
 
 
-@functools.lru_cache(maxsize=1)
-def _triples(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``rows`` and ``cols`` of V's 2d^2 - d nonzeros, which depend on d alone; like :func:`_plan`, built once per d.
-
-    Three blocks: |jj>|R_j> in column j, then |jl>|R_l> and |lj>|R_l> in
-    column j for every ordered pair j != l.
-    """
-    j, l = np.nonzero(~np.eye(d, dtype=bool))
-    diag = np.arange(d)
-    rows = np.concatenate([diag * (d * d + d + 1), (j * d + l) * d + l, (l * d + j) * d + l])
-    cols = np.concatenate([diag, j, j])
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
-
-
 def _one_nonzero_per_row(rows: np.ndarray) -> None:
     """Raise ValueError unless the row indices of V's nonzeros are distinct, i.e. V has at most one nonzero per row."""
     # a stable sort: with numpy 2.4, np.unique adds 1.5 MB to verify's peak RSS and the default sort 0.3 MB
@@ -107,7 +94,7 @@ class CloningMachine:
     V has exactly 2d^2 - d nonzeros and each of its rows holds at most one,
     so the machine stores only those: ``rows``, ``cols`` and ``vals`` are
     read-only arrays with ``V[rows[k], cols[k]] == vals[k]``, computed once
-    at construction (``rows``/``cols`` by :func:`_triples`). Rows are
+    at construction (``rows``/``cols`` by :func:`_layout`). Rows are
     indexed by (clone A, clone B, ancilla) in the fixed tensor convention,
     and column j is the image of input basis state |j>. :attr:`isometry`
     rebuilds the dense d^3-by-d matrix on each access.
@@ -125,8 +112,8 @@ class CloningMachine:
 
     def __post_init__(self):
         d = _check_domain(self.d, self.alpha, self.beta, norm_tol=math.inf)
-        rows, cols = _triples(d)
-        # alpha on the d nonzeros |jj>|R_j>, which _triples lists first, and beta / sqrt(2(d-1)) on the rest
+        rows, cols, _ = _layout(d)
+        # alpha on the d nonzeros |jj>|R_j>, which _layout lists first, and beta / sqrt(2(d-1)) on the rest
         vals = np.concatenate([np.full(d, self.alpha), np.full(rows.size - d, self.beta / math.sqrt(2.0 * (d - 1)))])
         vals.setflags(write=False)
         for name, value in (("d", d), ("rows", rows), ("cols", cols), ("vals", vals)):
@@ -203,13 +190,14 @@ def build_machine(d: int, alpha: float, beta: float) -> CloningMachine:
 
 @dataclass(frozen=True, eq=False)
 class _Plan:
-    """Package-private: where each nonzero of V lands in the reductions of M = V|psi>, for one set of triples.
+    """Package-private: where each nonzero of V lands in the reductions of M = V|psi>, for the nonzeros of one d.
 
-    Built by :func:`_build_plan` from ``rows`` and ``cols`` alone, so it
-    reads no closed form. Nonzero k of V gives the output amplitude
-    ``vals[k] * psi[cols[k]]`` at the digits (a, b, c) of ``rows[k]``
-    (clone A, clone B, ancilla), and a reduction sums the products of the
-    amplitudes that share its traced digits (its key):
+    Written down by :func:`_layout` from the same enumeration as ``rows``
+    and ``cols``, so it reads no closed form; the tests hold it to a
+    generic derivation from ``rows`` and ``cols``. Nonzero k of V gives the
+    output amplitude ``vals[k] * psi[cols[k]]`` at the digits (a, b, c) of
+    ``rows[k]`` (clone A, clone B, ancilla), and a reduction sums the
+    products of the amplitudes that share its traced digits (its key):
 
     - ``clones[i]`` serves clone i's reduction X X^dag. The keys hit by
       several nonzeros form a full (d, m) block, so ``block`` (the nonzero
@@ -234,43 +222,43 @@ class _Plan:
     diag_bins: np.ndarray
 
 
-def _build_plan(d: int, rows: np.ndarray, cols: np.ndarray) -> _Plan:
-    """The :class:`_Plan` of the triples ``rows``/``cols`` of a d-level machine.
-
-    Checks, rather than assumes, what the plan relies on: at most one
-    nonzero per row, full blocks for both clones, and at most two nonzeros
-    per (A, B) key. A violation raises ValueError.
-    """
-    _one_nonzero_per_row(rows)
-    ab, c = rows // d, rows % d
-    a, b = ab // d, ab % d
-    clones = []
-    for name, kept, key in (("A", a, b * d + c), ("B", b, ab - b + c)):
-        count = np.bincount(key, minlength=d * d)
-        hit = count > 1
-        if not (count[hit] == d).all():
-            raise ValueError(f"the multiply-hit columns of clone {name} do not form a full block")
-        # one nonzero per row: the d nonzeros of a multiply-hit key have distinct kept digits, so the block is full
-        multi = hit[key]
-        block = np.empty((d, int(hit.sum())), dtype=np.intp)
-        block[kept[multi], (np.cumsum(hit) - 1)[key[multi]]] = np.flatnonzero(multi)
-        single = np.flatnonzero(~multi)
-        clones.append((block, cols[block], single, kept[single] * d + cols[single]))
-    if np.bincount(ab).max() > 2:
-        raise ValueError("an (A, B) key of V holds more than two nonzeros")
-    order = np.argsort(ab, kind="stable")
-    second = np.flatnonzero(np.diff(ab[order]) == 0) + 1
-    pairs = np.stack([order[second - 1], order[second]])
-    bins = c[pairs[0]] * d + c[pairs[1]]
-    pairs, bins = pairs[:, np.argsort(bins, kind="stable")], np.sort(bins, kind="stable")
-    starts = np.flatnonzero(np.diff(bins, prepend=-1))
-    return _Plan(tuple(clones), pairs, cols[pairs], starts, bins[starts], c * d + cols)
-
-
 @functools.lru_cache(maxsize=1)
-def _plan(d: int) -> _Plan:
-    """The plan of every d-level machine; callers work one d at a time, so one plan per d is built."""
-    return _build_plan(d, *_triples(d))
+def _layout(d: int) -> tuple[np.ndarray, np.ndarray, _Plan]:
+    """Read-only ``rows`` and ``cols`` of V's 2d^2 - d nonzeros and their :class:`_Plan`, written down for d.
+
+    They depend on d alone, and callers work one d at a time, so each d's
+    layout is built once. All of it comes from one row-major enumeration of
+    the P = d(d - 1) ordered pairs (j, l) with j != l; p is a pair's rank
+    in it. Nonzero j < d is |jj>|R_j> in column j, nonzero d + p is
+    |jl>|R_l> and nonzero d + P + p is |lj>|R_l>, both in column j.
+    Clone A's block (keys (b, c) = (l, l)) holds the first off-diagonal
+    kind and clone B's (keys (a, c) = (l, l)) the second: nonzero a sits at
+    [a, a], pair (j, l) at [j, l], and row a reads input a. Each nonzero of
+    the other kind adds to the diagonal entry l from input j. In the Gram,
+    |lj>|R_l> (nonzero d + P + p) shares its (A, B) digits with |lj>|R_j>,
+    the first kind's pair (l, j); the two meet at entry (j, l) from inputs
+    (l, j). The tests hold every array to a generic derivation of the plan
+    from ``rows`` and ``cols``.
+    """
+    j, l = np.nonzero(~np.eye(d, dtype=bool))
+    diag = np.arange(d)
+    n_off = j.size
+    rank = np.arange(n_off)
+    rows = np.concatenate([diag * (d * d + d + 1), (j * d + l) * d + l, (l * d + j) * d + l])
+    cols = np.concatenate([diag, j, j])
+    swapped = l * d + j
+    clones = []
+    for start in (d, d + n_off):  # clone A's block holds the |jl>|R_l> kind, clone B's the |lj>|R_l> kind
+        block = np.empty((d, d), dtype=np.intp)
+        block[diag, diag] = diag
+        block[j, l] = start + rank
+        clones.append((block, np.repeat(diag[:, None], d, axis=1), 2 * d + n_off - start + rank, swapped))
+    pairs, pair_cols = np.stack([d + l * (d - 1) + j - (j > l), d + n_off + rank]), np.stack([l, j])
+    gram = (pairs, pair_cols, rank, j * d + l, np.concatenate([diag * (d + 1), swapped, swapped]))
+    for arr in (rows, cols, *itertools.chain(*clones), *gram):
+        arr.setflags(write=False)
+    plan = _Plan(tuple(clones), *gram)
+    return rows, cols, plan
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,7 +319,7 @@ def _simulate(machine: CloningMachine, amps) -> _Outputs:
     :class:`_Outputs`, through the plan of the machine's d.
     """
     amps = _normalized(amps, machine.d, ndim=2)
-    return _Outputs(_plan(machine.d), machine.vals, amps)
+    return _Outputs(_layout(machine.d)[2], machine.vals, amps)
 
 
 def _output_factor(machine: CloningMachine, psi) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Input-state families: phase states, symmetric pairs and mutually unbiased bases.
+"""Input-state families: phase states and mutually unbiased bases.
 
 A *phase state* of a d-level system is ``(1/sqrt(d)) * sum_j exp(i*phi_j) |j>``
 with the overall phase fixed by ``phi_0 = 0``; every amplitude has modulus
@@ -179,21 +179,6 @@ def _random_phase_vectors(d: int, seeds) -> np.ndarray:
     phases[:, 1:] = (x >> 11).astype(np.float64) * 2.0**-53 * TWO_PI
     phases.setflags(write=False)
     return phases
-
-
-def symmetric_pair(d: int, j: int, l: int) -> np.ndarray:
-    """Normalized symmetric two-qudit basis state, a read-only (d^2,) array: |jj> if j == l, else (|jl> + |lj>)/sqrt(2)."""
-    d = _integer(d, "d", 2)
-    j, l = (_integer(k, "pair index", 0, DimensionError) for k in (j, l))
-    if not (j < d and l < d):
-        raise DimensionError(f"indices ({j}, {l}) out of range for d = {d}")
-    amps = np.zeros(d * d, dtype=np.complex128)
-    if j == l:
-        amps[j * d + j] = 1.0
-    else:
-        amps[j * d + l] = amps[l * d + j] = 1.0 / math.sqrt(2.0)
-    amps.setflags(write=False)
-    return amps
 
 
 def mub_basis(d: int, l: int) -> np.ndarray:

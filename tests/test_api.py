@@ -49,7 +49,6 @@ PUBLIC = {
     "shrink_factor",
     "simulate_fidelity",
     "sweep_alpha",
-    "symmetric_pair",
     "uqcm_fidelity",
 }
 

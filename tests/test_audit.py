@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -9,7 +10,7 @@ import pytest
 import phaseclone.audit
 import phaseclone.cloner
 import phaseclone.states
-from phaseclone.audit import AuditReport, run_audit
+from phaseclone.audit import AuditReport, _swap_residual, run_audit
 from phaseclone.cli import main
 from phaseclone.cloner import (
     CloningMachine,
@@ -237,22 +238,22 @@ class TestRunAudit:
         }
 
     def test_plans_are_built_once_per_run_of_one_dimension(self, monkeypatch):
-        # every machine of one d shares the plan of its d, so a plan is built only where the d of consecutive
+        # every machine of one d shares the layout of its d, so a layout is built only where the d of consecutive
         # simulations changes: once per d of the sweep, then once per MUB dimension
         dims, builds = [], []
-        simulate, build_plan = phaseclone.audit._simulate, phaseclone.cloner._build_plan
+        simulate, layout = phaseclone.audit._simulate, phaseclone.cloner._layout
 
         def running(machine, amps):
             dims.append(machine.d)
             return simulate(machine, amps)
 
-        def building(d, rows, cols):
+        def building(d):
             builds.append(d)
-            return build_plan(d, rows, cols)
+            return layout.__wrapped__(d)
 
         monkeypatch.setattr(phaseclone.audit, "_simulate", running)
-        monkeypatch.setattr(phaseclone.cloner, "_build_plan", building)
-        phaseclone.cloner._plan.cache_clear()
+        # the builder behind a fresh cache of the module's own size
+        monkeypatch.setattr(phaseclone.cloner, "_layout", functools.lru_cache(**layout.cache_parameters())(building))
         assert run_audit(d_max=7, n_random=2, seed=0).overall
         changes = [d for previous, d in zip([None, *dims], dims) if d != previous]
         assert builds == changes == [2, 3, 4, 5, 6, 7, 3, 5, 7]
@@ -461,3 +462,57 @@ class TestCovarianceStructure:
         red_pi = reduced_clone(clone_state(machine, phase_state([0.0, math.pi])))
         assert red_pi.mat[0, 1] == pytest.approx(-red0.mat[0, 1], abs=1e-15)
         np.testing.assert_allclose(np.diag(red_pi.mat), np.diag(red0.mat), atol=1e-15)
+
+
+class TestCloneSwapSymmetry:
+    """The ``symmetric_pair_swap`` row: V[(a, b, c), j] == V[(b, a, c), j] for every nonzero of every machine."""
+
+    def test_every_machine_is_exactly_symmetric(self):
+        rng = np.random.default_rng(7)
+        for d in range(2, 65):
+            splits = [optimal_params(d), (1.0, 0.0), (0.0, 1.0)]
+            splits += [phaseclone.audit._random_split(rng) for _ in range(3)]
+            machines = [build_machine(d, *split) for split in splits]
+            vals = np.stack([m.vals for m in machines])
+            assert _swap_residual(d, machines[0].rows, machines[0].cols, vals) == 0.0
+
+    def test_one_asymmetric_value_fails_the_check(self):
+        # scaling the |jl>|R_l> nonzero of the first pair (j, l) = (0, 1) leaves its partner |lj>|R_l> behind
+        d = 5
+        machine = build_machine(d, *optimal_params(d))
+        vals = machine.vals.copy()
+        vals[d] *= 1.5
+        residual = _swap_residual(d, machine.rows, machine.cols, np.stack([machine.vals, vals]))
+        assert residual == pytest.approx(0.5 * machine.vals[d], abs=1e-15)
+        assert residual >= phaseclone.audit.CHECKS["symmetric_pair_swap"]
+
+    def test_a_nonzero_without_a_partner_counts_against_zero(self):
+        # moving |01>|R_1> of column 0 to |01>|R_0> of column 0, where V has no nonzero, leaves it and |10>|R_1> unpaired
+        d = 3
+        machine = build_machine(d, *optimal_params(d))
+        rows = machine.rows.copy()
+        rows[d] -= 1
+        assert _swap_residual(d, rows, machine.cols, machine.vals) == machine.vals[d]
+
+    def test_a_nan_value_fails_the_check(self):
+        machine = build_machine(4, *optimal_params(4))
+        vals = machine.vals.copy()
+        vals[0] = math.nan
+        assert math.isnan(_swap_residual(4, machine.rows, machine.cols, vals))
+
+    def test_an_asymmetric_machine_fails_the_audit_row(self, monkeypatch):
+        build = phaseclone.audit.build_machine
+
+        def lopsided(d, *split):
+            machine = build(d, *split)
+            if d == 4:
+                vals = machine.vals.copy()
+                vals[d] *= 1.5
+                object.__setattr__(machine, "vals", vals)
+            return machine
+
+        monkeypatch.setattr(phaseclone.audit, "build_machine", lopsided)
+        report = run_audit(d_max=5, n_random=1, seed=0)
+        swap = next(c for c in report.checks if c.name == "symmetric_pair_swap")
+        assert not swap.passed
+        assert swap.residual > 0.1 / math.sqrt(6.0)

@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -300,3 +303,12 @@ def test_documented_usage_parses(line):
     argv = shlex.split(line.replace("[", "").replace("]", ""))[1:]
     args = build_parser().parse_args(argv)
     assert args.command == argv[0]
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy.random costs about 13 ms on first use; only a command that draws should pay it, not the import
+    src = str(Path(phaseclone.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, phaseclone.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

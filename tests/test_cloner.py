@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -13,7 +14,7 @@ from phaseclone.cloner import (
     CloningMachine,
     FidelityReport,
     VerificationError,
-    _build_plan,
+    _layout,
     _output_factor,
     _simulate,
     build_machine,
@@ -38,6 +39,7 @@ from phaseclone.linalg import (
 )
 from phaseclone.optimize import maximize_fidelity, sweep_alpha
 from phaseclone.states import phase_state, random_phase_vector
+from plan_oracle import build_plan
 
 INV_SQRT2 = 0.7071067811865476
 INV_SQRT8 = 0.35355339059327373
@@ -474,22 +476,6 @@ class TestSimulate:
             for got, want in zip((out.clone(0), out.clone(1), gram, gram_trace(gram)), reference):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
-    def test_plan_builder_refuses_a_row_with_two_nonzeros(self):
-        machine = build_machine(3, *optimal_params(3))
-        rows = machine.rows.copy()
-        rows[-1] = rows[0]
-        object.__setattr__(machine, "rows", rows)
-        with pytest.raises(ValueError, match="more than one nonzero"):
-            _build_plan(3, machine.rows, machine.cols)
-
-    def test_plan_builder_refuses_a_clone_block_with_a_gap(self):
-        # moving |00>|R_0> to the free row |00>|R_1> leaves clone A's block column (0, 0) one nonzero short
-        machine = build_machine(3, *optimal_params(3))
-        rows = machine.rows.copy()
-        rows[0] = 1
-        with pytest.raises(ValueError, match="clone A do not form a full block"):
-            _build_plan(3, rows, machine.cols)
-
     def test_rejects_a_stack_of_the_wrong_width_or_norm(self):
         machine = build_machine(3, *optimal_params(3))
         with pytest.raises(DimensionError):
@@ -509,6 +495,47 @@ class TestSimulate:
         report, peak = traced_peak_bytes(lambda: run_audit(12, 20, 1))
         assert report.overall
         assert peak < 2.5e6
+
+
+def plan_arrays(plan):
+    """Every array of a plan, in field order: each clone's four, then the Gram's five."""
+    gram = (plan.pairs, plan.pair_cols, plan.pair_starts, plan.pair_bins, plan.diag_bins)
+    return [*itertools.chain(*plan.clones), *gram]
+
+
+class TestLayout:
+    """Each d's index layout and plan, written down from its enumeration, against the oracle's generic derivation."""
+
+    @pytest.mark.parametrize("d", range(2, 65))
+    def test_matches_the_generic_derivation_array_by_array(self, d):
+        rows, cols, plan = _layout(d)
+        for k, (got, want) in enumerate(zip(plan_arrays(plan), plan_arrays(build_plan(d, rows, cols)), strict=True)):
+            assert got.dtype == want.dtype, k
+            np.testing.assert_array_equal(got, want, err_msg=f"plan array {k}")
+
+    def test_every_returned_array_is_read_only(self):
+        # the layout is cached and shared by every machine of its d, so one stray write would corrupt them all
+        rows, cols, plan = _layout(4)
+        for k, arr in enumerate([rows, cols, *plan_arrays(plan)]):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 0
+            assert not arr.flags.writeable, k
+
+    def test_plan_builder_refuses_a_row_with_two_nonzeros(self):
+        machine = build_machine(3, *optimal_params(3))
+        rows = machine.rows.copy()
+        rows[-1] = rows[0]
+        object.__setattr__(machine, "rows", rows)
+        with pytest.raises(ValueError, match="more than one nonzero"):
+            build_plan(3, machine.rows, machine.cols)
+
+    def test_plan_builder_refuses_a_clone_block_with_a_gap(self):
+        # moving |00>|R_0> to the free row |00>|R_1> leaves clone A's block column (0, 0) one nonzero short
+        machine = build_machine(3, *optimal_params(3))
+        rows = machine.rows.copy()
+        rows[0] = 1
+        with pytest.raises(ValueError, match="clone A do not form a full block"):
+            build_plan(3, rows, machine.cols)
 
 
 class TestReducedClone:

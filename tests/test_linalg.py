@@ -17,7 +17,7 @@ from phaseclone.linalg import (
     partial_trace,
 )
 from phaseclone.optimize import sweep_alpha
-from phaseclone.states import mub_basis, random_phase_vector, symmetric_pair
+from phaseclone.states import mub_basis, random_phase_vector
 
 INV_SQRT8 = 0.35355339059327373  # sqrt(1/8)
 
@@ -30,13 +30,10 @@ INTEGER_ARGUMENTS = {
     "run_audit seed": (lambda v: run_audit(3, 1, v), 0),
     "mub_basis d": (lambda v: mub_basis(v, 0), 2),
     "mub_basis l": (lambda v: mub_basis(5, v), 0),
-    "symmetric_pair d": (lambda v: symmetric_pair(v, 0, 0), 2),
     "sweep_alpha n_points": (lambda v: sweep_alpha(3, v), 3),
     # factor dimensions and indices raise DimensionError, a ValueError
     "DensityMatrix dims": (lambda v: DensityMatrix((v,), np.eye(2)), 2),
     "partial_trace keep": (lambda v: partial_trace(DensityMatrix((2, 2), np.eye(4) / 4), keep=(v,)), 0),
-    "symmetric_pair j": (lambda v: symmetric_pair(3, v, 1), 0),
-    "symmetric_pair l": (lambda v: symmetric_pair(3, 1, v), 0),
 }
 
 

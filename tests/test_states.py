@@ -14,7 +14,6 @@ from phaseclone.states import (
     mub_basis,
     phase_state,
     random_phase_vector,
-    symmetric_pair,
     unbiasedness_residual,
 )
 
@@ -151,44 +150,12 @@ class TestRandomPhaseVectors:
             _random_phase_vectors(1, [0])
 
 
-class TestSymmetricPair:
-    def test_equal_indices_give_product_state(self):
-        psi = symmetric_pair(2, 0, 0)
-        np.testing.assert_array_equal(psi, np.array([1, 0, 0, 0], dtype=complex))
-
-    def test_distinct_indices_give_symmetric_superposition(self):
-        psi = symmetric_pair(2, 0, 1)
-        expected = np.array([0, 1, 1, 0]) / math.sqrt(2)
-        np.testing.assert_allclose(psi, expected, atol=1e-15)
-
-    def test_symmetric_in_arguments(self):
-        np.testing.assert_array_equal(symmetric_pair(3, 2, 1), symmetric_pair(3, 1, 2))
-
-    def test_swap_of_factors_is_exact_identity(self):
-        for d in (2, 3, 5):
-            for j in range(d):
-                for l in range(d):
-                    amps = symmetric_pair(d, j, l)
-                    swapped = amps.reshape(d, d).T.reshape(-1)
-                    np.testing.assert_array_equal(amps, swapped)
-
-    def test_normalized(self):
-        for j, l in [(0, 0), (0, 2), (3, 1)]:
-            amps = symmetric_pair(4, j, l)
-            assert abs(np.vdot(amps, amps) - 1.0) <= EQ_TOL
-
-    def test_index_out_of_range(self):
-        with pytest.raises(DimensionError):
-            symmetric_pair(2, 0, 2)
-
-
 def test_states_are_read_only_arrays():
     # a state is shared by reference (the audit reuses each stack across its checks), so none may be written
     states = {
         "phase_state": phase_state(random_phase_vector(3, 0)),
         "phase_state stack": phase_state(np.zeros((2, 3))),
         "random_phase_vector": random_phase_vector(3, 0),
-        "symmetric_pair": symmetric_pair(3, 0, 1),
     }
     for name, arr in states.items():
         with pytest.raises(ValueError, match="read-only"):
