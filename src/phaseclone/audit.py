@@ -25,10 +25,12 @@ draw: all of one d's phase vectors, machine by machine in sub-seed order,
 come from one call of the batch route of :mod:`phaseclone.states`, whose
 rows are bit-identical to one ``random_phase_vector`` call per sub-seed,
 and one call of ``phase_state`` per machine turns its rows into its stack
-of states. On a 2-core machine with numpy 2.4, ``verify --trials 20``
-takes 0.24 s at d_max 12 (``cli.main`` wall time, median of 10 benchmark
-runs, 38.6 MB of RSS) and 13-14 s at d_max 64 (in-process, two runs,
-65 MB of RSS).
+of states. The run's random splits come from one call of the stream
+route, whose doubles are those of numpy's ``Generator(PCG64(seed))``, in
+the order in which ``uniform(0, pi/2)`` would draw them. On a 2-core
+machine with numpy 2.4, ``verify --trials 20`` takes 0.24 s at d_max 12
+(``cli.main`` wall time, median of 8 benchmark runs, 36.1 MB of RSS) and
+12-14 s at d_max 64 (in-process, two runs, 58 MB of RSS).
 
 MUB checks cover every odd prime d <= d_max; :func:`mub_rows` is also what
 ``phaseclone mub`` prints.
@@ -56,6 +58,7 @@ from .linalg import EQ_TOL, PSD_TOL, _integer, frobenius_distance
 from .optimize import optimum_residual, sweep_alpha
 from .states import (
     _random_phase_vectors,
+    _uniforms,
     gram_residual,
     is_prime,
     mub_basis,
@@ -131,11 +134,6 @@ class AuditReport:
         ]
 
 
-def _random_split(rng: np.random.Generator) -> tuple[float, float]:
-    theta = rng.uniform(0.0, math.pi / 2.0)
-    return math.cos(theta), math.sin(theta)
-
-
 def _swap_residual(d: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> float:
     """Worst ``|V[(a, b, c), j] - V[(b, a, c), j]|`` over the nonzeros at ``rows``/``cols`` of every V whose values are a row of ``vals``.
 
@@ -192,19 +190,20 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
     d_max, n_random = _integer(d_max, "d_max", 2), _integer(n_random, "n_random", 1)
     seed = _integer(seed, "seed", 0)
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    first = seed * 1_000_003 + 1  # the sub-seed of the first phase draw; each later draw takes the next one
     dims = range(2, d_max + 1)
+    # each d's n_random split angles, uniform on [0, pi/2) as numpy's uniform(0, pi/2) scales the seed's stream
+    angles = _uniforms([seed], len(dims) * n_random).reshape(len(dims), n_random) * (math.pi / 2.0)
+    first = seed * 1_000_003 + 1  # the sub-seed of the first phase draw; each later draw takes the next one
     n = max(2, n_random)
     worst = dict.fromkeys(CHECKS, 0.0)
 
     def note(name: str, *residuals: float) -> None:
         worst[name] = max(worst[name], *residuals, key=_nan_wins)
 
-    for d in dims:
+    for d, thetas in zip(dims, angles):
         # the optimum plus n_random points on the parameter circle
         machines = [build_machine(d, *optimal_params(d))]
-        machines += [build_machine(d, *_random_split(rng)) for _ in range(n_random)]
+        machines += [build_machine(d, math.cos(theta), math.sin(theta)) for theta in thetas.tolist()]
 
         # V^dag V = I (the corrupted machine, when injected, must trip this)
         note("isometry_unitarity", *(machine.unitarity_residual() for machine in machines))

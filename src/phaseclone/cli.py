@@ -26,9 +26,9 @@ import math
 import sys
 
 from .audit import CHECKS, mub_rows, mub_worst, run_audit
-from .cloner import VerificationError, fidelity_report
+from .cloner import VerificationError, _fidelity_row, build_machine, optimal_params
 from .optimize import sweep_alpha
-from .states import is_prime
+from .states import _random_phase_vectors, is_prime
 
 SCHEMA_VERSION = 1
 MAX_D = 64
@@ -74,12 +74,16 @@ def cmd_table(d_min: int, d_max: int, seed: int = 0) -> tuple[int, dict]:
     the machine before it is emitted (FidelityReport refuses rows where the
     closed form and the simulation disagree); such a row raises
     VerificationError naming its d, and the CLI exits 1 without output.
-    Bad arguments raise ValueError, as they do in the library.
+    Row d simulates the first d phases of one draw of d_max phases, which
+    are ``random_phase_vector(d, seed)``, so each row is the one
+    ``fidelity_report(d, phase_seed=seed)`` gives. Bad arguments raise
+    ValueError, as they do in the library.
     """
+    phases = _random_phase_vectors(d_max, [seed])[0]
     rows = []
     for d in range(d_min, d_max + 1):
         try:
-            rep = fidelity_report(d, phase_seed=seed)
+            rep = _fidelity_row(build_machine(d, *optimal_params(d)), phases[:d], seed)
         except VerificationError as exc:
             raise VerificationError(f"verification failed at d={d}: {exc}") from None
         rows.append({"d": d, "alpha": rep.alpha, "beta": rep.beta, "f_optimal": rep.f_closed,

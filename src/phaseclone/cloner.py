@@ -432,15 +432,19 @@ def fidelity_report(
         raise ValueError("give both alpha and beta, or neither")
     if alpha is None:
         alpha, beta = optimal_params(d)
-    machine = build_machine(d, alpha, beta)
-    psi = phase_state(random_phase_vector(d, phase_seed))
+    return _fidelity_row(build_machine(d, alpha, beta), random_phase_vector(d, phase_seed), phase_seed)
+
+
+def _fidelity_row(machine: CloningMachine, phases, phase_seed: int) -> FidelityReport:
+    """Package-private: the verified row of ``machine``, simulated on the phase state of ``phases``, drawn with ``phase_seed``."""
+    d, alpha, beta = machine.d, machine.alpha, machine.beta
     return FidelityReport(
         d=d,
-        alpha=machine.alpha,
-        beta=machine.beta,
-        f_closed=fidelity_closed_form(d, machine.alpha, machine.beta),
-        f_simulated=simulate_fidelity(machine, psi),
+        alpha=alpha,
+        beta=beta,
+        f_closed=fidelity_closed_form(d, alpha, beta),
+        f_simulated=simulate_fidelity(machine, phase_state(phases)),
         f_uqcm=uqcm_fidelity(d),
-        eta=shrink_factor(d, machine.alpha, machine.beta),
+        eta=shrink_factor(d, alpha, beta),
         phase_seed=phase_seed,
     )

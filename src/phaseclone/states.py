@@ -10,15 +10,18 @@ Every state and phase vector here is a plain read-only numpy array: (d,)
 for one, (n, d) for a stack of n, one per row. Phases are float64 and
 amplitudes complex128.
 
-Seeded phase vectors come by two routes. :func:`random_phase_vector` draws
-one through numpy's ``Generator(PCG64(seed))``. The package-private
-:func:`_random_phase_vectors` draws a whole batch of seeds at once, as the
-audit does for each d: numpy documents PCG64's stream, its SeedSequence
-seeding included, as stable across releases, so the batch re-runs those
-integer steps in vectorized numpy and each of its rows is bit-identical
-to the one-draw route for that seed. The one-draw route stays the public
-one, and the reference the batch is tested against; it is also the
-cheaper one for a single draw.
+Seeded values come by two routes. The package-private stream route,
+:func:`_uniforms`, computes numpy's ``Generator(PCG64(seed)).random()``
+doubles for a whole batch of seeds at once: numpy documents PCG64's
+stream, its SeedSequence seeding included, as stable across releases, so
+it re-runs those integer steps in vectorized numpy, bit for bit, and never
+imports ``numpy.random``. It serves every draw of the command line: the
+audit's splits and phase vectors (:func:`_random_phase_vectors`, a batch
+of them) and the phase vectors of ``table``'s rows, prefixes of one draw.
+The public one-draw route, :func:`random_phase_vector`, goes through
+numpy's ``Generator``; once ``numpy.random`` is loaded it is the cheaper
+one for a single draw, and it is the reference the stream route is tested
+against.
 """
 
 from __future__ import annotations
@@ -152,31 +155,42 @@ def _seed_states(seeds: list[int]) -> list[np.ndarray]:
     return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
 
 
-def _random_phase_vectors(d: int, seeds) -> np.ndarray:
-    """Package-private: ``random_phase_vector(d, seed)`` for every seed at once, bit for bit; a read-only (n, d) array.
+def _uniforms(seeds, count: int) -> np.ndarray:
+    """Package-private: the first ``count`` doubles of ``Generator(PCG64(seed)).random()`` for every seed, bit for bit; an (n, count) array.
 
     numpy documents the PCG64 stream, its seeding included, as stable, so
     this re-runs numpy's steps, vectorized over the seeds: the SeedSequence
     hash on uint32 words gives each seed a 128-bit s and seq; PCG64 seeds
     its LCG state to M (s + inc) + inc, with inc = 2 seq + 1 and M the
-    multiplier; draw k = 1..d-1 outputs the state k steps later,
+    multiplier; draw k = 1..count outputs the state k steps later,
     ``M^(k+1) s + (1 + M + ... + M^(k+1)) inc``. So every draw of every seed
     is one jump, in 128-bit arithmetic on (hi, lo) uint64 limbs, and the
-    XSL-RR output x of the state gives the phase ``(x >> 11) * 2^-53 * 2*pi``.
+    XSL-RR output x of the state gives the double ``(x >> 11) * 2^-53``.
     """
-    d = _integer(d, "d", 2)
     seeds = [_integer(seed, "seed", 0) for seed in seeds]
     s_hi, s_lo, seq_hi, seq_lo = (words[:, None] for words in _seed_states(seeds))
     inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
-    powers = [pow(_PCG_MULT, k, 1 << 128) for k in range(d + 1)]  # M^0..M^d
+    steps = itertools.repeat(_PCG_MULT, count + 1)
+    powers = list(itertools.accumulate(steps, lambda p, m: p * m % (1 << 128), initial=1))  # M^0..M^(count+1)
     a = _mul128((s_hi, s_lo), _limbs(powers[2:]))
     b = _mul128(inc, _limbs(list(itertools.accumulate(powers))[2:]))
     lo = a[1] + b[1]
     hi = a[0] + b[0] + (lo < b[1])
     x, rot = hi ^ lo, hi >> 58
     x = x >> rot | x << (64 - rot & 63)
-    phases = np.zeros((len(seeds), d))
-    phases[:, 1:] = (x >> 11).astype(np.float64) * 2.0**-53 * TWO_PI
+    return (x >> 11).astype(np.float64) * 2.0**-53
+
+
+def _random_phase_vectors(d: int, seeds) -> np.ndarray:
+    """Package-private: ``random_phase_vector(d, seed)`` for every seed at once, bit for bit; a read-only (n, d) array.
+
+    Row i is a zero phase, then seed i's first d - 1 :func:`_uniforms` times 2*pi, as ``uniform(0, 2*pi)``
+    scales them; so the first d' phases of a row are its seed's (d',) phase vector.
+    """
+    d = _integer(d, "d", 2)
+    uniforms = _uniforms(seeds, d - 1)
+    phases = np.zeros((len(uniforms), d))
+    phases[:, 1:] = uniforms * TWO_PI
     phases.setflags(write=False)
     return phases
 

@@ -38,16 +38,22 @@ EQ_CHECKS = {
 }
 
 
+def numpy_split(rng: np.random.Generator) -> tuple[float, float]:
+    """One random split (cos theta, sin theta), theta drawn by numpy's own ``uniform(0, pi/2)``."""
+    theta = rng.uniform(0.0, math.pi / 2.0)
+    return math.cos(theta), math.sin(theta)
+
+
 def per_draw_residuals(d_max: int, n_random: int, seed: int) -> dict[str, float]:
     """The sweep's residuals computed one draw at a time, as the audit did before its checks ran over stacks.
 
     Kept as the reference for the stacked sweep: same machine grid, same sub-seeds, same draw order, and
-    the same simulation route, run on a stack of one draw at a time.
+    the same simulation route, run on a stack of one draw at a time. Its splits and phase vectors come from
+    numpy's sequential generator, so it also holds the audit's in-package stream to numpy's, bit for bit.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     grids = {
-        d: [build_machine(d, *optimal_params(d))]
-        + [build_machine(d, *phaseclone.audit._random_split(rng)) for _ in range(n_random)]
+        d: [build_machine(d, *optimal_params(d))] + [build_machine(d, *numpy_split(rng)) for _ in range(n_random)]
         for d in range(2, d_max + 1)
     }
     seeds = itertools.count(seed * 1_000_003 + 1)
@@ -471,7 +477,7 @@ class TestCloneSwapSymmetry:
         rng = np.random.default_rng(7)
         for d in range(2, 65):
             splits = [optimal_params(d), (1.0, 0.0), (0.0, 1.0)]
-            splits += [phaseclone.audit._random_split(rng) for _ in range(3)]
+            splits += [numpy_split(rng) for _ in range(3)]
             machines = [build_machine(d, *split) for split in splits]
             vals = np.stack([m.vals for m in machines])
             assert _swap_residual(d, machines[0].rows, machines[0].cols, vals) == 0.0

@@ -12,7 +12,7 @@ import pytest
 import phaseclone.cli
 import phaseclone.cloner
 from phaseclone.cli import build_parser, cmd_table, main
-from phaseclone.cloner import optimal_fidelity, optimal_params
+from phaseclone.cloner import fidelity_report, optimal_fidelity, optimal_params
 
 INV_SQRT2 = 0.7071067811865476
 OPT4 = 0.7057189138830738
@@ -90,6 +90,23 @@ class TestTable:
         with pytest.raises(ValueError, match="seed must be >= 0 and an integer, got -5"):
             cmd_table(2, 3, seed=-5)
         assert "verification failed" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**128])
+    def test_rows_are_the_fidelity_reports_float_for_float(self, monkeypatch, seed):
+        # one draw of 64 phases serves every row; each row's report, its simulated fidelity too, is the one
+        # fidelity_report builds from its own random_phase_vector(d, seed)
+        reports, build_row = [], phaseclone.cli._fidelity_row
+
+        def recording(*args):
+            reports.append(build_row(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(phaseclone.cli, "_fidelity_row", recording)
+        code, doc = cmd_table(2, 64, seed)
+        expected = [fidelity_report(d, phase_seed=seed) for d in range(2, 65)]
+        assert code == 0 and reports == expected
+        assert doc["rows"] == [{"d": rep.d, "alpha": rep.alpha, "beta": rep.beta, "f_optimal": rep.f_closed,
+                                "f_uqcm": rep.f_uqcm, "eta": rep.eta} for rep in expected]
 
     def test_disagreeing_simulation_exits_1(self, capsys, monkeypatch):
         simulate = phaseclone.cloner.simulate_fidelity
@@ -305,10 +322,30 @@ def test_documented_usage_parses(line):
     assert args.command == argv[0]
 
 
-def test_importing_the_cli_leaves_numpy_random_unloaded():
-    # numpy.random costs about 13 ms on first use; only a command that draws should pay it, not the import
+def run_fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter on these sources, with ``argv`` as its arguments."""
     src = str(Path(phaseclone.cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, phaseclone.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+
+
+LOADED_NUMPY_RANDOM = "sorted(m for m in sys.modules if m.startswith('numpy.random'))"
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy.random costs about 10 ms on first use, and no command draws through it, so the import must not pay it
+    result = run_fresh(f"import sys, phaseclone.cli; print({LOADED_NUMPY_RANDOM})")
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    "table --d-min 2 --d-max 64",
+    "verify --d-max 5 --trials 2",
+    "mub --d 5",
+    "sweep --d 3",
+])
+def test_no_command_imports_numpy_random(argv):
+    # every seeded value a command uses comes from the in-package PCG64 stream of phaseclone.states
+    run = "assert phaseclone.cli.main(sys.argv[1:]) == 0"
+    result = run_fresh(f"import sys, phaseclone.cli; {run}; print({LOADED_NUMPY_RANDOM}, file=sys.stderr)", *argv.split())
+    assert result.stdout and result.stderr.strip() == "[]"

@@ -9,6 +9,7 @@ from phaseclone.linalg import EQ_TOL, DimensionError
 from phaseclone.states import (
     UnsupportedDimensionError,
     _random_phase_vectors,
+    _uniforms,
     gram_residual,
     is_prime,
     mub_basis,
@@ -148,6 +149,25 @@ class TestRandomPhaseVectors:
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError, match="d must be >= 2"):
             _random_phase_vectors(1, [0])
+
+
+class TestUniforms:
+    @pytest.mark.parametrize("seed", WORD_BOUNDARY_SEEDS)
+    def test_is_numpys_sequential_stream_bit_for_bit(self, seed):
+        # 6300 = 63 dimensions x 100 trials, the most split angles verify draws from one seed
+        uniforms = _uniforms([seed], 6300)
+        assert uniforms.shape == (1, 6300) and uniforms.dtype == np.float64
+        rng = np.random.Generator(np.random.PCG64(seed))
+        assert (uniforms[0] == [rng.random() for _ in range(6300)]).all()
+        rng = np.random.Generator(np.random.PCG64(seed))
+        assert (uniforms[0] * (math.pi / 2.0) == [rng.uniform(0.0, math.pi / 2.0) for _ in range(6300)]).all()
+
+    @pytest.mark.parametrize("seed", WORD_BOUNDARY_SEEDS)
+    def test_phase_vectors_are_prefixes_of_one_draw(self, seed):
+        # what lets table draw 64 phases once and give row d its first d
+        longest = _random_phase_vectors(64, [seed])[0]
+        for d in range(2, 65):
+            assert (longest[:d] == random_phase_vector(d, seed)).all()
 
 
 def test_states_are_read_only_arrays():
