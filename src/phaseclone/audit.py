@@ -27,18 +27,21 @@ rows are bit-identical to one ``random_phase_vector`` call per sub-seed,
 and one call of ``phase_state`` per machine turns its rows into its stack
 of states. The run's random splits come from one call of the stream
 route, whose doubles are those of numpy's ``Generator(PCG64(seed))``, in
-the order in which ``uniform(0, pi/2)`` would draw them. On a 2-core
-machine with numpy 2.4, ``verify --trials 20`` takes 0.24 s at d_max 12
-(``cli.main`` wall time, median of 8 benchmark runs, 36.1 MB of RSS) and
-12-14 s at d_max 64 (in-process, two runs, 58 MB of RSS).
+the order in which ``uniform(0, pi/2)`` would draw them. On a shared
+2-core machine with numpy 2.4, ``verify --trials 20`` takes 0.20-0.25 s
+at d_max 12 (``cli.main`` wall time, 4 benchmark runs, 36.1 MB of RSS)
+and 16-20 s at d_max 64 (in-process, three runs, 61 MB of RSS); at d_max
+64 ``--trials 2`` takes 1.3-2.4 s (14 in-process runs, 47 MB), of which
+the MUB rows of the 17 odd primes are 0.9-1.0 s.
 
 MUB checks cover every odd prime d <= d_max; :func:`mub_rows` is also what
-``phaseclone mub`` prints.
+``phaseclone mub`` prints. Each prime's bases are built, checked and
+simulated as whole arrays: one stacked construction of its d bases, d
+unbiasedness products and d simulations.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -57,11 +60,12 @@ from .cloner import (
 from .linalg import EQ_TOL, PSD_TOL, _integer, frobenius_distance
 from .optimize import optimum_residual, sweep_alpha
 from .states import (
+    _mub_amps,
     _random_phase_vectors,
+    _require_odd_prime,
     _uniforms,
     gram_residual,
     is_prime,
-    mub_basis,
     phase_state,
     unbiasedness_residual,
 )
@@ -155,17 +159,23 @@ def _swap_residual(d: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray)
 def mub_rows(d: int) -> list[dict]:
     """Rows ``kind,i,j,value`` for the d mutually unbiased bases of odd prime d plus the standard one.
 
-    One orthonormality residual per basis, one unbiasedness residual per
-    basis pair (the standard basis is labelled ``std``), then the simulated
-    fidelity of every MUB state under the optimal machine, simulated one
-    basis (a stack of d states) at a time.
+    The d bases come from one stacked construction. One orthonormality
+    residual per basis, one unbiasedness residual per basis pair (the
+    standard basis is labelled ``std``), each basis's against all later
+    ones in one product (d products in all), then the simulated fidelity
+    of every MUB state under the optimal machine, simulated one basis (a
+    stack of d states) at a time.
     """
-    bases = [(str(l), mub_basis(d, l)) for l in range(d)] + [("std", np.eye(d, dtype=np.complex128))]
-    rows = [{"kind": "orthonormality", "i": i, "j": i, "value": gram_residual(b)} for i, b in bases]
-    for (i, a), (j, b) in itertools.combinations(bases, 2):
-        rows.append({"kind": "unbiasedness", "i": i, "j": j, "value": unbiasedness_residual(a, b)})
+    d = _integer(d, "d", 2)
+    _require_odd_prime(d)
+    labels = [str(l) for l in range(d)] + ["std"]
+    bases = np.concatenate([_mub_amps(d, np.arange(d)[:, None, None]), np.eye(d, dtype=np.complex128)[None]])
+    rows = [{"kind": "orthonormality", "i": i, "j": i, "value": gram_residual(b)} for i, b in zip(labels, bases)]
+    for i in range(d):
+        values = unbiasedness_residual(bases[i], bases[i + 1 :]).tolist()
+        rows += [{"kind": "unbiasedness", "i": labels[i], "j": j, "value": v} for j, v in zip(labels[i + 1 :], values)]
     machine = build_machine(d, *optimal_params(d))
-    for l, basis in bases[:-1]:
+    for l, basis in zip(labels, bases[:-1]):
         fidelities = _simulate(machine, basis).fidelity()
         rows += [{"kind": "fidelity", "i": l, "j": str(t), "value": float(f)} for t, f in enumerate(fidelities)]
     return rows

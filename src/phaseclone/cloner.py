@@ -200,11 +200,11 @@ class _Plan:
     products of the amplitudes that share its traced digits (its key):
 
     - ``clones[i]`` serves clone i's reduction X X^dag. The keys hit by
-      several nonzeros form a full (d, m) block, so ``block`` (the nonzero
-      at [kept digit, key rank]) and ``block_cols`` (its input column) make
-      it one ordered gather. A key hit once adds |amplitude|^2 to one
-      diagonal entry: ``single`` lists those nonzeros and ``single_bins``
-      their ``kept * d + col``.
+      several nonzeros form a full (d, m) block: ``block`` holds the
+      nonzero at [kept digit, key rank], and row a of the block reads input
+      a, so X is ``psi[:, None] * vals[block]``, one broadcast product. A
+      key hit once adds |amplitude|^2 to one diagonal entry: ``single``
+      lists those nonzeros and ``single_bins`` their ``kept * d + col``.
     - The ancilla Gram M^dag M sums over (a, b), whose keys hold one or two
       nonzeros. The two of a pair meet at Gram entry (c_p, c_q) off the
       diagonal. ``pairs`` (2, n_pairs) holds their indices and ``pair_cols``
@@ -214,7 +214,7 @@ class _Plan:
       c, at ``diag_bins`` = ``c * d + col``.
     """
 
-    clones: tuple  # per clone: (block, block_cols, single, single_bins)
+    clones: tuple  # per clone: (block, single, single_bins)
     pairs: np.ndarray
     pair_cols: np.ndarray
     pair_starts: np.ndarray
@@ -252,7 +252,7 @@ def _layout(d: int) -> tuple[np.ndarray, np.ndarray, _Plan]:
         block = np.empty((d, d), dtype=np.intp)
         block[diag, diag] = diag
         block[j, l] = start + rank
-        clones.append((block, np.repeat(diag[:, None], d, axis=1), 2 * d + n_off - start + rank, swapped))
+        clones.append((block, 2 * d + n_off - start + rank, swapped))
     pairs, pair_cols = np.stack([d + l * (d - 1) + j - (j > l), d + n_off + rank]), np.stack([l, j])
     gram = (pairs, pair_cols, rank, j * d + l, np.concatenate([diag * (d + 1), swapped, swapped]))
     for arr in (rows, cols, *itertools.chain(*clones), *gram):
@@ -282,8 +282,11 @@ class _Outputs:
 
     def _clone_parts(self, clone: int) -> tuple[np.ndarray, np.ndarray]:
         """Clone ``clone``'s block X (n, d, m) and diagonal D (n, d): its reduction is X X^dag + diag(D)."""
-        block, block_cols, single, single_bins = self.plan.clones[clone]
-        return self.amps[:, block_cols] * self.vals[block], self._diag(single_bins, self.vals[single])
+        block, single, single_bins = self.plan.clones[clone]
+        # X is written (d, m, n) and viewed as (n, d, m), the gather amps[:, cols[block]]'s memory order; a C-contiguous X
+        # would round fidelity()'s proj differently
+        x = np.multiply(self.amps.T[:, None, :], self.vals[block][:, :, None], order="C").transpose(2, 0, 1)
+        return x, self._diag(single_bins, self.vals[single])
 
     def clone(self, clone: int = 0) -> np.ndarray:
         """(n, d, d) reductions of clone A (``clone=0``) or B (``clone=1``)."""

@@ -208,18 +208,28 @@ def mub_basis(d: int, l: int) -> np.ndarray:
     _require_odd_prime(d)
     if l >= d:
         raise ValueError(f"basis label must lie in 0..{d - 1}, got {l}")
-    t, j = np.ogrid[:d, :d]
-    s = (d * (d - 1) - j * (j - 1)) // 2
-    amps = np.exp(2j * math.pi / d) ** ((t * (d - j) - l * s) % d) / math.sqrt(d)
+    amps = _mub_amps(d, l)
     amps.setflags(write=False)
     return amps
 
 
-def _states(a) -> np.ndarray:
-    """The rows of a nonempty 2-d array, one state per row; any other shape raises."""
+def _mub_amps(d: int, l) -> np.ndarray:
+    """Package-private, unchecked: :func:`mub_basis`'s amplitudes for a label l, or a (k, d, d) stack for a (k, 1, 1) label array.
+
+    Every amplitude is gathered from one table of ``omega^e / sqrt(d)``, e = 0..d-1,
+    the same power and divide per element as one basis at a time, so the values are bit-identical.
+    """
+    t, j = np.ogrid[:d, :d]
+    s = (d * (d - 1) - j * (j - 1)) // 2
+    roots = np.exp(2j * math.pi / d) ** np.arange(d) / math.sqrt(d)
+    return roots[(t * (d - j) - l * s) % d]
+
+
+def _states(a, stack: bool = False) -> np.ndarray:
+    """The rows of a nonempty 2-d array, one state per row, or with ``stack`` also a 3-d stack of them; any other shape raises."""
     a = np.asarray(a)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a (k, d) array of states, got shape {a.shape}")
+    if a.ndim != 2 and not (stack and a.ndim == 3):
+        raise DimensionError(f"expected a (k, d) array of states{' or a stack of them' * stack}, got shape {a.shape}")
     if not a.size:
         raise ValueError("bases must be nonempty")
     return a
@@ -231,11 +241,19 @@ def gram_residual(a) -> float:
     return float(np.abs(a.conj() @ a.T - np.eye(len(a))).max())
 
 
-def unbiasedness_residual(a, b) -> float:
-    """Worst ``| |<a|b>|^2 - 1/d |`` over all cross pairs of two nonempty (k, d) arrays of states of one width d."""
-    a, b = _states(a), _states(b)
+def unbiasedness_residual(a, b) -> float | np.ndarray:
+    """Worst ``| |<a|b>|^2 - 1/d |`` over all cross pairs of two nonempty (k, d) arrays of states of one width d.
+
+    ``b`` may also be a (k, m, d) stack of such arrays; then the result is a
+    (k,) array whose entry i is exactly ``unbiasedness_residual(a, b[i])``,
+    from one stacked product reduced in place.
+    """
+    a, b = _states(a), _states(b, stack=True)
     d = a.shape[1]
-    if b.shape[1] != d:
-        raise DimensionError(f"all basis states must share one dimension, got {d} and {b.shape[1]}")
-    overlaps = np.abs(a.conj() @ b.T) ** 2
-    return float(np.abs(overlaps - 1.0 / d).max())
+    if b.shape[-1] != d:
+        raise DimensionError(f"all basis states must share one dimension, got {d} and {b.shape[-1]}")
+    overlaps = np.abs(a.conj() @ b.swapaxes(-1, -2))
+    overlaps **= 2
+    overlaps -= 1.0 / d
+    worst = np.abs(overlaps, out=overlaps).max(axis=(-2, -1))
+    return float(worst) if b.ndim == 2 else worst

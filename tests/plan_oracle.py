@@ -33,7 +33,7 @@ def build_plan(d: int, rows: np.ndarray, cols: np.ndarray) -> _Plan:
         block = np.empty((d, int(hit.sum())), dtype=np.intp)
         block[kept[multi], (np.cumsum(hit) - 1)[key[multi]]] = np.flatnonzero(multi)
         single = np.flatnonzero(~multi)
-        clones.append((block, cols[block], single, kept[single] * d + cols[single]))
+        clones.append((block, single, kept[single] * d + cols[single]))
     if np.bincount(ab).max() > 2:
         raise ValueError("an (A, B) key of V holds more than two nonzeros")
     order = np.argsort(ab, kind="stable")
@@ -43,3 +43,8 @@ def build_plan(d: int, rows: np.ndarray, cols: np.ndarray) -> _Plan:
     pairs, bins = pairs[:, np.argsort(bins, kind="stable")], np.sort(bins, kind="stable")
     starts = np.flatnonzero(np.diff(bins, prepend=-1))
     return _Plan(tuple(clones), pairs, cols[pairs], starts, bins[starts], c * d + cols)
+
+
+def block_cols(d: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+    """Each clone's input column at every slot of its block, ``cols[block]``: the gather that builds clone X by indexing."""
+    return [cols[block] for block, _, _ in build_plan(d, rows, cols).clones]

@@ -10,7 +10,7 @@ import pytest
 import phaseclone.audit
 import phaseclone.cloner
 import phaseclone.states
-from phaseclone.audit import AuditReport, _swap_residual, run_audit
+from phaseclone.audit import AuditReport, _swap_residual, mub_rows, run_audit
 from phaseclone.cli import main
 from phaseclone.cloner import (
     CloningMachine,
@@ -24,7 +24,15 @@ from phaseclone.cloner import (
     shrink_factor,
 )
 from phaseclone.linalg import DensityMatrix, fidelity_pure, frobenius_distance
-from phaseclone.states import is_prime, mub_basis, phase_state, random_phase_vector
+from phaseclone.states import (
+    UnsupportedDimensionError,
+    gram_residual,
+    is_prime,
+    mub_basis,
+    phase_state,
+    random_phase_vector,
+    unbiasedness_residual,
+)
 
 EQ_CHECKS = {
     "isometry_unitarity",
@@ -522,3 +530,36 @@ class TestCloneSwapSymmetry:
         swap = next(c for c in report.checks if c.name == "symmetric_pair_swap")
         assert not swap.passed
         assert swap.residual > 0.1 / math.sqrt(6.0)
+
+
+def mub_rows_reference(d):
+    """The MUB rows basis by basis: one ``mub_basis`` call per basis, one residual call per pair, one simulation per basis."""
+    bases = [(str(l), mub_basis(d, l)) for l in range(d)] + [("std", np.eye(d, dtype=np.complex128))]
+    rows = [{"kind": "orthonormality", "i": i, "j": i, "value": gram_residual(b)} for i, b in bases]
+    for (i, a), (j, b) in itertools.combinations(bases, 2):
+        rows.append({"kind": "unbiasedness", "i": i, "j": j, "value": unbiasedness_residual(a, b)})
+    machine = build_machine(d, *optimal_params(d))
+    for l, basis in bases[:-1]:
+        fidelities = _simulate(machine, basis).fidelity()
+        rows += [{"kind": "fidelity", "i": l, "j": str(t), "value": float(f)} for t, f in enumerate(fidelities)]
+    return rows
+
+
+class TestMubRows:
+    """``mub_rows`` builds and checks whole bases; the basis-by-basis loop is its reference."""
+
+    @pytest.mark.parametrize("d", [3, 5, 7, 11, 13, 29])
+    def test_matches_the_basis_by_basis_loop_exactly(self, d):
+        rows = mub_rows(d)
+        assert rows == mub_rows_reference(d)
+        assert all(type(row["value"]) is float for row in rows)
+
+    @pytest.mark.parametrize("d", [2.5, math.nan, math.inf, 3.0])
+    def test_rejects_a_non_integer_dimension(self, d):
+        with pytest.raises(ValueError, match="d must be >= 2 and an integer"):
+            mub_rows(d)
+
+    @pytest.mark.parametrize("d", [2, 4, 9])
+    def test_rejects_a_dimension_without_this_construction(self, d):
+        with pytest.raises(UnsupportedDimensionError):
+            mub_rows(d)

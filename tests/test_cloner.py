@@ -16,6 +16,7 @@ from phaseclone.cloner import (
     VerificationError,
     _layout,
     _output_factor,
+    _Outputs,
     _simulate,
     build_machine,
     clone_state,
@@ -39,7 +40,7 @@ from phaseclone.linalg import (
 )
 from phaseclone.optimize import maximize_fidelity, sweep_alpha
 from phaseclone.states import phase_state, random_phase_vector
-from plan_oracle import build_plan
+from plan_oracle import block_cols, build_plan
 
 INV_SQRT2 = 0.7071067811865476
 INV_SQRT8 = 0.35355339059327373
@@ -476,6 +477,30 @@ class TestSimulate:
             for got, want in zip((out.clone(0), out.clone(1), gram, gram_trace(gram)), reference):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
+    def test_clone_blocks_match_the_indexing_gather_bit_for_bit(self):
+        # X is a broadcast written in the gather's memory order; the gather amps[:, cols[block]] is the reference
+        class Gathered(_Outputs):
+            def _clone_parts(self, clone):
+                block, single, single_bins = self.plan.clones[clone]
+                gathered = self.amps[:, block_cols(d, rows, cols)[clone]] * self.vals[block]
+                return gathered, self._diag(single_bins, self.vals[single])
+
+        rng = np.random.default_rng(61)
+        for d in range(2, 65):
+            rows, cols, _ = _layout(d)
+            machine = build_machine(d, *optimal_params(d))
+            object.__setattr__(machine, "vals", rng.normal(size=machine.vals.size))  # unequal clones
+            amps = rng.normal(size=(5, d)) + 1j * rng.normal(size=(5, d))
+            amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+            out = _simulate(machine, amps)
+            ref = Gathered(out.plan, out.vals, out.amps)
+            for name, got, want in (
+                ("clone A", out.clone(0), ref.clone(0)),
+                ("clone B", out.clone(1), ref.clone(1)),
+                ("fidelity", out.fidelity(), ref.fidelity()),
+            ):
+                np.testing.assert_array_equal(got, want, err_msg=f"{name} at d = {d}")
+
     def test_rejects_a_stack_of_the_wrong_width_or_norm(self):
         machine = build_machine(3, *optimal_params(3))
         with pytest.raises(DimensionError):
@@ -491,6 +516,12 @@ class TestSimulate:
         assert len(rows) == 30 + 435 + 29 * 29
         assert peak < 2.0e6
 
+    def test_mub_rows_at_d61_traces_under_12_megabytes(self):
+        # each basis's unbiasedness product runs against the later bases only, never all pairs at once
+        rows, peak = traced_peak_bytes(lambda: mub_rows(61))
+        assert len(rows) == 62 + 62 * 61 // 2 + 61 * 61
+        assert peak < 12.0e6
+
     def test_audit_at_d12_traces_under_2_5_megabytes(self):
         report, peak = traced_peak_bytes(lambda: run_audit(12, 20, 1))
         assert report.overall
@@ -498,7 +529,7 @@ class TestSimulate:
 
 
 def plan_arrays(plan):
-    """Every array of a plan, in field order: each clone's four, then the Gram's five."""
+    """Every array of a plan, in field order: each clone's three, then the Gram's five."""
     gram = (plan.pairs, plan.pair_cols, plan.pair_starts, plan.pair_bins, plan.diag_bins)
     return [*itertools.chain(*plan.clones), *gram]
 
@@ -512,6 +543,13 @@ class TestLayout:
         for k, (got, want) in enumerate(zip(plan_arrays(plan), plan_arrays(build_plan(d, rows, cols)), strict=True)):
             assert got.dtype == want.dtype, k
             np.testing.assert_array_equal(got, want, err_msg=f"plan array {k}")
+
+    @pytest.mark.parametrize("d", range(2, 65))
+    def test_each_block_row_reads_its_own_input(self, d):
+        # block_cols[a, :] == a is what lets each clone's X be a broadcast of the inputs instead of a gather
+        rows, cols, _ = _layout(d)
+        for clone, got in enumerate(block_cols(d, rows, cols)):
+            np.testing.assert_array_equal(got, np.broadcast_to(np.arange(d)[:, None], got.shape), err_msg=f"clone {clone}")
 
     def test_every_returned_array_is_read_only(self):
         # the layout is cached and shared by every machine of its d, so one stray write would corrupt them all

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from phaseclone.linalg import EQ_TOL, DimensionError
 from phaseclone.states import (
     UnsupportedDimensionError,
+    _mub_amps,
     _random_phase_vectors,
     _uniforms,
     gram_residual,
@@ -260,6 +261,14 @@ class TestMubConstruction:
                 np.testing.assert_array_equal(mub_basis(d, l), [loop_state(d, l, t, s) for t in range(d)])
 
 
+    def test_stacked_construction_matches_each_basis_bit_for_bit(self):
+        for d in (p for p in range(3, 62) if is_prime(p)):
+            stack = _mub_amps(d, np.arange(d)[:, None, None])
+            assert stack.shape == (d, d, d)
+            for l in range(d):
+                assert stack[l].tobytes() == mub_basis(d, l).tobytes(), (d, l)
+
+
 class TestStandardBasisAndUnbiasedness:
     def test_standard_basis(self):
         # the identity's rows are orthonormal exactly, and unbiased against every MUB of d = 3 to round-off
@@ -302,6 +311,28 @@ class TestStandardBasisAndUnbiasedness:
                 unbiasedness_residual(a, b)
         with pytest.raises(DimensionError):
             gram_residual(mub_basis(3, 0)[0])
+
+    def test_a_stack_gives_each_slice_residual_exactly(self):
+        rng = np.random.default_rng(5)
+        for d in (3, 5, 29, 61):
+            bases = np.concatenate([_mub_amps(d, np.arange(d)[:, None, None]), standard_basis(d)[None]])
+            for i in (0, d // 2, d - 1):
+                got = unbiasedness_residual(bases[i], bases[i + 1 :])
+                assert got.shape == (d - i,)
+                assert got.tolist() == [unbiasedness_residual(bases[i], b) for b in bases[i + 1 :]]
+        # any widths: k arrays of m states against a (j, d) array
+        a, b = rng.normal(size=(4, 6)) + 1j, rng.normal(size=(3, 2, 6)) - 1j
+        assert unbiasedness_residual(a, b).tolist() == [unbiasedness_residual(a, s) for s in b]
+
+    def test_stack_shapes_rejected(self):
+        with pytest.raises(DimensionError):
+            unbiasedness_residual(np.ones((1, 3, 3)), standard_basis(3))  # only b may be a stack
+        with pytest.raises(DimensionError):
+            unbiasedness_residual(standard_basis(3), np.ones((1, 1, 3, 3)))
+        with pytest.raises(DimensionError):
+            unbiasedness_residual(standard_basis(3), np.ones((2, 3, 2)))
+        with pytest.raises(ValueError, match="nonempty"):
+            unbiasedness_residual(standard_basis(3), np.empty((0, 3, 3)))
 
     @pytest.mark.parametrize("d", [3, 5, 7])
     def test_matrix_residuals_match_pairwise_vdot(self, d):
