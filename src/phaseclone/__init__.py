@@ -39,7 +39,7 @@ from .states import (
     random_phase_vector,
 )
 
-__version__ = "0.16.2"
+__version__ = "0.16.3"
 
 __all__ = [
     "AuditReport",

@@ -11,28 +11,37 @@ The audit makes one pass over d, and only one d's machines (the optimum
 plus ``n_random`` random splits) are alive at a time. Each machine runs
 once, through the simulation route of :mod:`phaseclone.cloner`, on one
 stack of phase states: row 0 is the phase-zero state, the reference of
-the phase covariance check, and rows 1..n are its seeded draws. The route
-reads each pure output M = V|psi> (d^2 by d) off V's nonzeros and keeps
-only the d-by-d things M gives: its two single-clone reductions and its
-ancilla Gram M^dag M, as (n, d, d) stacks. Every per-draw check, from
-output validity to phase covariance and the phase-state modulus, then runs
-once per machine on the stacks (one stacked eigensolve, one stacked
-overlap <psi|rho_A|psi>). The two-clone output rho_AB = M M^dag is never
-formed: its trace ||M||_F^2 is the Gram's, and its positivity is checked
-on the Gram, which has the same nonzero spectrum. The simulation costs
-O(d^3) time per draw and O(n d^2) memory, and no Python work is left per
-draw: all of one d's phase vectors, machine by machine in sub-seed order,
-come from one call of the batch route of :mod:`phaseclone.states`, whose
-rows are bit-identical to one ``random_phase_vector`` call per sub-seed,
-and one call of ``phase_state`` per machine turns its rows into its stack
-of states. The run's random splits come from one call of the stream
+the phase covariance check, and rows 1..n are its seeded draws. The
+machines of one d share their d's plan, so they run in chunks of whole
+machines, one simulation per chunk: a chunk holds as many machines as
+keep its (rows, d, d) complex stacks within ``CHUNK_BYTES`` (128 KiB),
+and at least one. At ``--trials 20`` that is 46 chunks for d = 2..12, and
+one machine per chunk from d = 14 up. The route reads each pure output
+M = V|psi> (d^2 by d) off V's nonzeros and keeps only the d-by-d things M
+gives: its two single-clone reductions and its ancilla Gram M^dag M, as
+stacks with one slice per row. Every per-draw check, from output validity
+to phase covariance and the phase-state modulus, then runs once per chunk
+on the stacks (one stacked eigensolve, one stacked overlap
+<psi|rho_A|psi>), and each stack is dropped once its checks have read it.
+The chunks cannot be seen in the report: each check is a per-slice
+residual folded by a maximum, and a machine's slices round as they would
+if it ran alone. The two-clone output rho_AB = M M^dag is never formed:
+its trace ||M||_F^2 is the Gram's, and its positivity is checked on the
+Gram, which has the same nonzero spectrum. The simulation costs O(d^3)
+time per draw and O(n d^2) memory per machine, and no Python work is left
+per draw: all of one d's phase vectors, machine by machine in sub-seed
+order, come from one call of the batch route of :mod:`phaseclone.states`,
+whose rows are bit-identical to one ``random_phase_vector`` call per
+sub-seed, and one call of ``phase_state`` per chunk turns its rows into
+its states. The run's random splits come from one call of the stream
 route, whose doubles are those of numpy's ``Generator(PCG64(seed))``, in
 the order in which ``uniform(0, pi/2)`` would draw them. On a shared
-2-core machine with numpy 2.4, ``verify --trials 20`` takes 0.20-0.25 s
-at d_max 12 (``cli.main`` wall time, 4 benchmark runs, 36.1 MB of RSS)
-and 16-20 s at d_max 64 (in-process, three runs, 61 MB of RSS); at d_max
-64 ``--trials 2`` takes 1.3-2.4 s (14 in-process runs, 47 MB), of which
-the MUB rows of the 17 odd primes are 0.9-1.0 s.
+2-core machine with numpy 2.4, ``verify --trials 20`` takes 0.18 s at
+d_max 12 (``cli.main`` wall time, median of 10 benchmark runs, 35.9 MB of
+RSS) and 13.7-16.4 s at d_max 64 (in-process, two runs, 43.5 MB of RSS);
+at d_max 64 ``--trials 2`` takes 1.2-1.6 s (in-process, 7 runs, 43-46 MB),
+of which the MUB rows of the 17 odd primes are about 0.9 s and set the
+peak.
 
 MUB checks cover every odd prime d <= d_max; :func:`mub_rows` is also what
 ``phaseclone mub`` prints. Each prime's bases are built, checked and
@@ -71,6 +80,10 @@ from .states import (
 )
 
 CONSISTENCY_TOL = 1e-9
+# the sweep simulates one d's machines in chunks of whole machines whose (rows, d, d) complex stacks take about this
+# many bytes each (one machine per chunk if one machine's take more); a larger chunk saves numpy calls at small d
+# and costs peak RSS
+CHUNK_BYTES = 128 * 1024
 
 # verify's rows in print order, each with the one tolerance its residual is held to: a violation count
 # passes iff it is zero (0.5), and symmetric_pair_swap holds exactly in floating point
@@ -176,7 +189,7 @@ def mub_rows(d: int) -> list[dict]:
         rows += [{"kind": "unbiasedness", "i": labels[i], "j": j, "value": v} for j, v in zip(labels[i + 1 :], values)]
     machine = build_machine(d, *optimal_params(d))
     for l, basis in zip(labels, bases[:-1]):
-        fidelities = _simulate(machine, basis).fidelity()
+        fidelities = _simulate([machine], basis[None]).fidelity()
         rows += [{"kind": "fidelity", "i": l, "j": str(t), "value": float(f)} for t, f in enumerate(fidelities)]
     return rows
 
@@ -187,6 +200,99 @@ def mub_worst(d: int, rows: list[dict]) -> tuple[float, float]:
     worst_basis = max((r["value"] for r in rows if r["kind"] != "fidelity"), key=_nan_wins)
     worst_uniform = max((abs(r["value"] - target) for r in rows if r["kind"] == "fidelity"), key=_nan_wins)
     return worst_basis, worst_uniform
+
+
+def _check_outputs(note, machines: list[CloningMachine], phases: np.ndarray) -> None:
+    """Run every per-draw check on one chunk of whole machines of one d, simulated in one call.
+
+    ``phases`` is (k, r, d): row 0 of machine i's stack is the phase-zero
+    state, the reference of the phase covariance check, and rows 1..r-1 are
+    its draws. Every check reads the (k, r-1, d, d) stacks the outputs
+    M = V|psi> give and folds its residuals through ``note``; each stack is
+    freed when it has been read, and all of them on return.
+    """
+    k, r, d = phases.shape
+    states = phase_state(phases.reshape(-1, d)).reshape(k, r, d)
+    out = _simulate(machines, states)
+    phases, amps = phases[:, 1:], states[:, 1:]
+
+    note("phase_state_modulus", float(np.abs(np.abs(amps) - 1.0 / math.sqrt(d)).max()))
+
+    # physical validity of the simulated output rho_AB = M M^dag, read off M: its trace is ||M||_F^2, the trace
+    # of the d-by-d ancilla Gram M^dag M, and its nonzero spectrum is the Gram's, so positivity is checked there;
+    # Hermiticity is checked on the reductions consumed below. A non-finite Gram would make the eigensolve raise,
+    # so it notes a NaN instead
+    gram = out.gram().reshape(k, r, d, d)[:, 1:]
+    norm2 = gram.diagonal(axis1=2, axis2=3).real.sum(axis=2)
+    min_eig = float(np.linalg.eigvalsh(gram).min()) if np.isfinite(gram).all() else math.nan
+    note("output_state_validity", float(np.abs(norm2 - 1.0).max()), -min_eig)
+    del gram
+
+    red_a = out.clone(0).reshape(k, r, d, d)
+    red0, red_a = red_a[:, :1], red_a[:, 1:]  # clone A of the phase-zero state, then of each draw
+    red_b = out.clone(1).reshape(k, r, d, d)[:, 1:]
+    note("output_state_validity", *(frobenius_distance(red, red.conj().swapaxes(2, 3)) for red in (red_a, red_b)))
+
+    # the two clones are interchangeable
+    note("clone_symmetry", frobenius_distance(red_a, red_b))
+    del red_b
+
+    # brute force vs closed form: <psi|rho_A|psi> is what simulate_fidelity computes, and an imaginary part
+    # (a non-Hermitian reduction) counts against the same tolerance; each machine's draws must agree
+    fid = (amps.conj()[:, :, None, :] @ red_a @ amps[:, :, :, None])[:, :, 0, 0]
+    f_closed = np.array([fidelity_closed_form(d, m.alpha, m.beta) for m in machines])
+    note("closed_form_agreement", float(np.abs(fid.real - f_closed[:, None]).max()), float(np.abs(fid.imag).max()))
+    note("fidelity_phase_independence", float(np.std(fid.real, axis=1, ddof=1).max()))
+
+    # shrink (scalar) form of the reduced output, built in place
+    eta = np.array([shrink_factor(d, m.alpha, m.beta) for m in machines])[:, None, None, None]
+    scalar = amps[:, :, :, None] * amps.conj()[:, :, None, :]
+    scalar *= eta
+    scalar += (1.0 - eta) / d * np.eye(d)
+    note("scalar_form", frobenius_distance(red_a, scalar))
+    del scalar
+
+    # entrywise closed-form reduced matrix
+    twist = np.exp(1j * (phases[:, :, :, None] - phases[:, :, None, :]))
+    closed = (eta / d) * twist
+    closed[:, :, range(d), range(d)] = 1.0 / d
+    note("reduced_closed_matrix", frobenius_distance(red_a, closed))
+    del closed
+
+    # phase covariance: the reduced output is the phase-zero one conjugated by U_phi = diag(e^(i phi)), which
+    # multiplies entry (j, k) by e^(i(phi_j - phi_k))
+    note("phase_covariance", frobenius_distance(red_a, np.multiply(red0, twist, out=twist)))
+
+
+def _check_machines(note, d: int, thetas, sub_seeds: range, corrupt: bool) -> None:
+    """Build one d's machines (the optimum plus one split per angle in ``thetas``) and run every check of them.
+
+    Each machine is simulated on the phase-zero state stacked with its
+    ``len(sub_seeds) / len(machines)`` draws, which take the sub-seeds
+    machine by machine. The machines run in chunks of whole machines, so
+    each chunk's (rows, d, d) stacks stay near ``CHUNK_BYTES``, and every
+    stack is freed on return.
+    """
+    machines = [build_machine(d, *optimal_params(d))]
+    machines += [build_machine(d, math.cos(theta), math.sin(theta)) for theta in thetas.tolist()]
+
+    # V^dag V = I (the corrupted machine, when injected, must trip this)
+    note("isometry_unitarity", *(machine.unitarity_residual() for machine in machines))
+    if corrupt:
+        opt = machines[0]
+        bad = CloningMachine(d, opt.alpha * math.sqrt(0.9), opt.beta * math.sqrt(0.9))
+        note("isometry_unitarity", bad.unitarity_residual())
+
+    # all of this d's draws come in one batch, machine by machine; a chunk's stacks hold k machines' r rows each
+    draws = _random_phase_vectors(d, sub_seeds).reshape(len(machines), -1, d)
+    phases = np.concatenate([np.zeros((len(machines), 1, d)), draws], axis=1)
+    per_chunk = max(1, CHUNK_BYTES // (phases.shape[1] * d * d * np.dtype(np.complex128).itemsize))
+    for start in range(0, len(machines), per_chunk):
+        _check_outputs(note, machines[start : start + per_chunk], phases[start : start + per_chunk])
+
+    # V maps into the symmetric subspace of the two clones: swapping their digits leaves every machine unchanged
+    opt = machines[0]  # every machine of one d shares its rows and cols
+    note("symmetric_pair_swap", _swap_residual(d, opt.rows, opt.cols, np.stack([m.vals for m in machines])))
 
 
 def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> AuditReport:
@@ -204,77 +310,17 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
     # each d's n_random split angles, uniform on [0, pi/2) as numpy's uniform(0, pi/2) scales the seed's stream
     angles = _uniforms([seed], len(dims) * n_random).reshape(len(dims), n_random) * (math.pi / 2.0)
     first = seed * 1_000_003 + 1  # the sub-seed of the first phase draw; each later draw takes the next one
-    n = max(2, n_random)
+    n_draws = (1 + n_random) * max(2, n_random)  # per d: each machine's draws
     worst = dict.fromkeys(CHECKS, 0.0)
 
     def note(name: str, *residuals: float) -> None:
         worst[name] = max(worst[name], *residuals, key=_nan_wins)
 
     for d, thetas in zip(dims, angles):
-        # the optimum plus n_random points on the parameter circle
-        machines = [build_machine(d, *optimal_params(d))]
-        machines += [build_machine(d, math.cos(theta), math.sin(theta)) for theta in thetas.tolist()]
-
-        # V^dag V = I (the corrupted machine, when injected, must trip this)
-        note("isometry_unitarity", *(machine.unitarity_residual() for machine in machines))
-        if corrupt:
-            opt = machines[0]
-            bad = CloningMachine(d, opt.alpha * math.sqrt(0.9), opt.beta * math.sqrt(0.9))
-            note("isometry_unitarity", bad.unitarity_residual())
-
-        # one simulation sweep: each machine runs once on a stack whose row 0 is the phase-zero state and
-        # whose rows 1..n are its draws (all of this d's draws come in one batch, machine by machine), and
-        # every per-draw check then runs once per machine, over the stacks the outputs M = V|psi> give
-        draws = _random_phase_vectors(d, range(first, first + len(machines) * n))
-        first += len(draws)
-        stacks = np.concatenate([np.zeros((len(machines), 1, d)), draws.reshape(len(machines), n, d)], axis=1)
-        for machine, phases in zip(machines, stacks):
-            states = phase_state(phases)
-            out = _simulate(machine, states)
-            red_a, red_b, gram = out.clone(0), out.clone(1)[1:], out.gram()[1:]  # each clone's reductions, M^dag M
-            red0, red_a = red_a[0], red_a[1:]  # clone A of the phase-zero state, then of each draw
-            norm2 = gram.diagonal(axis1=1, axis2=2).real.sum(axis=1)  # ||M||_F^2, the trace of M^dag M
-            phases, amps = phases[1:], states[1:]
-
-            note("phase_state_modulus", float(np.abs(np.abs(amps) - 1.0 / math.sqrt(d)).max()))
-
-            # physical validity of the simulated output rho_AB = M M^dag, read off M: its trace is
-            # ||M||_F^2, and its nonzero spectrum is that of the d-by-d ancilla Gram M^dag M, so
-            # positivity is checked there; Hermiticity is checked on the reductions consumed below.
-            # A non-finite Gram would make the eigensolve raise, so it notes a NaN instead
-            min_eig = float(np.linalg.eigvalsh(gram).min()) if np.isfinite(gram).all() else math.nan
-            note(
-                "output_state_validity",
-                *(frobenius_distance(red, red.conj().transpose(0, 2, 1)) for red in (red_a, red_b)),
-                float(np.abs(norm2 - 1.0).max()),
-                -min_eig,
-            )
-
-            # the two clones are interchangeable
-            note("clone_symmetry", frobenius_distance(red_a, red_b))
-
-            # brute force vs closed form: <psi|rho_A|psi> is what simulate_fidelity computes, and an
-            # imaginary part (a non-Hermitian reduction) counts against the same tolerance
-            fid = (amps.conj()[:, None, :] @ red_a @ amps[:, :, None])[:, 0, 0]
-            f_closed = fidelity_closed_form(d, machine.alpha, machine.beta)
-            note("closed_form_agreement", float(np.abs(fid.real - f_closed).max()), float(np.abs(fid.imag).max()))
-            note("fidelity_phase_independence", float(np.std(fid.real, ddof=1)))
-
-            # shrink (scalar) form of the reduced output
-            eta = shrink_factor(d, machine.alpha, machine.beta)
-            rho_in = amps[:, :, None] * amps.conj()[:, None, :]
-            scalar = eta * rho_in + (1.0 - eta) / d * np.eye(d)
-            note("scalar_form", frobenius_distance(red_a, scalar))
-
-            # entrywise closed-form reduced matrix
-            twist = np.exp(1j * (phases[:, :, None] - phases[:, None, :]))
-            closed = (eta / d) * twist
-            closed[:, range(d), range(d)] = 1.0 / d
-            note("reduced_closed_matrix", frobenius_distance(red_a, closed))
-
-            # phase covariance: the reduced output is the phase-zero one conjugated by U_phi = diag(e^(i phi)),
-            # which multiplies entry (j, k) by e^(i(phi_j - phi_k))
-            note("phase_covariance", frobenius_distance(red_a, red0 * twist))
+        # this d's machines, draws and stacks live only inside _check_machines, so the MUB checks below never run
+        # on top of them
+        _check_machines(note, d, thetas, range(first, first + n_draws), corrupt)
+        first += n_draws
 
         # optimizer, closed form and explicit parameters agree
         note("optimum_consistency", optimum_residual(d))
@@ -284,14 +330,6 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
         note("sweep_upper_bound", table.max_f - optimal_fidelity(d))
         diffs = np.diff([row[2] for row in table.rows])
         worst["objective_unimodal"] += int(np.sum(np.diff(np.sign(diffs)) != 0)) != 1
-
-        # V maps into the symmetric subspace of the two clones: swapping their digits leaves every machine unchanged
-        opt = machines[0]  # every machine of one d shares its rows and cols
-        note("symmetric_pair_swap", _swap_residual(d, opt.rows, opt.cols, np.stack([m.vals for m in machines])))
-
-    # release the last d's machines and stacks, so the MUB checks do not run on top of them
-    del machines, opt, draws, stacks, phases, states, out
-    del red_a, red_b, red0, gram, amps, fid, rho_in, scalar, twist, closed
 
     # strict superiority over the universal baseline, with a shrinking gap
     gaps = [optimal_fidelity(d) - uqcm_fidelity(d) for d in dims]

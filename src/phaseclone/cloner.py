@@ -30,19 +30,21 @@ of term above), at most one per row. The machine stores just those and
 checks V^dag V from them, in O(d^2) memory; the dense d^3-by-d matrix is
 built only on request, for inspection and as a test reference.
 
-Every simulation goes through one route, :func:`_simulate`, which runs the
-machine on a stack of n input states at once. Where V's nonzeros sit depends
-on d alone (the split only sets their values), so :func:`_layout` gives
-every machine of one d the same ``rows``/``cols`` and the :class:`_Plan`
-of which nonzeros of the pure output M = V|psi> (d^2 by d) meet in a clone
-reduction or in the ancilla Gram M^dag M. Both are written down, once per
-d, from one enumeration of d's index pairs; no sort discovers the plan,
-and the tests hold it to a generic derivation from ``rows``/``cols``. A
-stack's reductions are then gathers of ``vals * psi[cols]`` plus batched
-products: O(d^3) time per state and O(n d^2) memory, with no d^3-sized
-array. The dense route (:func:`_output_factor`, :func:`clone_state`, which
-forms the d^2-by-d^2 two-clone state M M^dag) stays for callers that ask
-for the two-clone state, and as the reference the tests hold the plan to.
+Every simulation goes through one route, :func:`_simulate`, which runs k
+machines of one d at once, each on its own stack of r input states. Where
+V's nonzeros sit depends on d alone (the split only sets their values), so
+:func:`_layout` gives every machine of one d the same ``rows``/``cols``
+and the :class:`_Plan` of which nonzeros of the pure output M = V|psi>
+(d^2 by d) meet in a clone reduction or in the ancilla Gram M^dag M. Both
+are written down, once per d, from one enumeration of d's index pairs; no
+sort discovers the plan, and the tests hold it to a generic derivation
+from ``rows``/``cols``. A stack's reductions are then batched products of
+the amplitudes ``vals * psi[cols]``, each machine's ``vals`` broadcast
+over its own states: O(d^3) time per state and O(k r d^2) memory, with no
+d^3-sized array. The dense route (:func:`_output_factor`,
+:func:`clone_state`, which forms the d^2-by-d^2 two-clone state M M^dag)
+stays for callers that ask for the two-clone state, and as the reference
+the tests hold the plan to.
 """
 
 from __future__ import annotations
@@ -263,11 +265,15 @@ def _layout(d: int) -> tuple[np.ndarray, np.ndarray, _Plan]:
 
 @dataclass(frozen=True, eq=False)
 class _Outputs:
-    """Package-private: the stacks that the pure outputs M = V|psi> of n input states give, each computed on request.
+    """Package-private: the stacks that the pure outputs M = V|psi> of k machines of one d give, each computed on request.
 
-    Returned by :func:`_simulate`. Each stack has one slice per row of
-    ``amps`` and is computed from the nonzeros of V in O(d^3) time per
-    state, with no d^3-sized array.
+    Returned by :func:`_simulate`. ``vals`` is the (k, nnz) stack of the
+    machines' nonzeros, and ``amps`` the (k r, d) stack of their input
+    states: rows i r .. i r + r - 1 are machine i's r states. Each stack
+    has one slice per row of ``amps``, in that order, and is computed from
+    the nonzeros of V in O(d^3) time per state, with no d^3-sized array.
+    Every machine reads its own ``vals`` by broadcasting over (k, r); no
+    array is gathered per row.
     """
 
     plan: _Plan
@@ -275,31 +281,39 @@ class _Outputs:
     amps: np.ndarray
 
     def _diag(self, bins: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        """(n, d): W |psi|^2 for each state, with W the d-by-d sum of |vals|^2 over ``bins``."""
-        d = self.amps.shape[1]
-        w = np.bincount(bins, weights=np.abs(vals) ** 2, minlength=d * d).reshape(d, d)
-        return (w @ (np.abs(self.amps) ** 2)[:, :, None])[:, :, 0]
+        """(k r, d): W_i |psi|^2 for each state of machine i, with W_i the d-by-d sum of row i of |vals|^2 over ``bins``."""
+        k, d = len(vals), self.amps.shape[1]
+        bins = bins + np.arange(0, k * d * d, d * d)[:, None]  # one bincount for all k machines: machine i's W at i d^2
+        w = np.bincount(bins.ravel(), weights=(np.abs(vals) ** 2).ravel(), minlength=k * d * d).reshape(k, 1, d, d)
+        return (w @ (np.abs(self.amps) ** 2).reshape(k, -1, d, 1)).reshape(-1, d)
 
     def _clone_parts(self, clone: int) -> tuple[np.ndarray, np.ndarray]:
-        """Clone ``clone``'s block X (n, d, m) and diagonal D (n, d): its reduction is X X^dag + diag(D)."""
+        """Clone ``clone``'s block X (k r, d, m) and diagonal D (k r, d): its reduction is X X^dag + diag(D)."""
         block, single, single_bins = self.plan.clones[clone]
-        # X is written (d, m, n) and viewed as (n, d, m), the gather amps[:, cols[block]]'s memory order; a C-contiguous X
-        # would round fidelity()'s proj differently
-        x = np.multiply(self.amps.T[:, None, :], self.vals[block][:, :, None], order="C").transpose(2, 0, 1)
-        return x, self._diag(single_bins, self.vals[single])
+        k, (n, d) = len(self.vals), self.amps.shape
+        amps = self.amps.T.reshape(d, 1, k, n // k)
+        # X is written (d, m, k, r) and viewed as (k r, d, m), the gather amps[:, cols[block]]'s memory order; a
+        # C-contiguous X would round fidelity()'s proj differently
+        x = np.multiply(amps, self.vals.take(block, axis=1).transpose(1, 2, 0)[..., None], order="C")
+        diag = self._diag(single_bins, self.vals.take(single, axis=1))
+        return x.reshape(*block.shape, n).transpose(2, 0, 1), diag
 
     def clone(self, clone: int = 0) -> np.ndarray:
-        """(n, d, d) reductions of clone A (``clone=0``) or B (``clone=1``)."""
+        """(k r, d, d) reductions of clone A (``clone=0``) or B (``clone=1``)."""
         x, diag = self._clone_parts(clone)
         red = x @ x.conj().swapaxes(1, 2)
         red.reshape(len(red), -1)[:, :: red.shape[1] + 1] += diag
         return red
 
     def gram(self) -> np.ndarray:
-        """(n, d, d) ancilla Grams M^dag M: the pair products of each (A, B) key plus the diagonal."""
+        """(k r, d, d) ancilla Grams M^dag M: the pair products of each (A, B) key plus the diagonal."""
         p = self.plan
-        n, d = self.amps.shape
-        first, second = (self.amps[:, p.pair_cols[i]] * self.vals[p.pairs[i]] for i in (0, 1))
+        k, (n, d) = len(self.vals), self.amps.shape
+        amps = self.amps.reshape(k, n // k, d)
+        first, second = (
+            (amps.take(p.pair_cols[i], axis=2) * self.vals.take(p.pairs[i], axis=1)[:, None]).reshape(n, -1)
+            for i in (0, 1)
+        )
         gram = np.zeros((n, d * d), dtype=np.complex128)
         gram[:, p.pair_bins] = np.add.reduceat(first.conj() * second, p.pair_starts, axis=1)
         gram = gram.reshape(n, d, d)
@@ -308,21 +322,27 @@ class _Outputs:
         return gram
 
     def fidelity(self) -> np.ndarray:
-        """(n,) overlaps <psi|rho_A|psi>, as ||psi^dag X||^2 plus |psi|^2 . D; clone A's state is not formed."""
+        """(k r,) overlaps <psi|rho_A|psi>, as ||psi^dag X||^2 plus |psi|^2 . D; clone A's state is not formed."""
         x, diag = self._clone_parts(0)
         proj = self.amps.conj()[:, None, :] @ x
         return (np.abs(proj[:, 0]) ** 2).sum(axis=1) + (np.abs(self.amps) ** 2 * diag).sum(axis=1)
 
 
-def _simulate(machine: CloningMachine, amps) -> _Outputs:
-    """Package-private: run the machine on the normalized states in the rows of an (n, d) amplitude stack.
+def _simulate(machines, amps) -> _Outputs:
+    """Package-private: run k machines of one d, machine i on the normalized states in row i of a (k, r, d) amplitude stack.
 
-    The one simulation route of the package: :func:`simulate_fidelity`, the
-    MUB rows and the audit's sweep all read their stacks from the returned
-    :class:`_Outputs`, through the plan of the machine's d.
+    The one simulation route of the package, for any k >= 1:
+    :func:`simulate_fidelity` and the MUB rows pass one machine, and the
+    audit's sweep a chunk of one d's machines. All of them read their
+    stacks from the returned :class:`_Outputs`, through the plan of that d.
     """
-    amps = _normalized(amps, machine.d, ndim=2)
-    return _Outputs(_layout(machine.d)[2], machine.vals, amps)
+    d = machines[0].d
+    if any(machine.d != d for machine in machines):
+        raise DimensionError(f"machines of one d expected, got d = {[machine.d for machine in machines]}")
+    amps = _normalized(amps, d, ndim=3)
+    if len(amps) != len(machines):
+        raise DimensionError(f"expected one stack of states per machine ({len(machines)}), got {len(amps)}")
+    return _Outputs(_layout(d)[2], np.array([machine.vals for machine in machines]), amps.reshape(-1, d))
 
 
 def _output_factor(machine: CloningMachine, psi) -> np.ndarray:
@@ -413,10 +433,11 @@ def simulate_fidelity(machine: CloningMachine, psi) -> float:
     """Brute-force fidelity of a normalized (d,) input state: run the machine, reduce to one clone, overlap with the input.
 
     The overlap <psi|rho_A|psi> is read off the pure output M = V|psi> as a
-    stack of one state, from the nonzeros of V in O(d^3) time and O(d^2)
-    memory; neither clone's state nor the two-clone state is formed.
+    stack of one machine and one state, from the nonzeros of V in O(d^3)
+    time and O(d^2) memory; neither clone's state nor the two-clone state
+    is formed.
     """
-    return float(_simulate(machine, np.asarray(psi)[None]).fidelity()[0])
+    return float(_simulate([machine], np.asarray(psi)[None, None]).fidelity()[0])
 
 
 def fidelity_report(

@@ -6,8 +6,8 @@ state ``|i0 i1 ... in>`` sits at flat index ``((i0*d1 + i1)*d2 + ...)``,
 exactly the ordering produced by ``numpy.kron``. Every partial trace and
 every isometry in the package assumes this layout.
 
-A pure state is a plain complex amplitude array, (d,) for one state and
-(n, d) for a stack; every function that takes one checks it through
+A pure state is a plain complex amplitude array, (d,) for one state,
+(n, d) for a stack and (k, n, d) for k stacks; every function that takes one checks it through
 :func:`_normalized`. A mixed state is a :class:`DensityMatrix`, which keeps
 its factor dimensions for :func:`partial_trace`.
 
@@ -61,14 +61,15 @@ def _integer(value, name: str, minimum: int, error: type[ValueError] = ValueErro
 def _normalized(amps, d: int, ndim: int = 1) -> np.ndarray:
     """Package-private: the one check of input states; return ``amps`` as a complex128 array.
 
-    ``amps`` must be one state of shape (d,) (``ndim=1``) or a stack of
-    states of shape (n, d) (``ndim=2``), else DimensionError; and each
-    state's |psi|^2 must lie within ``EQ_TOL`` of 1, else ValueError (a NaN
-    amplitude fails too).
+    ``amps`` must be one state of shape (d,) (``ndim=1``), a stack of
+    states of shape (n, d) (``ndim=2``) or k such stacks of shape
+    (k, n, d) (``ndim=3``), else DimensionError; and each state's |psi|^2
+    must lie within ``EQ_TOL`` of 1, else ValueError (a NaN amplitude
+    fails too).
     """
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.ndim != ndim or amps.shape[-1] != d:
-        want = f"({d},)" if ndim == 1 else f"(n, {d})"
+        want = {1: f"({d},)", 2: f"(n, {d})", 3: f"(k, n, {d})"}[ndim]
         raise DimensionError(f"expected input states of shape {want}, got shape {amps.shape}")
     norm2 = (np.abs(amps) ** 2).sum(axis=-1)
     if not (np.abs(norm2 - 1.0) <= EQ_TOL).all():

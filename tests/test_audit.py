@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -76,13 +77,13 @@ def per_draw_residuals(d_max: int, n_random: int, seed: int) -> dict[str, float]
 
     for d, grid in grids.items():
         for machine in grid:
-            red0 = _simulate(machine, phase_state(np.zeros((1, d)))).clone(0)[0]
+            red0 = _simulate([machine], phase_state(np.zeros((1, d)))[None]).clone(0)[0]
             fidelities = []
             for _ in range(max(2, n_random)):
                 phases = random_phase_vector(d, next(seeds))
                 psi = phase_state(phases)
                 update("phase_state_modulus", float(np.abs(np.abs(psi) - 1.0 / math.sqrt(d)).max()))
-                out = _simulate(machine, psi[None])
+                out = _simulate([machine], psi[None, None])
                 red_a, red_b, gram = out.clone(0)[0], out.clone(1)[0], out.gram()[0]
                 herm = max(frobenius_distance(red, red.conj().T) for red in (red_a, red_b))
                 tr_err = abs(gram.diagonal().real.sum() - 1.0)  # ||M||_F^2 is the trace of M^dag M
@@ -185,13 +186,13 @@ class TestRunAudit:
             run_audit(d_max=3, n_random=1, seed=-1)
 
     def test_unnormalized_machines_fail_the_output_trace_check(self, monkeypatch):
-        # the sweep runs each machine scaled by sqrt(0.9), so every output has ||M||_F^2 = 0.9;
+        # the sweep runs each machine of every chunk scaled by sqrt(0.9), so every output has ||M||_F^2 = 0.9;
         # the closed forms still read the normalized split, which they alone accept
         simulate = phaseclone.audit._simulate
 
-        def scaled(machine, amps):
+        def scaled(machines, amps):
             s = math.sqrt(0.9)
-            return simulate(CloningMachine(machine.d, machine.alpha * s, machine.beta * s), amps)
+            return simulate([CloningMachine(m.d, m.alpha * s, m.beta * s) for m in machines], amps)
 
         monkeypatch.setattr(phaseclone.audit, "_simulate", scaled)
         report = run_audit(d_max=4, n_random=2, seed=0)
@@ -215,11 +216,20 @@ class TestRunAudit:
         assert sum(math.prod(shape[:-2]) for shape in shapes) == 5 * 3 * 2  # d = 2..6, 3 machines, 2 draws each
         assert not any(shape[-1] ** 2 in shape for shape in shapes)
 
-    @pytest.mark.parametrize("d_max, n", [(5, 1), (4, 3), (7, 2)])
-    def test_clone_state_call_count_matches_the_closed_count(self, monkeypatch, d_max, n):
-        # one pass: each machine is simulated once, on the phase-zero state stacked with its draws, and each
-        # MUB basis once as a stack of its states; the audit never forms the two-clone state and never
-        # simulates one state at a time
+    @pytest.mark.parametrize("d_max, n, cap, chunks", [
+        (5, 1, None, 4),  # at the module's cap, each of these d's machines fit in one chunk
+        (4, 3, None, 3),
+        (7, 2, None, 6),
+        (12, 20, None, 46),  # 1, 1, 1, 2, 3, 3, 4, 6, 7, 7, 11 chunks of 21 machines for d = 2..12
+        (5, 1, 1, 8),  # one machine per chunk
+        (7, 2, 1, 18),
+    ])
+    def test_clone_state_call_count_matches_the_closed_count(self, monkeypatch, d_max, n, cap, chunks):
+        # one pass: each chunk of whole machines is simulated once, each machine on the phase-zero state stacked
+        # with its draws, and each MUB basis once as a stack of its states; the audit never forms the two-clone
+        # state and never simulates one state at a time
+        if cap is not None:
+            monkeypatch.setattr(phaseclone.audit, "CHUNK_BYTES", cap)
         calls = {"clone_state": 0, "simulate_fidelity": 0, "random_phase_vector": 0, "_random_phase_vectors": 0,
                  "_simulate": 0}
 
@@ -241,14 +251,13 @@ class TestRunAudit:
         for module in (phaseclone.states, phaseclone.cloner, phaseclone.audit):
             monkeypatch.setattr(module, "random_phase_vector", wrapped, raising=False)
         run_audit(d_max=d_max, n_random=n, seed=0)
-        machines = (d_max - 1) * (1 + n)
         mub_bases = sum(d for d in range(3, d_max + 1) if is_prime(d))
         assert calls == {
             "clone_state": 0,
             "simulate_fidelity": 0,
             "random_phase_vector": 0,
             "_random_phase_vectors": d_max - 1,  # every draw of one d in one batch
-            "_simulate": machines + mub_bases,
+            "_simulate": chunks + mub_bases,
         }
 
     def test_plans_are_built_once_per_run_of_one_dimension(self, monkeypatch):
@@ -257,9 +266,9 @@ class TestRunAudit:
         dims, builds = [], []
         simulate, layout = phaseclone.audit._simulate, phaseclone.cloner._layout
 
-        def running(machine, amps):
-            dims.append(machine.d)
-            return simulate(machine, amps)
+        def running(machines, amps):
+            dims.extend(machine.d for machine in machines)
+            return simulate(machines, amps)
 
         def building(d):
             builds.append(d)
@@ -285,6 +294,32 @@ class TestRunAudit:
         residuals = {c.name: c.residual for c in run_audit(9, 20, seed).checks}
         reference = per_draw_residuals(9, 20, seed)
         assert {name: residuals[name] for name in reference} == reference
+
+    @pytest.mark.parametrize("d_max, n_random, seed, corrupt", [
+        (9, 20, 0, False),
+        (12, 3, 5, False),
+        (5, 2, 1, True),
+        (9, 20, 340281346076900232762676319402810, False),  # its sub-seeds cross 2^128
+    ])
+    def test_chunking_cannot_be_seen_in_the_report(self, monkeypatch, d_max, n_random, seed, corrupt):
+        # one machine per chunk (a 1-byte cap), the module's cap and one chunk per d (1 GiB) give equal reports
+        simulate, machines = phaseclone.audit._simulate, 1 + n_random
+        reports, sizes = [], []
+
+        def recording(chunk, amps):
+            sizes[-1].append(len(chunk))
+            return simulate(chunk, amps)
+
+        monkeypatch.setattr(phaseclone.audit, "_simulate", recording)
+        for cap in (1, phaseclone.audit.CHUNK_BYTES, 2**30):
+            monkeypatch.setattr(phaseclone.audit, "CHUNK_BYTES", cap)
+            sizes.append([])
+            reports.append(run_audit(d_max, n_random, seed, corrupt=corrupt))
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0].overall is not corrupt
+        mub_bases = sum(d for d in range(3, d_max + 1) if is_prime(d))
+        assert sizes[0] == [1] * ((d_max - 1) * machines + mub_bases)
+        assert sizes[2] == [machines] * (d_max - 1) + [1] * mub_bases
 
     @pytest.mark.parametrize("d_max", [2, 5])
     def test_row_contract_is_pinned(self, d_max):
@@ -319,6 +354,33 @@ class TestRunAudit:
             rows = [row for row in rows if row[0] not in needs_d3]
         assert [(c.name, c.d_range, c.tolerance) for c in report.checks] == rows
 
+    def test_the_mub_checks_do_not_run_on_top_of_the_sweep(self, monkeypatch):
+        # every machine, draw batch, simulation and stack of the sweep is released before the first MUB dimension
+        refs, alive = [], []
+
+        def keeping(fn):
+            def kept(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                refs.append(weakref.ref(result))
+                return result
+
+            return kept
+
+        mub_rows = phaseclone.audit.mub_rows
+
+        def listing(d):
+            alive.append((len(refs), sum(ref() is not None for ref in refs)))
+            return mub_rows(d)
+
+        for name in ("build_machine", "_random_phase_vectors", "_simulate"):
+            monkeypatch.setattr(phaseclone.audit, name, keeping(getattr(phaseclone.audit, name)))
+        for name in ("clone", "gram"):
+            monkeypatch.setattr(_Outputs, name, keeping(getattr(_Outputs, name)))
+        monkeypatch.setattr(phaseclone.audit, "mub_rows", listing)
+        assert run_audit(d_max=6, n_random=3, seed=0).overall
+        # d = 2..6, each: 4 machines, one batch of draws, one chunk's simulation and its 3 stacks, none alive
+        assert alive[0] == (5 * (4 + 1 + 1 + 3), 0)
+
     def test_machines_are_built_and_swept_one_dimension_at_a_time(self, monkeypatch):
         # the d of every machine the sweep builds or runs, in call order, up to the MUB checks' own machines
         seen = []
@@ -330,9 +392,9 @@ class TestRunAudit:
             seen.append(d)
             return build_machine(d, *args)
 
-        def running(machine, amps):
-            seen.append(machine.d)
-            return simulate(machine, amps)
+        def running(machines, amps):
+            seen.extend(machine.d for machine in machines)
+            return simulate(machines, amps)
 
         def listing(d):
             seen.append("mub")
@@ -365,13 +427,13 @@ class TestRunAudit:
 
     def test_a_nan_output_factor_fails_verify_instead_of_raising(self, monkeypatch, capsys):
         # a NaN in M reaches the Gram M^dag M, whose eigensolve would raise on it; nonzero 0 of V sits
-        # in row 0, so a NaN there puts one at M[0, 0] of every output
+        # in row 0, so a NaN there, in every machine's row of vals, puts one at M[0, 0] of every output
         simulate = phaseclone.audit._simulate
 
-        def poisoned(machine, amps):
-            out = simulate(machine, amps)
+        def poisoned(machines, amps):
+            out = simulate(machines, amps)
             vals = out.vals.copy()
-            vals[0] = math.nan
+            vals[:, 0] = math.nan
             return dataclasses.replace(out, vals=vals)
 
         monkeypatch.setattr(phaseclone.audit, "_simulate", poisoned)
@@ -540,7 +602,7 @@ def mub_rows_reference(d):
         rows.append({"kind": "unbiasedness", "i": i, "j": j, "value": unbiasedness_residual(a, b)})
     machine = build_machine(d, *optimal_params(d))
     for l, basis in bases[:-1]:
-        fidelities = _simulate(machine, basis).fidelity()
+        fidelities = _simulate([machine], basis[None]).fidelity()
         rows += [{"kind": "fidelity", "i": l, "j": str(t), "value": float(f)} for t, f in enumerate(fidelities)]
     return rows
 

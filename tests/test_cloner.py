@@ -96,7 +96,7 @@ STATE_ENTRY_POINTS = {
     "simulate_fidelity": simulate_fidelity,
     "clone_state": clone_state,
     "fidelity_pure": lambda machine, psi: fidelity_pure(psi, DensityMatrix((machine.d,), np.eye(machine.d) / machine.d)),
-    "_simulate": lambda machine, psi: _simulate(machine, np.asarray(psi)[None]),
+    "_simulate": lambda machine, psi: _simulate([machine], np.asarray(psi)[None, None]),
 }
 
 
@@ -444,6 +444,15 @@ def dense_stacks(machine, amps):
     return [np.array(stack) for stack in zip(*refs)]
 
 
+# every stack an _Outputs gives, one slice (or value) per input state
+STACK_READS = {
+    "clone A": lambda out: out.clone(0),
+    "clone B": lambda out: out.clone(1),
+    "gram": lambda out: out.gram(),
+    "fidelity": lambda out: out.fidelity(),
+}
+
+
 class TestSimulate:
     """The one simulation route, from the plan of V's nonzeros over a stack of states, against the dense route."""
 
@@ -453,7 +462,7 @@ class TestSimulate:
             amps = phase_state(np.array([random_phase_vector(d, 10 * d + k) for k in range(3)]))
             for alpha, beta in split_grid(d, rng):
                 machine = build_machine(d, alpha, beta)
-                out = _simulate(machine, amps)
+                out = _simulate([machine], amps[None])
                 gram = out.gram()
                 stacks = (out.clone(0), out.clone(1), gram, gram_trace(gram))
                 for name, got, want in zip(("clone A", "clone B", "gram", "norm2"), stacks, dense_stacks(machine, amps)):
@@ -470,7 +479,7 @@ class TestSimulate:
             object.__setattr__(machine, "vals", rng.normal(size=machine.vals.size))
             amps = rng.normal(size=(4, d)) + 1j * rng.normal(size=(4, d))
             amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-            out = _simulate(machine, amps)
+            out = _simulate([machine], amps[None])
             reference = dense_stacks(machine, amps)
             assert frobenius_distance(reference[0], reference[1]) > 1e-3
             gram = out.gram()
@@ -482,8 +491,8 @@ class TestSimulate:
         class Gathered(_Outputs):
             def _clone_parts(self, clone):
                 block, single, single_bins = self.plan.clones[clone]
-                gathered = self.amps[:, block_cols(d, rows, cols)[clone]] * self.vals[block]
-                return gathered, self._diag(single_bins, self.vals[single])
+                gathered = self.amps[:, block_cols(d, rows, cols)[clone]] * self.vals[0, block]  # one machine
+                return gathered, self._diag(single_bins, self.vals[:, single])
 
         rng = np.random.default_rng(61)
         for d in range(2, 65):
@@ -492,7 +501,7 @@ class TestSimulate:
             object.__setattr__(machine, "vals", rng.normal(size=machine.vals.size))  # unequal clones
             amps = rng.normal(size=(5, d)) + 1j * rng.normal(size=(5, d))
             amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-            out = _simulate(machine, amps)
+            out = _simulate([machine], amps[None])
             ref = Gathered(out.plan, out.vals, out.amps)
             for name, got, want in (
                 ("clone A", out.clone(0), ref.clone(0)),
@@ -504,11 +513,29 @@ class TestSimulate:
     def test_rejects_a_stack_of_the_wrong_width_or_norm(self):
         machine = build_machine(3, *optimal_params(3))
         with pytest.raises(DimensionError):
-            _simulate(machine, np.eye(2))
+            _simulate([machine], np.eye(2)[None])
         with pytest.raises(DimensionError):
-            _simulate(machine, np.ones(3) / math.sqrt(3))
+            _simulate([machine], np.ones((1, 3)) / math.sqrt(3))  # one stack, not one stack per machine
+        with pytest.raises(DimensionError, match="one stack of states per machine"):
+            _simulate([machine, machine], np.ones((1, 1, 3)) / math.sqrt(3))
+        with pytest.raises(DimensionError, match="machines of one d"):
+            _simulate([machine, build_machine(2, *optimal_params(2))], np.ones((2, 1, 3)) / math.sqrt(3))
         with pytest.raises(ValueError, match="not normalized"):
-            _simulate(machine, [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+            _simulate([machine], [[[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]])
+
+    def test_a_stack_of_machines_matches_one_machine_at_a_time_bit_for_bit(self):
+        # machine i of a stack reads row i of vals and its own states, and rounds as it would run alone
+        rng = np.random.default_rng(67)
+        for d in range(2, 65):
+            machines = [build_machine(d, *split) for split in split_grid(d, rng)[1:]]
+            object.__setattr__(machines[2], "vals", rng.normal(size=machines[2].vals.size))  # unequal clones
+            amps = rng.normal(size=(3, 2, d)) + 1j * rng.normal(size=(3, 2, d))
+            amps /= np.linalg.norm(amps, axis=2, keepdims=True)
+            stacked = _simulate(machines, amps)
+            alone = [_simulate([machine], states[None]) for machine, states in zip(machines, amps)]
+            for name, read in STACK_READS.items():
+                got, want = read(stacked), np.concatenate([read(out) for out in alone])
+                assert got.shape == want.shape and (got == want).all(), f"{name} at d = {d}"
 
     def test_mub_rows_at_d29_traces_under_2_megabytes(self):
         # one basis (29 states) is simulated at a time, and clone A's reduction is never stacked
