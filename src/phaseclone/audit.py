@@ -21,25 +21,32 @@ M = V|psi> (d^2 by d) off V's nonzeros and keeps only the d-by-d things M
 gives: its two single-clone reductions and its ancilla Gram M^dag M, as
 stacks with one slice per row. Every per-draw check, from output validity
 to phase covariance and the phase-state modulus, then runs once per chunk
-on the stacks (one stacked eigensolve, one stacked overlap
-<psi|rho_A|psi>), and each stack is dropped once its checks have read it.
+on the stacks (one stacked overlap <psi|rho_A|psi>, one stacked
+eigensolve of the machines' phase-zero Grams), and each stack is dropped
+once its checks have read it.
 The chunks cannot be seen in the report: each check is a per-slice
 residual folded by a maximum, and a machine's slices round as they would
 if it ran alone. The two-clone output rho_AB = M M^dag is never formed:
 its trace ||M||_F^2 is the Gram's, and its positivity is checked on the
-Gram, which has the same nonzero spectrum. The simulation costs O(d^3)
-time per draw and O(n d^2) memory per machine, and no Python work is left
-per draw: all of one d's phase vectors, machine by machine in sub-seed
-order, come from one call of the batch route of :mod:`phaseclone.states`,
+Gram, which has the same nonzero spectrum. The Gram is phase covariant,
+G_phi = U_phi G_0 U_phi^dag with U_phi = diag(e^(i phi)), so only each
+machine's phase-zero Gram G_0 is solved: by Weyl's inequality,
+-lambda_min(G_0) plus the machine's worst ||G_phi - U_phi G_0 U_phi^dag||_F
+over its draws bounds every draw's -lambda_min from above, and a draw
+whose Gram is not positive fails through its residual. The simulation
+costs O(d^3) time per draw and O(n d^2) memory per machine, and no Python
+work is left per draw: all of one d's phase vectors, machine by machine in
+sub-seed order, come from one call of the batch route of
+:mod:`phaseclone.states`,
 whose rows are bit-identical to one ``random_phase_vector`` call per
 sub-seed, and one call of ``phase_state`` per chunk turns its rows into
 its states. The run's random splits come from one call of the stream
 route, whose doubles are those of numpy's ``Generator(PCG64(seed))``, in
 the order in which ``uniform(0, pi/2)`` would draw them. On a shared
-2-core machine with numpy 2.4, ``verify --trials 20`` takes 0.18 s at
-d_max 12 (``cli.main`` wall time, median of 10 benchmark runs, 35.9 MB of
-RSS) and 13.7-16.4 s at d_max 64 (in-process, two runs, 43.5 MB of RSS);
-at d_max 64 ``--trials 2`` takes 1.2-1.6 s (in-process, 7 runs, 43-46 MB),
+2-core machine with numpy 2.4, ``verify --trials 20`` takes 0.08-0.09 s
+at d_max 12 (``cli.main`` wall time, medians of two sets of 10 benchmark
+runs, 36.0 MB of RSS) and 7.6 s at d_max 64 (in-process, two runs, 45.5 MB
+of RSS); at d_max 64 ``--trials 2`` takes 1.2-1.6 s (in-process, 7 runs, 43-46 MB),
 of which the MUB rows of the 17 odd primes are about 0.9 s and set the
 peak.
 
@@ -219,14 +226,22 @@ def _check_outputs(note, machines: list[CloningMachine], phases: np.ndarray) -> 
     note("phase_state_modulus", float(np.abs(np.abs(amps) - 1.0 / math.sqrt(d)).max()))
 
     # physical validity of the simulated output rho_AB = M M^dag, read off M: its trace is ||M||_F^2, the trace
-    # of the d-by-d ancilla Gram M^dag M, and its nonzero spectrum is the Gram's, so positivity is checked there;
-    # Hermiticity is checked on the reductions consumed below. A non-finite Gram would make the eigensolve raise,
-    # so it notes a NaN instead
-    gram = out.gram().reshape(k, r, d, d)[:, 1:]
+    # of the d-by-d ancilla Gram G = M^dag M, and its nonzero spectrum is the Gram's, so positivity is checked
+    # there; Hermiticity is checked on the reductions consumed below. Conjugating by U_phi = diag(e^(i phi))
+    # multiplies entry (j, k) by twist = e^(i(phi_j - phi_k)), and G_phi = U_phi G_0 U_phi^dag, so by Weyl's
+    # inequality each machine's -lambda_min(G_0) plus its draws' worst ||G_phi - G_0 twist||_F bounds every
+    # draw's -lambda_min from above. A non-finite phase-zero Gram would make the eigensolve raise, so it notes a
+    # NaN instead; a non-finite draw Gram makes its residual NaN
+    gram = out.gram().reshape(k, r, d, d)
+    twist = np.exp(1j * (phases[:, :, :, None] - phases[:, :, None, :]))
+    gram0, gram = gram[:, :1], gram[:, 1:]
     norm2 = gram.diagonal(axis1=2, axis2=3).real.sum(axis=2)
-    min_eig = float(np.linalg.eigvalsh(gram).min()) if np.isfinite(gram).all() else math.nan
-    note("output_state_validity", float(np.abs(norm2 - 1.0).max()), -min_eig)
-    del gram
+    lowest = np.linalg.eigvalsh(gram0)[:, 0, 0] if np.isfinite(gram0).all() else math.nan
+    drift = np.multiply(gram0, twist).reshape(k, r - 1, d * d)
+    drift -= gram.reshape(k, r - 1, d * d)
+    drift = np.sqrt(np.vecdot(drift, drift).real).max(axis=1)  # each machine's worst ||G_phi - G_0 twist||_F
+    note("output_state_validity", float(np.abs(norm2 - 1.0).max()), float((drift - lowest).max()))
+    del gram, gram0, drift
 
     red_a = out.clone(0).reshape(k, r, d, d)
     red0, red_a = red_a[:, :1], red_a[:, 1:]  # clone A of the phase-zero state, then of each draw
@@ -253,14 +268,12 @@ def _check_outputs(note, machines: list[CloningMachine], phases: np.ndarray) -> 
     del scalar
 
     # entrywise closed-form reduced matrix
-    twist = np.exp(1j * (phases[:, :, :, None] - phases[:, :, None, :]))
     closed = (eta / d) * twist
     closed[:, :, range(d), range(d)] = 1.0 / d
     note("reduced_closed_matrix", frobenius_distance(red_a, closed))
     del closed
 
-    # phase covariance: the reduced output is the phase-zero one conjugated by U_phi = diag(e^(i phi)), which
-    # multiplies entry (j, k) by e^(i(phi_j - phi_k))
+    # phase covariance: the reduced output is the phase-zero one conjugated by U_phi
     note("phase_covariance", frobenius_distance(red_a, np.multiply(red0, twist, out=twist)))
 
 

@@ -209,17 +209,16 @@ class _Plan:
       lists those nonzeros and ``single_bins`` their ``kept * d + col``.
     - The ancilla Gram M^dag M sums over (a, b), whose keys hold one or two
       nonzeros. The two of a pair meet at Gram entry (c_p, c_q) off the
-      diagonal. ``pairs`` (2, n_pairs) holds their indices and ``pair_cols``
-      their input columns, grouped by entry; ``pair_starts`` marks where
-      each entry's group starts and ``pair_bins`` is that entry as
-      ``c_p * d + c_q``. Every nonzero adds |amplitude|^2 to diagonal entry
-      c, at ``diag_bins`` = ``c * d + col``.
+      diagonal. ``pairs`` (2, n_pairs) holds their indices, ``pair_cols``
+      their input columns and ``pair_bins`` that entry as ``c_p * d + c_q``.
+      No two pairs meet at one entry, so each pair's product is its entry.
+      Every nonzero adds |amplitude|^2 to diagonal entry c, at
+      ``diag_bins`` = ``c * d + col``.
     """
 
     clones: tuple  # per clone: (block, single, single_bins)
     pairs: np.ndarray
     pair_cols: np.ndarray
-    pair_starts: np.ndarray
     pair_bins: np.ndarray
     diag_bins: np.ndarray
 
@@ -239,8 +238,8 @@ def _layout(d: int) -> tuple[np.ndarray, np.ndarray, _Plan]:
     the other kind adds to the diagonal entry l from input j. In the Gram,
     |lj>|R_l> (nonzero d + P + p) shares its (A, B) digits with |lj>|R_j>,
     the first kind's pair (l, j); the two meet at entry (j, l) from inputs
-    (l, j). The tests hold every array to a generic derivation of the plan
-    from ``rows`` and ``cols``.
+    (l, j). Pair p is the only one at entry (j, l). The tests hold every
+    array to a generic derivation of the plan from ``rows`` and ``cols``.
     """
     j, l = np.nonzero(~np.eye(d, dtype=bool))
     diag = np.arange(d)
@@ -256,7 +255,7 @@ def _layout(d: int) -> tuple[np.ndarray, np.ndarray, _Plan]:
         block[j, l] = start + rank
         clones.append((block, 2 * d + n_off - start + rank, swapped))
     pairs, pair_cols = np.stack([d + l * (d - 1) + j - (j > l), d + n_off + rank]), np.stack([l, j])
-    gram = (pairs, pair_cols, rank, j * d + l, np.concatenate([diag * (d + 1), swapped, swapped]))
+    gram = (pairs, pair_cols, j * d + l, np.concatenate([diag * (d + 1), swapped, swapped]))
     for arr in (rows, cols, *itertools.chain(*clones), *gram):
         arr.setflags(write=False)
     plan = _Plan(tuple(clones), *gram)
@@ -315,7 +314,7 @@ class _Outputs:
             for i in (0, 1)
         )
         gram = np.zeros((n, d * d), dtype=np.complex128)
-        gram[:, p.pair_bins] = np.add.reduceat(first.conj() * second, p.pair_starts, axis=1)
+        gram[:, p.pair_bins] = np.conjugate(first, out=first) * second
         gram = gram.reshape(n, d, d)
         gram += gram.conj().swapaxes(1, 2)
         gram.reshape(n, -1)[:, :: d + 1] = self._diag(p.diag_bins, self.vals)

@@ -12,8 +12,8 @@ A pure state is a plain complex amplitude array, (d,) for one state,
 its factor dimensions for :func:`partial_trace`.
 
 Tolerances: ``EQ_TOL`` (1e-12) for equality-style checks, ``PSD_TOL``
-(1e-10) for eigenvalue positivity, which is checked by Hermitian
-eigendecomposition so that tiny negative round-off eigenvalues pass.
+(1e-10) for eigenvalue positivity, so that tiny negative round-off
+eigenvalues pass.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ def _integer(value, name: str, minimum: int, error: type[ValueError] = ValueErro
     at least ``minimum``; anything else (a NaN, an infinity, 2.5) raises
     ``error``, a ValueError (DimensionError for shapes and indices).
     """
+    if type(value) is int and value >= minimum:  # the common case, without the ABC check of numbers.Integral
+        return value
     if not (isinstance(value, numbers.Integral) and value >= minimum):
         raise error(f"{name} must be >= {minimum} and an integer, got {value!r}")
     return int(value)

@@ -16,8 +16,9 @@ def build_plan(d: int, rows: np.ndarray, cols: np.ndarray) -> _Plan:
     """The :class:`_Plan` of the triples ``rows``/``cols`` of a d-level machine.
 
     Checks, rather than assumes, what the plan relies on: at most one
-    nonzero per row, full blocks for both clones, and at most two nonzeros
-    per (A, B) key. A violation raises ValueError.
+    nonzero per row, full blocks for both clones, at most two nonzeros per
+    (A, B) key, and no two such pairs at one Gram entry. A violation raises
+    ValueError.
     """
     _one_nonzero_per_row(rows)
     ab, c = rows // d, rows % d
@@ -41,8 +42,9 @@ def build_plan(d: int, rows: np.ndarray, cols: np.ndarray) -> _Plan:
     pairs = np.stack([order[second - 1], order[second]])
     bins = c[pairs[0]] * d + c[pairs[1]]
     pairs, bins = pairs[:, np.argsort(bins, kind="stable")], np.sort(bins, kind="stable")
-    starts = np.flatnonzero(np.diff(bins, prepend=-1))
-    return _Plan(tuple(clones), pairs, cols[pairs], starts, bins[starts], c * d + cols)
+    if not np.diff(bins).all():
+        raise ValueError("two pairs of V's nonzeros meet at one Gram entry")
+    return _Plan(tuple(clones), pairs, cols[pairs], bins, c * d + cols)
 
 
 def block_cols(d: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:

@@ -11,7 +11,7 @@ import pytest
 import phaseclone.audit
 import phaseclone.cloner
 import phaseclone.states
-from phaseclone.audit import AuditReport, _swap_residual, mub_rows, run_audit
+from phaseclone.audit import AuditReport, _check_outputs, _swap_residual, mub_rows, run_audit
 from phaseclone.cli import main
 from phaseclone.cloner import (
     CloningMachine,
@@ -27,6 +27,7 @@ from phaseclone.cloner import (
 from phaseclone.linalg import DensityMatrix, fidelity_pure, frobenius_distance
 from phaseclone.states import (
     UnsupportedDimensionError,
+    _random_phase_vectors,
     gram_residual,
     is_prime,
     mub_basis,
@@ -202,7 +203,7 @@ class TestRunAudit:
 
     def test_positivity_eigensolves_stay_d_by_d(self, monkeypatch):
         # the two-clone state is checked through its d-by-d ancilla Gram, never as a d^2-by-d^2 matrix;
-        # each machine's draws are solved as one stack of Grams
+        # only each machine's phase-zero Gram is solved, and the draws are bounded through their covariance
         shapes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -213,7 +214,7 @@ class TestRunAudit:
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
         assert run_audit(d_max=6, n_random=2, seed=0).overall
         assert {shape[-2:] for shape in shapes} == {(d, d) for d in range(2, 7)}
-        assert sum(math.prod(shape[:-2]) for shape in shapes) == 5 * 3 * 2  # d = 2..6, 3 machines, 2 draws each
+        assert sum(math.prod(shape[:-2]) for shape in shapes) == 5 * 3  # d = 2..6, 3 machines, one slice each
         assert not any(shape[-1] ** 2 in shape for shape in shapes)
 
     @pytest.mark.parametrize("d_max, n, cap, chunks", [
@@ -513,6 +514,54 @@ class TestRunAudit:
             assert set(row) == {"check", "d_range", "passed", "residual", "tolerance"}
             assert isinstance(row["passed"], bool)
             assert isinstance(row["residual"], float)
+
+
+class TestPositivityBound:
+    """``output_state_validity``'s positivity term: -lambda_min of each machine's phase-zero Gram plus its draws' worst
+    covariance residual, which by Weyl's inequality bounds every draw's -lambda_min from above.
+
+    The check folds the term into a maximum that starts at 0, so it bounds every draw's computed
+    max(0, -lambda_min) outright. Below 0 the two eigensolves round apart: on a positive definite Gram the term
+    may sit up to a few ulps of tr G = 1 under the draw's own -lambda_min (1.4e-16 at worst over d = 2..64).
+    """
+
+    SPLITS = [(1.0, 0.0), (0.0, 1.0), (math.cos(0.3), math.sin(0.3))]
+
+    @pytest.mark.parametrize("d", [*range(2, 13), 64])
+    def test_the_noted_term_bounds_every_draw_of_every_machine(self, d):
+        machines = [build_machine(d, *optimal_params(d))] + [build_machine(d, a, b) for a, b in self.SPLITS]
+        draws = _random_phase_vectors(d, range(d, d + 5 * len(machines))).reshape(len(machines), 5, d)
+        for machine, row in zip(machines, draws):
+            phases = np.concatenate([np.zeros((1, 1, d)), row[None]], axis=1)
+            notes = []
+            _check_outputs(lambda name, *residuals: notes.append((name, residuals)), [machine], phases)
+            # the first validity note is (trace residual, positivity term)
+            term = next(residuals for name, residuals in notes if name == "output_state_validity")[-1]
+            lowest = -np.linalg.eigvalsh(_simulate([machine], phase_state(row)[None]).gram()).min()
+            assert max(term, 0.0) >= max(lowest, 0.0), (machine.alpha, machine.beta)
+            assert term >= lowest - 4.0 * np.finfo(float).eps, (machine.alpha, machine.beta)
+
+    def test_one_draw_with_a_negative_eigenvalue_fails_the_check(self, monkeypatch, capsys):
+        # at d = 4, draw 1 of the chunk's first machine (not its phase-zero row 0) gets eigenvalue -1e-8: its lowest
+        # eigenvector's weight moves to its top one, so the trace stays 1 and only positivity breaks
+        gram_stack = _Outputs.gram
+        eps = 1e-8
+
+        def dented(out):
+            gram = gram_stack(out)
+            if gram.shape[-1] == 4:
+                w, u = np.linalg.eigh(gram[1])
+                w[-1] += w[0] + eps
+                w[0] = -eps
+                gram[1] = (u * w) @ u.conj().T
+            return gram
+
+        monkeypatch.setattr(_Outputs, "gram", dented)
+        validity = next(c for c in run_audit(d_max=4, n_random=2, seed=0).checks if c.name == "output_state_validity")
+        assert not validity.passed
+        assert validity.residual >= eps
+        assert main(["verify", "--d-max", "4", "--trials", "2"]) == 1
+        assert "output_state_validity,2..4,false," in capsys.readouterr().out
 
 
 class TestCovarianceStructure:

@@ -556,8 +556,8 @@ class TestSimulate:
 
 
 def plan_arrays(plan):
-    """Every array of a plan, in field order: each clone's three, then the Gram's five."""
-    gram = (plan.pairs, plan.pair_cols, plan.pair_starts, plan.pair_bins, plan.diag_bins)
+    """Every array of a plan, in field order: each clone's three, then the Gram's four."""
+    gram = (plan.pairs, plan.pair_cols, plan.pair_bins, plan.diag_bins)
     return [*itertools.chain(*plan.clones), *gram]
 
 
@@ -601,6 +601,13 @@ class TestLayout:
         rows[0] = 1
         with pytest.raises(ValueError, match="clone A do not form a full block"):
             build_plan(3, rows, machine.cols)
+
+    def test_plan_builder_refuses_two_pairs_at_one_gram_entry(self):
+        # d = 2: the (A, B) keys (0, 0) and (1, 1) each hold ancilla digits 0 and 1, so both pairs meet at entry
+        # (0, 1); every clone key is hit once, so the blocks are not what fails
+        rows = np.array([0, 1, 6, 7])  # (a, b, c) = (0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1)
+        with pytest.raises(ValueError, match="meet at one Gram entry"):
+            build_plan(2, rows, np.array([0, 1, 0, 1]))
 
 
 class TestReducedClone:

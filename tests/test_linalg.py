@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from phaseclone.linalg import (
     PSD_TOL,
     DensityMatrix,
     DimensionError,
+    _integer,
     fidelity_pure,
     frobenius_distance,
     partial_trace,
@@ -199,3 +201,14 @@ class TestIntegerRule:
         value = {"2.5": 2.5, "nan": math.nan, "inf": math.inf, "below": minimum - 1}[bad]
         with pytest.raises(ValueError, match=f"must be >= {minimum} and an integer, got"):
             call(value)
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), True])
+    def test_every_integer_type_comes_back_as_a_plain_int(self, value):
+        # a plain int takes the fast route, every other integer type the numbers.Integral one
+        got = _integer(value, "n", 0)
+        assert type(got) is int and got == value
+
+    @pytest.mark.parametrize("value", [1, np.int64(1), False])
+    def test_an_integer_below_the_minimum_raises_the_given_error_on_either_route(self, value):
+        with pytest.raises(DimensionError, match=re.escape(f"n must be >= 2 and an integer, got {value!r}")):
+            _integer(value, "n", 2, DimensionError)
