@@ -43,12 +43,12 @@ sub-seed, and one call of ``phase_state`` per chunk turns its rows into
 its states. The run's random splits come from one call of the stream
 route, whose doubles are those of numpy's ``Generator(PCG64(seed))``, in
 the order in which ``uniform(0, pi/2)`` would draw them. On a shared
-2-core machine with numpy 2.4, ``verify --trials 20`` takes 0.08-0.09 s
-at d_max 12 (``cli.main`` wall time, medians of two sets of 10 benchmark
-runs, 36.0 MB of RSS) and 7.6 s at d_max 64 (in-process, two runs, 45.5 MB
-of RSS); at d_max 64 ``--trials 2`` takes 1.2-1.6 s (in-process, 7 runs, 43-46 MB),
-of which the MUB rows of the 17 odd primes are about 0.9 s and set the
-peak.
+2-core machine with numpy 2.4, ``verify --trials 20`` takes 0.09-0.15 s
+at d_max 12 (``cli.main`` wall time, benchmark run medians on a host whose
+speed drifts, 36.0 MB of RSS) and 9.1-9.8 s at d_max 64 (in-process, two
+runs, 45.8-46.0 MB of RSS); at d_max 64 ``--trials 2`` takes 1.3-1.4 s
+(in-process, two runs, 43.2-43.4 MB), of which the MUB rows of the 17 odd
+primes are about 0.9 s and set the peak.
 
 MUB checks cover every odd prime d <= d_max; :func:`mub_rows` is also what
 ``phaseclone mub`` prints. Each prime's bases are built, checked and
@@ -58,6 +58,7 @@ unbiasedness products and d simulations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,15 +66,16 @@ import numpy as np
 
 from .cloner import (
     CloningMachine,
+    _fidelity,
+    _shrink,
     _simulate,
+    _unitarity_residuals,
     build_machine,
-    fidelity_closed_form,
     optimal_fidelity,
     optimal_params,
-    shrink_factor,
     uqcm_fidelity,
 )
-from .linalg import EQ_TOL, PSD_TOL, _integer, frobenius_distance
+from .linalg import EQ_TOL, PSD_TOL, _integer, _largest_norm
 from .optimize import optimum_residual, sweep_alpha
 from .states import (
     _mub_amps,
@@ -209,6 +211,36 @@ def mub_worst(d: int, rows: list[dict]) -> tuple[float, float]:
     return worst_basis, worst_uniform
 
 
+@functools.lru_cache(maxsize=1)
+def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of the d(d - 1)/2 entries above the diagonal of a d-by-d matrix."""
+    upper = np.triu_indices(d, 1)
+    for arr in upper:
+        arr.setflags(write=False)
+    return upper
+
+
+def _twist(phases: np.ndarray) -> np.ndarray:
+    """``e^(i(phi_j - phi_k))`` at [..., j, k] for each (..., d) phase vector, bit for bit the full ``np.exp`` form.
+
+    The matrix is Hermitian, so only the entries above the diagonal take an
+    exponential. Below it, e^(i(phi_k - phi_j)) is their conjugate exactly:
+    phi_k - phi_j = -(phi_j - phi_k) in floating point, cos is even and sin
+    odd. The conjugate's imaginary part is taken as 0.0 - sin, so that a
+    zero keeps the sign the full form gives it. The diagonal is e^0 = 1, also
+    for a non-finite phase, whose row and column are NaN off the diagonal.
+    """
+    d = phases.shape[-1]
+    j, k = _upper(d)
+    twist = np.empty((*phases.shape, d), dtype=np.complex128)
+    upper = 1j * (phases[..., j] - phases[..., k])
+    twist[..., j, k] = np.exp(upper, out=upper)
+    np.subtract(0.0, upper.imag, out=upper.imag)
+    twist[..., k, j] = upper
+    twist[..., range(d), range(d)] = 1.0
+    return twist
+
+
 def _check_outputs(note, machines: list[CloningMachine], phases: np.ndarray) -> None:
     """Run every per-draw check on one chunk of whole machines of one d, simulated in one call.
 
@@ -233,7 +265,7 @@ def _check_outputs(note, machines: list[CloningMachine], phases: np.ndarray) -> 
     # draw's -lambda_min from above. A non-finite phase-zero Gram would make the eigensolve raise, so it notes a
     # NaN instead; a non-finite draw Gram makes its residual NaN
     gram = out.gram().reshape(k, r, d, d)
-    twist = np.exp(1j * (phases[:, :, :, None] - phases[:, :, None, :]))
+    twist = _twist(phases)
     gram0, gram = gram[:, :1], gram[:, 1:]
     norm2 = gram.diagonal(axis1=2, axis2=3).real.sum(axis=2)
     lowest = np.linalg.eigvalsh(gram0)[:, 0, 0] if np.isfinite(gram0).all() else math.nan
@@ -246,35 +278,40 @@ def _check_outputs(note, machines: list[CloningMachine], phases: np.ndarray) -> 
     red_a = out.clone(0).reshape(k, r, d, d)
     red0, red_a = red_a[:, :1], red_a[:, 1:]  # clone A of the phase-zero state, then of each draw
     red_b = out.clone(1).reshape(k, r, d, d)[:, 1:]
-    note("output_state_validity", *(frobenius_distance(red, red.conj().swapaxes(2, 3)) for red in (red_a, red_b)))
+    for red in (red_a, red_b):  # each against its conjugate transpose, written C-ordered (summed row by row) in place
+        skew = np.conjugate(red.swapaxes(2, 3), order="C")
+        note("output_state_validity", _largest_norm(np.subtract(red, skew, out=skew)))
+    del skew
 
     # the two clones are interchangeable
-    note("clone_symmetry", frobenius_distance(red_a, red_b))
+    note("clone_symmetry", _largest_norm(np.subtract(red_a, red_b, out=red_b)))
     del red_b
 
     # brute force vs closed form: <psi|rho_A|psi> is what simulate_fidelity computes, and an imaginary part
     # (a non-Hermitian reduction) counts against the same tolerance; each machine's draws must agree
     fid = (amps.conj()[:, :, None, :] @ red_a @ amps[:, :, :, None])[:, :, 0, 0]
-    f_closed = np.array([fidelity_closed_form(d, m.alpha, m.beta) for m in machines])
+    alpha, beta = np.array([(m.alpha, m.beta) for m in machines]).T  # built by build_machine: in the domain
+    f_closed = _fidelity(d, alpha, beta)
     note("closed_form_agreement", float(np.abs(fid.real - f_closed[:, None]).max()), float(np.abs(fid.imag).max()))
     note("fidelity_phase_independence", float(np.std(fid.real, axis=1, ddof=1).max()))
 
     # shrink (scalar) form of the reduced output, built in place
-    eta = np.array([shrink_factor(d, m.alpha, m.beta) for m in machines])[:, None, None, None]
+    eta = _shrink(d, alpha, beta)[:, None, None, None]
     scalar = amps[:, :, :, None] * amps.conj()[:, :, None, :]
     scalar *= eta
     scalar += (1.0 - eta) / d * np.eye(d)
-    note("scalar_form", frobenius_distance(red_a, scalar))
+    note("scalar_form", _largest_norm(np.subtract(red_a, scalar, out=scalar)))
     del scalar
 
     # entrywise closed-form reduced matrix
     closed = (eta / d) * twist
     closed[:, :, range(d), range(d)] = 1.0 / d
-    note("reduced_closed_matrix", frobenius_distance(red_a, closed))
+    note("reduced_closed_matrix", _largest_norm(np.subtract(red_a, closed, out=closed)))
     del closed
 
     # phase covariance: the reduced output is the phase-zero one conjugated by U_phi
-    note("phase_covariance", frobenius_distance(red_a, np.multiply(red0, twist, out=twist)))
+    np.multiply(red0, twist, out=twist)
+    note("phase_covariance", _largest_norm(np.subtract(red_a, twist, out=twist)))
 
 
 def _check_machines(note, d: int, thetas, sub_seeds: range, corrupt: bool) -> None:
@@ -290,7 +327,7 @@ def _check_machines(note, d: int, thetas, sub_seeds: range, corrupt: bool) -> No
     machines += [build_machine(d, math.cos(theta), math.sin(theta)) for theta in thetas.tolist()]
 
     # V^dag V = I (the corrupted machine, when injected, must trip this)
-    note("isometry_unitarity", *(machine.unitarity_residual() for machine in machines))
+    note("isometry_unitarity", *_unitarity_residuals(machines).tolist())
     if corrupt:
         opt = machines[0]
         bad = CloningMachine(d, opt.alpha * math.sqrt(0.9), opt.beta * math.sqrt(0.9))

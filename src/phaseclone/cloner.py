@@ -137,9 +137,28 @@ class CloningMachine:
         diagonal, so V^dag V is diagonal and its entry j sums |V[r, j]|^2 over
         column j. That invariant is checked, not assumed.
         """
-        _one_nonzero_per_row(self.rows)
-        gram_diag = np.bincount(self.cols, weights=np.abs(self.vals) ** 2, minlength=self.d)
-        return float(np.linalg.norm(gram_diag - 1.0))
+        return float(_unitarity_residuals([self])[0])
+
+
+def _unitarity_residuals(machines) -> np.ndarray:
+    """Package-private: ``||V^dag V - I||_F`` of each of k machines of one d, as a (k,) array, in one pass.
+
+    The machines must share one ``rows``/``cols`` (as every machine of one d
+    built while its :func:`_layout` is cached does); that is checked, and so
+    is the one nonzero per row that makes each V^dag V diagonal. One offset
+    bincount then gives every machine's diagonal, and each residual is
+    summed as ``np.linalg.norm`` sums a vector, so a machine's residual is
+    the same in any stack.
+    """
+    first = machines[0]
+    if any(machine.rows is not first.rows or machine.cols is not first.cols for machine in machines):
+        raise ValueError("machines that share one rows/cols layout expected")
+    _one_nonzero_per_row(first.rows)
+    k, d = len(machines), first.d
+    bins = first.cols + np.arange(0, k * d, d)[:, None]  # machine i's diagonal at i d .. i d + d - 1
+    weights = np.abs(np.stack([machine.vals for machine in machines])) ** 2
+    gram_diag = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=k * d).reshape(k, d) - 1.0
+    return np.sqrt(np.vecdot(gram_diag, gram_diag))
 
 
 class VerificationError(ValueError):
@@ -292,10 +311,14 @@ class _Outputs:
         k, (n, d) = len(self.vals), self.amps.shape
         amps = self.amps.T.reshape(d, 1, k, n // k)
         # X is written (d, m, k, r) and viewed as (k r, d, m), the gather amps[:, cols[block]]'s memory order; a
-        # C-contiguous X would round fidelity()'s proj differently
-        x = np.multiply(amps, self.vals.take(block, axis=1).transpose(1, 2, 0)[..., None], order="C")
+        # C-contiguous X would round fidelity()'s proj differently. A slice of a stack is never unit-stride, so
+        # its products take numpy's own loop; one state's X gets a spare row to keep it off unit stride too, so
+        # that a state rounds as it would in any stack
+        x = np.empty((*block.shape, n + (n == 1)), dtype=np.complex128)[..., :n]
+        vals = self.vals.take(block, axis=1).transpose(1, 2, 0)[..., None]
+        np.multiply(amps, vals, out=x.reshape(*block.shape, k, -1))
         diag = self._diag(single_bins, self.vals.take(single, axis=1))
-        return x.reshape(*block.shape, n).transpose(2, 0, 1), diag
+        return x.transpose(2, 0, 1), diag
 
     def clone(self, clone: int = 0) -> np.ndarray:
         """(k r, d, d) reductions of clone A (``clone=0``) or B (``clone=1``)."""
@@ -390,7 +413,11 @@ def fidelity_closed_form(d: int, alpha: float, beta: float) -> float:
     Defined on the domain :func:`build_machine` accepts (d >= 2, a nonnegative
     split within 1e-9 of the unit circle); anything else raises ValueError.
     """
-    d = _check_domain(d, alpha, beta)
+    return _fidelity(_check_domain(d, alpha, beta), alpha, beta)
+
+
+def _fidelity(d: int, alpha, beta):
+    """Package-private: :func:`fidelity_closed_form` unchecked, on floats or elementwise on arrays, in one order."""
     return 1.0 / d + alpha * beta * math.sqrt(2.0 * (d - 1)) / d + beta * beta * (d - 2) / (2.0 * d)
 
 
@@ -424,7 +451,11 @@ def shrink_factor(d: int, alpha: float, beta: float) -> float:
     eta = alpha*beta*sqrt(2/(d-1)) + beta^2 (d-2) / (2(d-1)), on the domain
     of :func:`fidelity_closed_form`.
     """
-    d = _check_domain(d, alpha, beta)
+    return _shrink(_check_domain(d, alpha, beta), alpha, beta)
+
+
+def _shrink(d: int, alpha, beta):
+    """Package-private: :func:`shrink_factor` unchecked, on floats or elementwise on arrays, in one order."""
     return alpha * beta * math.sqrt(2.0 / (d - 1)) + beta * beta * (d - 2) / (2.0 * (d - 1))
 
 
@@ -434,7 +465,7 @@ def simulate_fidelity(machine: CloningMachine, psi) -> float:
     The overlap <psi|rho_A|psi> is read off the pure output M = V|psi> as a
     stack of one machine and one state, from the nonzeros of V in O(d^3)
     time and O(d^2) memory; neither clone's state nor the two-clone state
-    is formed.
+    is formed. The result is the double that psi's slice of any stack gives.
     """
     return float(_simulate([machine], np.asarray(psi)[None, None]).fidelity()[0])
 

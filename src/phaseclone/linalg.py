@@ -131,10 +131,18 @@ def frobenius_distance(a, b) -> float:
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    diff = a - b
+    return _largest_norm(a - b)
+
+
+def _largest_norm(diff: np.ndarray) -> float:
+    """Package-private: the largest slice norm of a stack of differences, summed as :func:`frobenius_distance` sums.
+
+    For a caller that already holds the difference, e.g. one written into a
+    temporary it no longer needs.
+    """
     if diff.ndim >= 2 and abs(diff.strides[-2]) < abs(diff.strides[-1]):
         diff = diff.swapaxes(-1, -2)  # sum in memory order, as np.linalg.norm does
-    diff = diff.reshape(-1, math.prod(diff.shape[-2:]))
+    diff = diff.reshape(*diff.shape[:-2], math.prod(diff.shape[-2:]))  # a view wherever each slice is contiguous
     sq = np.vecdot(diff.real, diff.real) + np.vecdot(diff.imag, diff.imag)
     return float(np.sqrt(sq).max(initial=0.0))
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloner import _check_domain, fidelity_closed_form, optimal_fidelity, optimal_params
+from .cloner import _check_domain, _fidelity, fidelity_closed_form, optimal_fidelity, optimal_params
 from .linalg import _integer
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -36,9 +36,10 @@ class SweepTable:
 
 
 def _objective(d: int):
+    # every alpha in [0, 1] gives a split on the unit circle, so the closed form needs no domain check here
     def f(alpha: float) -> float:
         beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
-        return fidelity_closed_form(d, alpha, beta)
+        return _fidelity(d, alpha, beta)
 
     return f
 
@@ -81,15 +82,17 @@ def maximize_fidelity(d: int, tol: float = 1e-12) -> tuple[float, float]:
 
 
 def sweep_alpha(d: int, n_points: int) -> SweepTable:
-    """Evaluate the closed-form fidelity on a uniform alpha grid over [0, 1]."""
+    """Evaluate the closed-form fidelity on a uniform alpha grid over [0, 1].
+
+    The grid is evaluated as whole arrays, in the operation order of one
+    :func:`~phaseclone.cloner.fidelity_closed_form` call per point, so each
+    row is that call's double; every grid point is in its domain.
+    """
     d, n_points = _check_domain(d), _integer(n_points, "n_points", 3)
-    f = _objective(d)
-    rows = []
-    for alpha in np.linspace(0.0, 1.0, n_points):
-        alpha = float(alpha)
-        beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
-        rows.append((alpha, beta, f(alpha)))
-    return SweepTable(d=d, rows=tuple(rows))
+    alpha = np.linspace(0.0, 1.0, n_points)
+    beta = np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha))
+    f = _fidelity(d, alpha, beta)
+    return SweepTable(d=d, rows=tuple(zip(alpha.tolist(), beta.tolist(), f.tolist())))
 
 
 def optimum_residual(d: int) -> float:

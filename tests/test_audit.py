@@ -11,7 +11,7 @@ import pytest
 import phaseclone.audit
 import phaseclone.cloner
 import phaseclone.states
-from phaseclone.audit import AuditReport, _check_outputs, _swap_residual, mub_rows, run_audit
+from phaseclone.audit import AuditReport, _check_outputs, _swap_residual, _twist, mub_rows, run_audit
 from phaseclone.cli import main
 from phaseclone.cloner import (
     CloningMachine,
@@ -562,6 +562,38 @@ class TestPositivityBound:
         assert validity.residual >= eps
         assert main(["verify", "--d-max", "4", "--trials", "2"]) == 1
         assert "output_state_validity,2..4,false," in capsys.readouterr().out
+
+
+class TestTwist:
+    """``_twist`` takes one exponential per unordered pair and must equal the full ``np.exp`` form bit for bit."""
+
+    @staticmethod
+    def full(phases):
+        return np.exp(1j * (phases[..., :, None] - phases[..., None, :]))
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert got.shape == want.shape
+        assert (got == want).all()
+        for part in ("real", "imag"):
+            assert (np.signbit(getattr(got, part)) == np.signbit(getattr(want, part))).all(), part
+
+    def test_draws_match_the_full_form_with_every_zero_sign(self):
+        for d in range(2, 65):
+            phases = _random_phase_vectors(d, range(d, d + 12)).reshape(3, 4, d)
+            self.assert_same_bits(_twist(phases), self.full(phases))
+
+    def test_equal_and_signed_zero_phases_match_the_full_form(self):
+        # equal phases give a zero difference, whose sine is +0 in both triangles of the full form
+        phases = np.array([[0.0, -0.0, 0.0, 1.5, 1.5, -2.0, math.pi, -math.pi]])
+        self.assert_same_bits(_twist(phases), self.full(phases))
+
+    def test_a_nan_phase_poisons_its_row_and_column_off_the_diagonal(self):
+        twist = _twist(np.array([0.3, math.nan, 1.1]))
+        off = ~np.eye(3, dtype=bool)
+        assert np.isnan(twist[1][off[1]]).all() and np.isnan(twist[:, 1][off[:, 1]]).all()
+        assert (twist.diagonal() == 1.0).all()
+        assert not np.isnan(twist[[0, 2]][:, [0, 2]]).any()
 
 
 class TestCovarianceStructure:

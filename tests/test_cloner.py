@@ -14,10 +14,13 @@ from phaseclone.cloner import (
     CloningMachine,
     FidelityReport,
     VerificationError,
+    _fidelity,
     _layout,
     _output_factor,
     _Outputs,
+    _shrink,
     _simulate,
+    _unitarity_residuals,
     build_machine,
     clone_state,
     fidelity_closed_form,
@@ -251,6 +254,27 @@ class TestBuildMachine:
         object.__setattr__(machine, "rows", rows)
         with pytest.raises(ValueError, match="more than one nonzero"):
             machine.unitarity_residual()
+
+    def test_stacked_residuals_equal_the_norm_of_each_machine_bit_for_bit(self):
+        # one pass over one d's machines, the unnormalized one included, against np.linalg.norm of each diagonal
+        rng = np.random.default_rng(29)
+        for d in range(2, 65):
+            machines = [build_machine(d, *optimal_params(d))]
+            machines += [build_machine(d, math.cos(t), math.sin(t)) for t in rng.uniform(0, math.pi / 2, 20)]
+            opt = machines[0]
+            machines.append(CloningMachine(d, opt.alpha * math.sqrt(0.9), opt.beta * math.sqrt(0.9)))
+            expected = [
+                float(np.linalg.norm(np.bincount(m.cols, weights=np.abs(m.vals) ** 2, minlength=d) - 1.0))
+                for m in machines
+            ]
+            assert _unitarity_residuals(machines).tolist() == expected, d
+            assert [m.unitarity_residual() for m in machines] == expected, d
+
+    def test_stacked_residuals_refuse_machines_with_their_own_layout(self):
+        machines = [build_machine(3, *optimal_params(3)), build_machine(3, 1.0, 0.0)]
+        object.__setattr__(machines[1], "rows", machines[1].rows.copy())  # equal values, not the shared array
+        with pytest.raises(ValueError, match="share one rows/cols layout"):
+            _unitarity_residuals(machines)
 
     def test_parameters_renormalized(self):
         # norm off by ~2e-10: accepted, then snapped back onto the circle
@@ -537,6 +561,22 @@ class TestSimulate:
                 got, want = read(stacked), np.concatenate([read(out) for out in alone])
                 assert got.shape == want.shape and (got == want).all(), f"{name} at d = {d}"
 
+    def test_one_state_rounds_as_its_slice_of_a_stack_bit_for_bit(self):
+        # a stack of one state takes the same product kernel as any larger stack, so simulate_fidelity of a state
+        # is the double its slice of a stack gives, and so is every other stack read
+        rng = np.random.default_rng(71)
+        for d in range(2, 65):
+            machine = build_machine(d, *optimal_params(d))
+            amps = rng.normal(size=(5, d)) + 1j * rng.normal(size=(5, d))
+            amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+            amps = np.concatenate([amps, phase_state(np.stack([random_phase_vector(d, s) for s in range(5)]))])
+            stacked = _simulate([machine], amps[None])
+            fidelities = stacked.fidelity().tolist()
+            assert [simulate_fidelity(machine, psi) for psi in amps] == fidelities, d
+            for name, read in STACK_READS.items():
+                alone = np.concatenate([read(_simulate([machine], psi[None, None])) for psi in amps])
+                assert (alone == read(stacked)).all(), f"{name} at d = {d}"
+
     def test_mub_rows_at_d29_traces_under_2_megabytes(self):
         # one basis (29 states) is simulated at a time, and clone A's reduction is never stacked
         rows, peak = traced_peak_bytes(lambda: mub_rows(29))
@@ -642,6 +682,16 @@ class TestReducedClone:
 
 
 class TestClosedForms:
+    def test_array_forms_equal_one_scalar_call_per_split_bit_for_bit(self):
+        # the audit evaluates F and eta for all machines of a chunk at once; each entry must be the scalar call's double
+        rng = np.random.default_rng(37)
+        for d in range(2, 65):
+            splits = [optimal_params(d), (1.0, 0.0), (0.0, 1.0)]
+            splits += [(math.cos(t), math.sin(t)) for t in rng.uniform(0, math.pi / 2, 20)]
+            alpha, beta = np.array(splits).T
+            assert _fidelity(d, alpha, beta).tolist() == [fidelity_closed_form(d, *split) for split in splits], d
+            assert _shrink(d, alpha, beta).tolist() == [shrink_factor(d, *split) for split in splits], d
+
     def test_beta_zero_fidelity_is_1_over_d(self):
         for d in (2, 3, 7, 64):
             assert fidelity_closed_form(d, 1.0, 0.0) == pytest.approx(1.0 / d, abs=1e-15)

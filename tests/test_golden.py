@@ -5,7 +5,8 @@ them, so a change that moves any printed digit fails here. Rounding can differ b
 pins hold only on the numpy version they were recorded with.
 
 ``golden_verify.json`` holds the parsed output of the three ``verify`` commands, as version 0.16.3 printed
-it: the exit code, every text field, and every number as the ``repr`` of its double. It is compared on any
+it, and ``golden_table_mub.json`` that of the ``table`` and two ``mub`` commands, as version 0.16.4 printed
+it: the exit code, every text field, and every number as the ``repr`` of its double. They are compared on any
 numpy version, text exactly and each number within ``ULPS`` units in the last place, so the values stay
 checked where the sha256 pins skip.
 """
@@ -36,7 +37,13 @@ GOLDEN = {
 }
 
 VALUES = json.loads(Path(__file__).with_name("golden_verify.json").read_text(encoding="utf-8"))
-NUMBERS = ("residual", "tolerance")  # the numeric columns of verify's rows; every other field is text
+TABLE_MUB_VALUES = json.loads(Path(__file__).with_name("golden_table_mub.json").read_text(encoding="utf-8"))
+# each command's numeric columns; every other field is text
+NUMBERS = {
+    "verify": ("residual", "tolerance"),
+    "table": ("alpha", "beta", "f_optimal", "f_uqcm", "eta"),
+    "mub": ("value",),
+}
 ULPS = 4  # a last-digit drift, as a different summation order may give; a real change moves a residual further
 
 
@@ -49,10 +56,11 @@ def test_stdout_and_exit_code_match_the_recorded_run(capsys, command):
 
 
 def parsed_run(command: str, capsys) -> dict:
-    """Run a ``verify`` command: its exit code, its JSON document without the rows (empty for CSV), and its rows.
+    """Run a command: its exit code, its JSON document without the rows (empty for CSV), and its rows.
 
     Every number in a row is kept as the ``repr`` of its double, every other field as printed.
     """
+    numbers = NUMBERS[command.split()[0]]
     code = main(command.split())
     out = capsys.readouterr().out
     if "--format json" in command:
@@ -60,7 +68,7 @@ def parsed_run(command: str, capsys) -> dict:
         rows = header.pop("rows")
     else:
         header, rows = {}, list(csv.DictReader(io.StringIO(out)))
-    rows = [{key: repr(float(value)) if key in NUMBERS else value for key, value in row.items()} for row in rows]
+    rows = [{key: repr(float(value)) if key in numbers else value for key, value in row.items()} for row in rows]
     return {"exit": code, "header": header, "rows": rows}
 
 
@@ -69,14 +77,24 @@ def ulps_apart(a: float, b: float) -> float:
     return abs(a - b) / math.ulp(max(abs(a), abs(b)))
 
 
-@pytest.mark.parametrize("command", VALUES)
-def test_verify_rows_match_the_recorded_values(capsys, command):
-    got, want = parsed_run(command, capsys), VALUES[command]
+def assert_matches_the_recorded_run(command: str, capsys, want: dict) -> None:
+    """Text of ``command``'s parsed run exactly as in ``want``, and each number within ``ULPS``."""
+    got, numbers = parsed_run(command, capsys), NUMBERS[command.split()[0]]
 
     def text(doc):
-        return {**doc, "rows": [{k: v for k, v in row.items() if k not in NUMBERS} for row in doc["rows"]]}
+        return {**doc, "rows": [{k: v for k, v in row.items() if k not in numbers} for row in doc["rows"]]}
 
     assert text(got) == text(want)
     for row, ref in zip(got["rows"], want["rows"], strict=True):
-        for key in NUMBERS:
-            assert ulps_apart(float(row[key]), float(ref[key])) <= ULPS, (row["check"], key, row[key], ref[key])
+        for key in numbers:
+            assert ulps_apart(float(row[key]), float(ref[key])) <= ULPS, (row, key, row[key], ref[key])
+
+
+@pytest.mark.parametrize("command", VALUES)
+def test_verify_rows_match_the_recorded_values(capsys, command):
+    assert_matches_the_recorded_run(command, capsys, VALUES[command])
+
+
+@pytest.mark.parametrize("command", TABLE_MUB_VALUES)
+def test_table_and_mub_rows_match_the_recorded_values(capsys, command):
+    assert_matches_the_recorded_run(command, capsys, TABLE_MUB_VALUES[command])

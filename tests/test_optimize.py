@@ -113,6 +113,16 @@ class TestSweepAlpha:
         with pytest.raises(ValueError):
             sweep_alpha(2, 2)
 
+    @pytest.mark.parametrize("n_points, dims", [(3, range(2, 65)), (101, range(2, 65)), (100_000, (2, 3, 64))])
+    def test_rows_equal_one_scalar_closed_form_call_per_point(self, n_points, dims):
+        # the grid is evaluated as arrays; each row must be the double that the scalar route gives
+        for d in dims:
+            expected = []
+            for alpha in np.linspace(0.0, 1.0, n_points).tolist():
+                beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
+                expected.append((alpha, beta, fidelity_closed_form(d, alpha, beta)))
+            assert sweep_alpha(d, n_points).rows == tuple(expected), d
+
 
 class TestVerifyOptimum:
     @pytest.mark.parametrize("d", [2, 3])
