@@ -36,19 +36,13 @@ over its draws bounds every draw's -lambda_min from above, and a draw
 whose Gram is not positive fails through its residual. The simulation
 costs O(d^3) time per draw and O(n d^2) memory per machine, and no Python
 work is left per draw: all of one d's phase vectors, machine by machine in
-sub-seed order, come from one call of the batch route of
-:mod:`phaseclone.states`,
-whose rows are bit-identical to one ``random_phase_vector`` call per
-sub-seed, and one call of ``phase_state`` per chunk turns its rows into
-its states. The run's random splits come from one call of the stream
-route, whose doubles are those of numpy's ``Generator(PCG64(seed))``, in
-the order in which ``uniform(0, pi/2)`` would draw them. On a shared
-2-core machine with numpy 2.4, ``verify --trials 20`` takes 0.09-0.15 s
-at d_max 12 (``cli.main`` wall time, benchmark run medians on a host whose
-speed drifts, 36.0 MB of RSS) and 9.1-9.8 s at d_max 64 (in-process, two
-runs, 45.8-46.0 MB of RSS); at d_max 64 ``--trials 2`` takes 1.3-1.4 s
-(in-process, two runs, 43.2-43.4 MB), of which the MUB rows of the 17 odd
-primes are about 0.9 s and set the peak.
+sub-seed order, come from one batch of :mod:`phaseclone.states`' seeded
+stream, one row per sub-seed (the ``random_phase_vector`` of that
+sub-seed), and one call of ``phase_state`` per chunk turns its rows into
+its states. The run's random splits come from one call of the same
+stream, whose doubles are those of numpy's ``Generator(PCG64(seed))``, in
+the order in which ``uniform(0, pi/2)`` would draw them. The README's
+performance paragraph gives the measured time and memory of these runs.
 
 MUB checks cover every odd prime d <= d_max; :func:`mub_rows` is also what
 ``phaseclone mub`` prints. Each prime's bases are built, checked and
@@ -287,8 +281,9 @@ def _check_outputs(note, machines: list[CloningMachine], phases: np.ndarray) -> 
     note("clone_symmetry", _largest_norm(np.subtract(red_a, red_b, out=red_b)))
     del red_b
 
-    # brute force vs closed form: <psi|rho_A|psi> is what simulate_fidelity computes, and an imaginary part
-    # (a non-Hermitian reduction) counts against the same tolerance; each machine's draws must agree
+    # brute force vs closed form: <psi|rho_A|psi>, the overlap simulate_fidelity computes, summed another way
+    # (the two can differ in the last bits), and an imaginary part (a non-Hermitian reduction) counts against
+    # the same tolerance; each machine's draws must agree
     fid = (amps.conj()[:, :, None, :] @ red_a @ amps[:, :, :, None])[:, :, 0, 0]
     alpha, beta = np.array([(m.alpha, m.beta) for m in machines]).T  # built by build_machine: in the domain
     f_closed = _fidelity(d, alpha, beta)

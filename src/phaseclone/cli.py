@@ -23,12 +23,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .audit import CHECKS, mub_rows, mub_worst, run_audit
 from .cloner import VerificationError, _fidelity_row, build_machine, optimal_params
 from .optimize import sweep_alpha
-from .states import _random_phase_vectors, is_prime
+from .states import is_prime, random_phase_vector
 
 SCHEMA_VERSION = 1
 MAX_D = 64
@@ -47,9 +48,16 @@ def _fmt(value) -> str:
 
 
 def _emit(text: str, output: str | None) -> None:
-    """Write to stdout or ``output``; an unwritable path exits 2 with a one-line message."""
+    """Write to stdout or ``output``; an unwritable path or a closed stdout pipe exits 2 with a one-line message."""
     if output is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # what is left in stdout's buffer then goes to devnull at exit, not to a second traceback
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print(f"phaseclone: error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
+            raise SystemExit(2) from None
         return
     try:
         with open(output, "w", encoding="utf-8", newline="\n") as fh:
@@ -74,12 +82,13 @@ def cmd_table(d_min: int, d_max: int, seed: int = 0) -> tuple[int, dict]:
     the machine before it is emitted (FidelityReport refuses rows where the
     closed form and the simulation disagree); such a row raises
     VerificationError naming its d, and the CLI exits 1 without output.
-    Row d simulates the first d phases of one draw of d_max phases, which
-    are ``random_phase_vector(d, seed)``, so each row is the one
+    Row d simulates the first d phases of ``random_phase_vector(d_max, seed)``,
+    which are ``random_phase_vector(d, seed)`` (the draws of one seed are
+    prefixes of one stream), so each row is the one
     ``fidelity_report(d, phase_seed=seed)`` gives. Bad arguments raise
     ValueError, as they do in the library.
     """
-    phases = _random_phase_vectors(d_max, [seed])[0]
+    phases = random_phase_vector(d_max, seed)
     rows = []
     for d in range(d_min, d_max + 1):
         try:

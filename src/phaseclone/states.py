@@ -10,18 +10,15 @@ Every state and phase vector here is a plain read-only numpy array: (d,)
 for one, (n, d) for a stack of n, one per row. Phases are float64 and
 amplitudes complex128.
 
-Seeded values come by two routes. The package-private stream route,
-:func:`_uniforms`, computes numpy's ``Generator(PCG64(seed)).random()``
-doubles for a whole batch of seeds at once: numpy documents PCG64's
-stream, its SeedSequence seeding included, as stable across releases, so
-it re-runs those integer steps in vectorized numpy, bit for bit, and never
-imports ``numpy.random``. It serves every draw of the command line: the
-audit's splits and phase vectors (:func:`_random_phase_vectors`, a batch
-of them) and the phase vectors of ``table``'s rows, prefixes of one draw.
-The public one-draw route, :func:`random_phase_vector`, goes through
-numpy's ``Generator``; once ``numpy.random`` is loaded it is the cheaper
-one for a single draw, and it is the reference the stream route is tested
-against.
+Seeded values come by one route, :func:`_uniforms`, which computes
+numpy's ``Generator(PCG64(seed)).random()`` doubles for a whole batch of
+seeds at once: numpy documents PCG64's stream, its SeedSequence seeding
+included, as stable across releases, so it re-runs those integer steps in
+vectorized numpy, bit for bit, without numpy's ``random`` subpackage. It
+serves every draw: the audit's splits, a batch of phase vectors
+(:func:`_random_phase_vectors`), and :func:`random_phase_vector`, which is
+that batch's one-seed case. The tests hold the route to numpy's
+``Generator`` bit for bit.
 """
 
 from __future__ import annotations
@@ -85,14 +82,12 @@ def phase_state(phases) -> np.ndarray:
 def random_phase_vector(d: int, seed: int) -> np.ndarray:
     """Deterministic random phase vector, a read-only (d,) float array: ``phases[0] = 0``, the rest uniform on [0, 2*pi).
 
-    The stream is PCG64 keyed by ``seed`` (stable across releases: the
-    bit generator is pinned by name, not taken from numpy's default).
+    The phases are numpy's ``Generator(PCG64(seed)).uniform(0, 2*pi, d - 1)``
+    after a zero, bit for bit (the bit generator is pinned by name, not taken
+    from numpy's default): the one-seed row of :func:`_random_phase_vectors`.
+    A loop of many draws is cheaper as one batch of seeds there.
     """
-    d, seed = _integer(d, "d", 2), _integer(seed, "seed", 0)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    phases = np.concatenate(([0.0], rng.uniform(0.0, TWO_PI, d - 1)))
-    phases.setflags(write=False)
-    return phases
+    return _random_phase_vectors(d, [seed])[0]
 
 
 # numpy's SeedSequence hash constants and PCG64's LCG multiplier M (numpy/random/bit_generator.pyx, pcg64.h)
@@ -182,7 +177,7 @@ def _uniforms(seeds, count: int) -> np.ndarray:
 
 
 def _random_phase_vectors(d: int, seeds) -> np.ndarray:
-    """Package-private: ``random_phase_vector(d, seed)`` for every seed at once, bit for bit; a read-only (n, d) array.
+    """Package-private: the phase vectors of many seeds at once; a read-only (n, d) array, one row per seed.
 
     Row i is a zero phase, then seed i's first d - 1 :func:`_uniforms` times 2*pi, as ``uniform(0, 2*pi)``
     scales them; so the first d' phases of a row are its seed's (d',) phase vector.

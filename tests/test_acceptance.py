@@ -13,6 +13,7 @@ import pytest
 
 from phaseclone.cli import main as cli_main
 from phaseclone.cloner import (
+    _simulate,
     build_machine,
     clone_state,
     fidelity_closed_form,
@@ -50,24 +51,24 @@ def best_call_time(fn, *args, repeats=5):
 
 @pytest.fixture(scope="module")
 def simulation_sweep():
-    """d -> (machine, simulated fidelities, worst |sim - closed|), plus elapsed seconds.
+    """d -> (machine, {route: simulated fidelities}, worst |sim - closed| over both routes), plus elapsed seconds.
 
-    One brute-force pass (build_machine -> clone_state -> reduced_clone ->
-    fidelity_pure) over 100 seeded phase states for every d in 2..16,
-    shared by criteria 4, 6 and 7.
+    One brute-force pass over 100 seeded phase states for every d in 2..16,
+    shared by criteria 4, 6 and 7. Each state takes both routes: the dense
+    one (build_machine -> clone_state -> reduced_clone -> fidelity_pure) and
+    simulate_fidelity, the route of the CLI and the audit.
     """
     t0 = time.perf_counter()
     data = {}
     for d in SIM_DIMS:
         machine = build_machine(d, *optimal_params(d))
         closed = fidelity_closed_form(d, machine.alpha, machine.beta)
-        fids = []
-        worst = 0.0
+        fids = {"dense": [], "simulate_fidelity": []}
         for seed in range(SAMPLES_PER_D):
             psi = phase_state(random_phase_vector(d, seed))
-            f = fidelity_pure(psi, reduced_clone(clone_state(machine, psi)))
-            fids.append(f)
-            worst = max(worst, abs(f - closed))
+            fids["dense"].append(fidelity_pure(psi, reduced_clone(clone_state(machine, psi))))
+            fids["simulate_fidelity"].append(simulate_fidelity(machine, psi))
+        worst = max(abs(f - closed) for route in fids.values() for f in route)
         data[d] = (machine, fids, worst)
     return data, time.perf_counter() - t0
 
@@ -106,8 +107,8 @@ def test_criterion_04_oracle_equivalence(simulation_sweep):
     worst = max(entry[2] for entry in data.values())
     assert worst < 1e-12
     assert elapsed < 30.0
-    announce(4, f"brute-force simulation matches the closed form for d = 2..16, "
-                f"100 phase states each (worst residual {worst:.2e}, {elapsed:.2f} s)")
+    announce(4, f"brute-force simulation, dense and through simulate_fidelity, matches the closed form "
+                f"for d = 2..16, 100 phase states each (worst residual {worst:.2e}, {elapsed:.2f} s)")
 
 
 def test_criterion_05_d2_scalar_form():
@@ -130,9 +131,9 @@ def test_criterion_05_d2_scalar_form():
 
 def test_criterion_06_phase_covariance(simulation_sweep):
     data, _ = simulation_sweep
-    worst_std = max(float(np.std(fids, ddof=1)) for _, fids, _ in data.values())
+    worst_std = max(float(np.std(route, ddof=1)) for _, fids, _ in data.values() for route in fids.values())
     assert worst_std < 1e-12
-    announce(6, f"simulated fidelity is constant over the phase family for d = 2..16 "
+    announce(6, f"simulated fidelity is constant over the phase family for d = 2..16, on both routes "
                 f"(worst sample std {worst_std:.2e} over 100 draws)")
 
 
@@ -142,10 +143,13 @@ def test_criterion_07_isometry_and_clone_symmetry(simulation_sweep):
     worst_sym = 0.0
     for d, (machine, _, _) in data.items():
         for seed in (0, 1, 2):
-            rho = clone_state(machine, phase_state(random_phase_vector(d, seed)))
+            psi = phase_state(random_phase_vector(d, seed))
+            rho = clone_state(machine, psi)
             red_a = partial_trace(rho, keep=(0,)).mat
             red_b = partial_trace(rho, keep=(1,)).mat
             worst_sym = max(worst_sym, frobenius_distance(red_a, red_b))
+            out = _simulate([machine], psi[None, None])  # the route of simulate_fidelity and the CLI
+            worst_sym = max(worst_sym, frobenius_distance(out.clone(0)[0], out.clone(1)[0]))
     assert worst_iso < 1e-12
     assert worst_sym < 1e-12
     announce(7, f"isometry ||V^dag V - I||_F and clone symmetry ||rho_A - rho_B||_F "

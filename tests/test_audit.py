@@ -35,6 +35,7 @@ from phaseclone.states import (
     random_phase_vector,
     unbiasedness_residual,
 )
+from numpy_oracle import numpy_phases
 
 EQ_CHECKS = {
     "isometry_unitarity",
@@ -81,7 +82,7 @@ def per_draw_residuals(d_max: int, n_random: int, seed: int) -> dict[str, float]
             red0 = _simulate([machine], phase_state(np.zeros((1, d)))[None]).clone(0)[0]
             fidelities = []
             for _ in range(max(2, n_random)):
-                phases = random_phase_vector(d, next(seeds))
+                phases = numpy_phases(d, next(seeds))
                 psi = phase_state(phases)
                 update("phase_state_modulus", float(np.abs(np.abs(psi) - 1.0 / math.sqrt(d)).max()))
                 out = _simulate([machine], psi[None, None])

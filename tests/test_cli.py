@@ -322,11 +322,16 @@ def test_documented_usage_parses(line):
     assert args.command == argv[0]
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports these sources."""
+    src = str(Path(phaseclone.cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter on these sources, with ``argv`` as its arguments."""
-    src = str(Path(phaseclone.cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=fresh_env(), capture_output=True, text=True,
+                          check=True)
 
 
 LOADED_NUMPY_RANDOM = "sorted(m for m in sys.modules if m.startswith('numpy.random'))"
@@ -349,3 +354,28 @@ def test_no_command_imports_numpy_random(argv):
     run = "assert phaseclone.cli.main(sys.argv[1:]) == 0"
     result = run_fresh(f"import sys, phaseclone.cli; {run}; print({LOADED_NUMPY_RANDOM}, file=sys.stderr)", *argv.split())
     assert result.stdout and result.stderr.strip() == "[]"
+
+
+def test_no_library_entry_point_imports_numpy_random():
+    # random_phase_vector is the one-seed case of the commands' in-package stream, so no library call pays it either
+    calls = "phaseclone.random_phase_vector(4, 1); phaseclone.fidelity_report(5); phaseclone.run_audit(3, 1, 0)"
+    result = run_fresh(f"import sys, phaseclone; {calls}; phaseclone.mub_basis(5, 1); print({LOADED_NUMPY_RANDOM})")
+    assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    "table --d-max 3",  # fits stdout's buffer: the flush fails
+    "mub --d 61",  # does not: the write itself fails
+])
+def test_a_closed_stdout_pipe_exits_2_with_one_line(argv):
+    # as in `phaseclone mub --d 61 | true`, the reader is gone; here before the run starts, so every run sees it
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run([sys.executable, "-m", "phaseclone.cli", *argv.split()], env=fresh_env(),
+                                stdout=write, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    # one stderr line: no traceback, and no "Exception ignored" from the flush at interpreter exit
+    assert result.returncode == 2
+    assert result.stderr == "phaseclone: error: cannot write to stdout: Broken pipe\n"
