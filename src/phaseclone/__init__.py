@@ -39,7 +39,7 @@ from .states import (
     random_phase_vector,
 )
 
-__version__ = "0.16.6"
+__version__ = "0.16.7"
 
 __all__ = [
     "AuditReport",

@@ -26,22 +26,24 @@ module evaluates these closed forms and also simulates the machine by
 brute force so the two routes can be checked against each other.
 
 The isometry V: C^d -> C^(d^3) has only 2d^2 - d nonzeros (the three kinds
-of term above), at most one per row. The machine stores just those and
-checks V^dag V from them, in O(d^2) memory; the dense d^3-by-d matrix is
-built only on request, for inspection and as a test reference.
+of term above), at most one per row. The machine describes V by just
+those and checks V^dag V from them, in O(d^2) memory; the dense d^3-by-d
+matrix is built only on request, for inspection and as a test reference.
 
 Every simulation goes through one route, :func:`_simulate`, which runs k
 machines of one d at once, each on its own stack of r input states. Where
 V's nonzeros sit depends on d alone (the split only sets their values), so
-:func:`_layout` gives every machine of one d the same ``rows``/``cols``
-and the :class:`_Plan` of which nonzeros of the pure output M = V|psi>
-(d^2 by d) meet in a clone reduction or in the ancilla Gram M^dag M. Both
-are written down, once per d, from one enumeration of d's index pairs; no
-sort discovers the plan, and the tests hold it to a generic derivation
-from ``rows``/``cols``. A stack's reductions are then batched products of
-the amplitudes ``vals * psi[cols]``, each machine's ``vals`` broadcast
-over its own states: O(d^3) time per state and O(k r d^2) memory, with no
-d^3-sized array. The dense route (:func:`_output_factor`,
+a machine stores only its ``vals``, and every machine of one d reads its
+``rows``/``cols`` and the plan of which nonzeros of the pure output
+M = V|psi> (d^2 by d) meet in a clone reduction or in the ancilla Gram
+M^dag M from one :class:`_Layout` of d (:func:`_layout`). All of these are
+written down from one enumeration of d's index pairs, and each group is
+built the first time a route reads it: a fidelity reads only clone A's
+plan. No sort discovers the plan, and the tests hold it to a generic
+derivation from ``rows``/``cols``. A stack's reductions are then batched
+products of the amplitudes ``vals * psi[cols]``, each machine's ``vals``
+broadcast over its own states: O(d^3) time per state and O(k r d^2)
+memory, with no d^3-sized array. The dense route (:func:`_output_factor`,
 :func:`clone_state`, which forms the d^2-by-d^2 two-clone state M M^dag)
 stays for callers that ask for the two-clone state, and as the reference
 the tests hold the plan to.
@@ -50,7 +52,6 @@ the tests hold the plan to.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -94,11 +95,13 @@ class CloningMachine:
     """The machine is its dimension and its (alpha, beta) split; the isometry is derived from them.
 
     V has exactly 2d^2 - d nonzeros and each of its rows holds at most one,
-    so the machine stores only those: ``rows``, ``cols`` and ``vals`` are
-    read-only arrays with ``V[rows[k], cols[k]] == vals[k]``, computed once
-    at construction (``rows``/``cols`` by :func:`_layout`). Rows are
-    indexed by (clone A, clone B, ancilla) in the fixed tensor convention,
-    and column j is the image of input basis state |j>. :attr:`isometry`
+    so the machine describes V by those alone: ``rows``, ``cols`` and
+    ``vals`` are read-only arrays with ``V[rows[k], cols[k]] == vals[k]``.
+    Only ``vals`` is computed at construction. ``rows`` and ``cols`` depend
+    on d alone, so they are properties that read d's :func:`_layout`,
+    built on first read and shared by every machine of d. Rows are indexed
+    by (clone A, clone B, ancilla) in the fixed tensor convention, and
+    column j is the image of input basis state |j>. :attr:`isometry`
     rebuilds the dense d^3-by-d matrix on each access.
     Machines compare and hash by ``(d, alpha, beta)``. The constructor checks
     d and the signs but not alpha^2 + beta^2 = 1, so an unnormalized machine
@@ -108,18 +111,28 @@ class CloningMachine:
     d: int
     alpha: float
     beta: float
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
-    cols: np.ndarray = field(init=False, repr=False, compare=False)
     vals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = _check_domain(self.d, self.alpha, self.beta, norm_tol=math.inf)
-        rows, cols, _ = _layout(d)
-        # alpha on the d nonzeros |jj>|R_j>, which _layout lists first, and beta / sqrt(2(d-1)) on the rest
-        vals = np.concatenate([np.full(d, self.alpha), np.full(rows.size - d, self.beta / math.sqrt(2.0 * (d - 1)))])
+        # d's layout becomes the cached one here, with none of its groups built: the previous d's layout is then freed
+        # before this d's machines and stacks are allocated, which keeps verify's peak RSS about 0.15 MB lower
+        _layout(d)
+        # alpha on the d nonzeros |jj>|R_j>, which the layout lists first, and beta / sqrt(2(d-1)) on the 2d(d-1) others
+        vals = np.concatenate([np.full(d, self.alpha), np.full(2 * d * (d - 1), self.beta / math.sqrt(2.0 * (d - 1)))])
         vals.setflags(write=False)
-        for name, value in (("d", d), ("rows", rows), ("cols", cols), ("vals", vals)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "vals", vals)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Read-only row index of each nonzero of V, read from d's layout: one array for every machine of d."""
+        return _layout(self.d).rows
+
+    @property
+    def cols(self) -> np.ndarray:
+        """Read-only column index of each nonzero of V, read from d's layout: one array for every machine of d."""
+        return _layout(self.d).cols
 
     @property
     def isometry(self) -> np.ndarray:
@@ -143,16 +156,16 @@ class CloningMachine:
 def _unitarity_residuals(machines) -> np.ndarray:
     """Package-private: ``||V^dag V - I||_F`` of each of k machines of one d, as a (k,) array, in one pass.
 
-    The machines must share one ``rows``/``cols`` (as every machine of one d
-    built while its :func:`_layout` is cached does); that is checked, and so
-    is the one nonzero per row that makes each V^dag V diagonal. One offset
+    The machines must share one d, so that they read one ``rows``/``cols``
+    from d's :func:`_layout`; that is checked, and so is the one nonzero
+    per row that makes each V^dag V diagonal. One offset
     bincount then gives every machine's diagonal, and each residual is
     summed as ``np.linalg.norm`` sums a vector, so a machine's residual is
     the same in any stack.
     """
     first = machines[0]
-    if any(machine.rows is not first.rows or machine.cols is not first.cols for machine in machines):
-        raise ValueError("machines that share one rows/cols layout expected")
+    if any(machine.d != first.d for machine in machines):
+        raise ValueError(f"machines that share one rows/cols layout expected, got d = {[m.d for m in machines]}")
     _one_nonzero_per_row(first.rows)
     k, d = len(machines), first.d
     bins = first.cols + np.arange(0, k * d, d)[:, None]  # machine i's diagonal at i d .. i d + d - 1
@@ -209,76 +222,113 @@ def build_machine(d: int, alpha: float, beta: float) -> CloningMachine:
     return CloningMachine(d, alpha / scale, beta / scale)
 
 
-@dataclass(frozen=True, eq=False)
-class _Plan:
-    """Package-private: where each nonzero of V lands in the reductions of M = V|psi>, for the nonzeros of one d.
+class _Layout:
+    """Package-private: where V's 2d^2 - d nonzeros sit, for one d, each group of index arrays built on first read.
 
-    Written down by :func:`_layout` from the same enumeration as ``rows``
-    and ``cols``, so it reads no closed form; the tests hold it to a
-    generic derivation from ``rows`` and ``cols``. Nonzero k of V gives the
-    output amplitude ``vals[k] * psi[cols[k]]`` at the digits (a, b, c) of
-    ``rows[k]`` (clone A, clone B, ancilla), and a reduction sums the
-    products of the amplitudes that share its traced digits (its key):
+    Every array depends on d alone and comes from one row-major
+    enumeration of the P = d(d - 1) ordered pairs (j, l) with j != l,
+    kept as ``j`` and ``l``; p is a pair's rank in it. Nonzero j < d is
+    |jj>|R_j> in column j, nonzero d + p is |jl>|R_l> and nonzero
+    d + P + p is |lj>|R_l>, both in column j. The groups are ``rows`` and
+    ``cols`` (``V[rows[k], cols[k]] == vals[k]``), each clone's
+    reduction (``clone_a``, ``clone_b``) and the ancilla Gram (``gram``).
+    Each is a :func:`functools.cached_property`, so a route pays only for
+    the groups it reads (a fidelity reads clone A alone), and each is built
+    at most once per layout. Every array is read-only, since one layout
+    serves every machine of its d. No closed form is read; the tests hold
+    every array to a generic derivation from ``rows`` and ``cols``.
 
-    - ``clones[i]`` serves clone i's reduction X X^dag. The keys hit by
-      several nonzeros form a full (d, m) block: ``block`` holds the
-      nonzero at [kept digit, key rank], and row a of the block reads input
-      a, so X is ``psi[:, None] * vals[block]``, one broadcast product. A
-      key hit once adds |amplitude|^2 to one diagonal entry: ``single``
-      lists those nonzeros and ``single_bins`` their ``kept * d + col``.
-    - The ancilla Gram M^dag M sums over (a, b), whose keys hold one or two
-      nonzeros. The two of a pair meet at Gram entry (c_p, c_q) off the
-      diagonal. ``pairs`` (2, n_pairs) holds their indices, ``pair_cols``
-      their input columns and ``pair_bins`` that entry as ``c_p * d + c_q``.
-      No two pairs meet at one entry, so each pair's product is its entry.
-      Every nonzero adds |amplitude|^2 to diagonal entry c, at
-      ``diag_bins`` = ``c * d + col``.
+    Nonzero k of V gives the output amplitude ``vals[k] * psi[cols[k]]``
+    at the digits (a, b, c) of ``rows[k]`` (clone A, clone B, ancilla),
+    and a reduction sums the products of the amplitudes that share its
+    traced digits (its key):
+
+    - ``clone(i)`` serves clone i's reduction X X^dag as ``(block, single,
+      single_bins)``. The keys hit by several nonzeros form a full (d, m)
+      block: ``block`` holds the nonzero at [kept digit, key rank], and row
+      a of the block reads input a, so X is ``psi[:, None] * vals[block]``,
+      one broadcast product. A key hit once adds |amplitude|^2 to one
+      diagonal entry: ``single`` lists those nonzeros and ``single_bins``
+      their ``kept * d + col``. Clone A's block (keys (b, c) = (l, l))
+      holds the first off-diagonal kind and clone B's (keys (a, c) =
+      (l, l)) the second: nonzero a sits at [a, a], pair (j, l) at [j, l].
+      Each nonzero of the other kind adds to the diagonal entry l from
+      input j.
+    - ``gram`` is ``(pairs, pair_cols, pair_bins, diag_bins)``. The Gram
+      M^dag M sums over (a, b), whose keys hold one or two nonzeros. The
+      two of a pair meet at Gram entry (c_p, c_q) off the diagonal.
+      ``pairs`` (2, P) holds their indices, ``pair_cols`` their input
+      columns and ``pair_bins`` that entry as ``c_p * d + c_q``: |lj>|R_l>
+      (nonzero d + P + p) shares its (A, B) digits with |lj>|R_j>, the
+      first kind's pair (l, j), and the two meet at entry (j, l) from
+      inputs (l, j). Pair p is the only one at entry (j, l), so each pair's
+      product is its entry. Every nonzero adds |amplitude|^2 to diagonal
+      entry c, at ``diag_bins`` = ``c * d + col``.
     """
 
-    clones: tuple  # per clone: (block, single, single_bins)
-    pairs: np.ndarray
-    pair_cols: np.ndarray
-    pair_bins: np.ndarray
-    diag_bins: np.ndarray
+    def __init__(self, d: int):
+        self.d = d
+        self.j, self.l = np.nonzero(~np.eye(d, dtype=bool))
 
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        d, j, l = self.d, self.j, self.l
+        rows = np.concatenate([np.arange(d) * (d * d + d + 1), (j * d + l) * d + l, (l * d + j) * d + l])
+        rows.setflags(write=False)
+        return rows
 
-@functools.lru_cache(maxsize=1)
-def _layout(d: int) -> tuple[np.ndarray, np.ndarray, _Plan]:
-    """Read-only ``rows`` and ``cols`` of V's 2d^2 - d nonzeros and their :class:`_Plan`, written down for d.
+    @functools.cached_property
+    def cols(self) -> np.ndarray:
+        cols = np.concatenate([np.arange(self.d), self.j, self.j])
+        cols.setflags(write=False)
+        return cols
 
-    They depend on d alone, and callers work one d at a time, so each d's
-    layout is built once. All of it comes from one row-major enumeration of
-    the P = d(d - 1) ordered pairs (j, l) with j != l; p is a pair's rank
-    in it. Nonzero j < d is |jj>|R_j> in column j, nonzero d + p is
-    |jl>|R_l> and nonzero d + P + p is |lj>|R_l>, both in column j.
-    Clone A's block (keys (b, c) = (l, l)) holds the first off-diagonal
-    kind and clone B's (keys (a, c) = (l, l)) the second: nonzero a sits at
-    [a, a], pair (j, l) at [j, l], and row a reads input a. Each nonzero of
-    the other kind adds to the diagonal entry l from input j. In the Gram,
-    |lj>|R_l> (nonzero d + P + p) shares its (A, B) digits with |lj>|R_j>,
-    the first kind's pair (l, j); the two meet at entry (j, l) from inputs
-    (l, j). Pair p is the only one at entry (j, l). The tests hold every
-    array to a generic derivation of the plan from ``rows`` and ``cols``.
-    """
-    j, l = np.nonzero(~np.eye(d, dtype=bool))
-    diag = np.arange(d)
-    n_off = j.size
-    rank = np.arange(n_off)
-    rows = np.concatenate([diag * (d * d + d + 1), (j * d + l) * d + l, (l * d + j) * d + l])
-    cols = np.concatenate([diag, j, j])
-    swapped = l * d + j
-    clones = []
-    for start in (d, d + n_off):  # clone A's block holds the |jl>|R_l> kind, clone B's the |lj>|R_l> kind
+    @functools.cached_property
+    def clone_a(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._clone(self.d)
+
+    @functools.cached_property
+    def clone_b(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._clone(self.d + self.j.size)
+
+    def clone(self, clone: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Clone A's (``clone=0``) or B's (``clone=1``) ``(block, single, single_bins)``; only that clone's is built."""
+        return self.clone_b if clone else self.clone_a
+
+    def _clone(self, start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The clone whose block holds nonzeros start .. start + P - 1: clone A's the |jl>|R_l> kind, clone B's |lj>|R_l>."""
+        d, j, l = self.d, self.j, self.l
+        diag, rank = np.arange(d), np.arange(j.size)
         block = np.empty((d, d), dtype=np.intp)
         block[diag, diag] = diag
         block[j, l] = start + rank
-        clones.append((block, 2 * d + n_off - start + rank, swapped))
-    pairs, pair_cols = np.stack([d + l * (d - 1) + j - (j > l), d + n_off + rank]), np.stack([l, j])
-    gram = (pairs, pair_cols, j * d + l, np.concatenate([diag * (d + 1), swapped, swapped]))
-    for arr in (rows, cols, *itertools.chain(*clones), *gram):
+        return _read_only(block, 2 * d + j.size - start + rank, l * d + j)
+
+    @functools.cached_property
+    def gram(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        d, j, l = self.d, self.j, self.l
+        n_off = j.size
+        swapped = l * d + j
+        pairs = np.stack([d + l * (d - 1) + j - (j > l), d + n_off + np.arange(n_off)])
+        return _read_only(pairs, np.stack([l, j]), j * d + l, np.concatenate([np.arange(d) * (d + 1), swapped, swapped]))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Lock each array of a layout group read-only and return the group as a tuple."""
+    for arr in arrays:
         arr.setflags(write=False)
-    plan = _Plan(tuple(clones), *gram)
-    return rows, cols, plan
+    return arrays
+
+
+@functools.lru_cache(maxsize=1)
+def _layout(d: int) -> _Layout:
+    """The :class:`_Layout` of d, shared by every machine of d while it is cached.
+
+    Callers work one d at a time, so one entry is enough: each d's layout
+    is made once per run of one d, and each of its groups is built once
+    within that run, the first time a route reads it.
+    """
+    return _Layout(d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,10 +341,11 @@ class _Outputs:
     has one slice per row of ``amps``, in that order, and is computed from
     the nonzeros of V in O(d^3) time per state, with no d^3-sized array.
     Every machine reads its own ``vals`` by broadcasting over (k, r); no
-    array is gathered per row.
+    array is gathered per row. Each stack reads only the groups of d's
+    :class:`_Layout` it needs.
     """
 
-    plan: _Plan
+    layout: _Layout
     vals: np.ndarray
     amps: np.ndarray
 
@@ -307,7 +358,7 @@ class _Outputs:
 
     def _clone_parts(self, clone: int) -> tuple[np.ndarray, np.ndarray]:
         """Clone ``clone``'s block X (k r, d, m) and diagonal D (k r, d): its reduction is X X^dag + diag(D)."""
-        block, single, single_bins = self.plan.clones[clone]
+        block, single, single_bins = self.layout.clone(clone)
         k, (n, d) = len(self.vals), self.amps.shape
         amps = self.amps.T.reshape(d, 1, k, n // k)
         # X is written (d, m, k, r) and viewed as (k r, d, m), the gather amps[:, cols[block]]'s memory order; a
@@ -329,18 +380,17 @@ class _Outputs:
 
     def gram(self) -> np.ndarray:
         """(k r, d, d) ancilla Grams M^dag M: the pair products of each (A, B) key plus the diagonal."""
-        p = self.plan
+        pairs, pair_cols, pair_bins, diag_bins = self.layout.gram
         k, (n, d) = len(self.vals), self.amps.shape
         amps = self.amps.reshape(k, n // k, d)
         first, second = (
-            (amps.take(p.pair_cols[i], axis=2) * self.vals.take(p.pairs[i], axis=1)[:, None]).reshape(n, -1)
-            for i in (0, 1)
+            (amps.take(pair_cols[i], axis=2) * self.vals.take(pairs[i], axis=1)[:, None]).reshape(n, -1) for i in (0, 1)
         )
         gram = np.zeros((n, d * d), dtype=np.complex128)
-        gram[:, p.pair_bins] = np.conjugate(first, out=first) * second
+        gram[:, pair_bins] = np.conjugate(first, out=first) * second
         gram = gram.reshape(n, d, d)
         gram += gram.conj().swapaxes(1, 2)
-        gram.reshape(n, -1)[:, :: d + 1] = self._diag(p.diag_bins, self.vals)
+        gram.reshape(n, -1)[:, :: d + 1] = self._diag(diag_bins, self.vals)
         return gram
 
     def fidelity(self) -> np.ndarray:
@@ -350,21 +400,23 @@ class _Outputs:
         return (np.abs(proj[:, 0]) ** 2).sum(axis=1) + (np.abs(self.amps) ** 2 * diag).sum(axis=1)
 
 
-def _simulate(machines, amps) -> _Outputs:
+def _simulate(machines, amps, ndim: int = 3) -> _Outputs:
     """Package-private: run k machines of one d, machine i on the normalized states in row i of a (k, r, d) amplitude stack.
 
     The one simulation route of the package, for any k >= 1:
-    :func:`simulate_fidelity` and the MUB rows pass one machine, and the
+    :func:`simulate_fidelity` passes one machine and one (d,) state with
+    ``ndim=1``, so that a bad state is reported in the shape its caller
+    gave; the MUB rows pass one machine and a (1, d, d) stack, and the
     audit's sweep a chunk of one d's machines. All of them read their
-    stacks from the returned :class:`_Outputs`, through the plan of that d.
+    stacks from the returned :class:`_Outputs`, through the layout of that d.
     """
     d = machines[0].d
     if any(machine.d != d for machine in machines):
         raise DimensionError(f"machines of one d expected, got d = {[machine.d for machine in machines]}")
-    amps = _normalized(amps, d, ndim=3)
-    if len(amps) != len(machines):
+    amps = _normalized(amps, d, ndim)
+    if ndim == 3 and len(amps) != len(machines):
         raise DimensionError(f"expected one stack of states per machine ({len(machines)}), got {len(amps)}")
-    return _Outputs(_layout(d)[2], np.array([machine.vals for machine in machines]), amps.reshape(-1, d))
+    return _Outputs(_layout(d), np.array([machine.vals for machine in machines]), amps.reshape(-1, d))
 
 
 def _output_factor(machine: CloningMachine, psi) -> np.ndarray:
@@ -467,7 +519,7 @@ def simulate_fidelity(machine: CloningMachine, psi) -> float:
     time and O(d^2) memory; neither clone's state nor the two-clone state
     is formed. The result is the double that psi's slice of any stack gives.
     """
-    return float(_simulate([machine], np.asarray(psi)[None, None]).fidelity()[0])
+    return float(_simulate([machine], psi, ndim=1).fidelity()[0])
 
 
 def fidelity_report(

@@ -46,17 +46,19 @@ def _check_dims(dims) -> tuple[int, ...]:
     return dims
 
 
-def _integer(value, name: str, minimum: int, error: type[ValueError] = ValueError) -> int:
+def _integer(value, name: str, minimum: int | None, error: type[ValueError] = ValueError) -> int:
     """Package-private: the one integer rule; return ``value`` as an int.
 
     ``value`` must be an integer (any ``numbers.Integral``, numpy's too) of
-    at least ``minimum``; anything else (a NaN, an infinity, 2.5) raises
-    ``error``, a ValueError (DimensionError for shapes and indices).
+    at least ``minimum`` (of any size when ``minimum`` is None); anything
+    else (a NaN, an infinity, 2.5) raises ``error``, a ValueError
+    (DimensionError for shapes and indices).
     """
-    if type(value) is int and value >= minimum:  # the common case, without the ABC check of numbers.Integral
+    if type(value) is int and (minimum is None or value >= minimum):  # the common case, without the ABC check
         return value
-    if not (isinstance(value, numbers.Integral) and value >= minimum):
-        raise error(f"{name} must be >= {minimum} and an integer, got {value!r}")
+    if not (isinstance(value, numbers.Integral) and (minimum is None or value >= minimum)):
+        bound = "" if minimum is None else f">= {minimum} and "
+        raise error(f"{name} must be {bound}an integer, got {value!r}")
     return int(value)
 
 
@@ -66,8 +68,8 @@ def _normalized(amps, d: int, ndim: int = 1) -> np.ndarray:
     ``amps`` must be one state of shape (d,) (``ndim=1``), a stack of
     states of shape (n, d) (``ndim=2``) or k such stacks of shape
     (k, n, d) (``ndim=3``), else DimensionError; and each state's |psi|^2
-    must lie within ``EQ_TOL`` of 1, else ValueError (a NaN amplitude
-    fails too).
+    must lie within ``EQ_TOL`` of 1, else ValueError, which reports the
+    first such |psi|^2 as a float (a NaN amplitude fails too).
     """
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.ndim != ndim or amps.shape[-1] != d:
@@ -75,7 +77,8 @@ def _normalized(amps, d: int, ndim: int = 1) -> np.ndarray:
         raise DimensionError(f"expected input states of shape {want}, got shape {amps.shape}")
     norm2 = (np.abs(amps) ** 2).sum(axis=-1)
     if not (np.abs(norm2 - 1.0) <= EQ_TOL).all():
-        raise ValueError(f"state is not normalized: |psi|^2 = {norm2!r}")
+        first = norm2.flat[np.argmin(np.abs(norm2 - 1.0) <= EQ_TOL)]
+        raise ValueError(f"state is not normalized: |psi|^2 = {float(first)!r}")
     return amps
 
 

@@ -38,7 +38,12 @@ class UnsupportedDimensionError(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality check; plenty for d <= 64."""
+    """Trial-division primality check; plenty for d <= 64.
+
+    ``n`` follows the integer rule (a NaN or 2.5 raises ValueError); any
+    integer below 2 is not prime.
+    """
+    n = _integer(n, "n", None)
     if n < 2:
         return False
     for p in range(2, int(math.isqrt(n)) + 1):

@@ -1,19 +1,23 @@
 """Test oracle: the simulation plan derived generically from the index arrays of V's nonzeros.
 
-``cloner._layout`` writes each d's plan down from the enumeration that
-also gives ``rows`` and ``cols``. :func:`build_plan` instead discovers the
-plan from any ``rows``/``cols`` by sorting and counting, and checks on the
-way everything the plan relies on, so the tests can hold the written-down
-plan to it array by array.
+``cloner._layout`` writes each d's plan down, group by group, from the
+enumeration that also gives ``rows`` and ``cols``. :func:`build_plan`
+instead discovers the plan from any ``rows``/``cols`` by sorting and
+counting, and checks on the way everything the plan relies on, so the
+tests can hold the written-down plan to it array by array.
 """
 
 import numpy as np
 
-from phaseclone.cloner import _one_nonzero_per_row, _Plan
+from phaseclone.cloner import _one_nonzero_per_row
 
 
-def build_plan(d: int, rows: np.ndarray, cols: np.ndarray) -> _Plan:
-    """The :class:`_Plan` of the triples ``rows``/``cols`` of a d-level machine.
+def build_plan(d: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The plan of the triples ``rows``/``cols`` of a d-level machine, as ten arrays.
+
+    They come in the order of ``cloner._Layout``'s groups: clone A's
+    ``(block, single, single_bins)``, clone B's, then the Gram's
+    ``(pairs, pair_cols, pair_bins, diag_bins)``.
 
     Checks, rather than assumes, what the plan relies on: at most one
     nonzero per row, full blocks for both clones, at most two nonzeros per
@@ -44,9 +48,10 @@ def build_plan(d: int, rows: np.ndarray, cols: np.ndarray) -> _Plan:
     pairs, bins = pairs[:, np.argsort(bins, kind="stable")], np.sort(bins, kind="stable")
     if not np.diff(bins).all():
         raise ValueError("two pairs of V's nonzeros meet at one Gram entry")
-    return _Plan(tuple(clones), pairs, cols[pairs], bins, c * d + cols)
+    return (*clones[0], *clones[1], pairs, cols[pairs], bins, c * d + cols)
 
 
 def block_cols(d: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
     """Each clone's input column at every slot of its block, ``cols[block]``: the gather that builds clone X by indexing."""
-    return [cols[block] for block, _, _ in build_plan(d, rows, cols).clones]
+    plan = build_plan(d, rows, cols)
+    return [cols[plan[0]], cols[plan[3]]]

@@ -264,8 +264,9 @@ class TestRunAudit:
 
     def test_plans_are_built_once_per_run_of_one_dimension(self, monkeypatch):
         # every machine of one d shares the layout of its d, so a layout is built only where the d of consecutive
-        # simulations changes: once per d of the sweep, then once per MUB dimension
-        dims, builds = [], []
+        # simulations changes: once per d of the sweep, then once per MUB dimension. One machine per chunk
+        # (a 1-byte cap) gives each d several chunks, and each group of a layout is built once, on first read
+        dims, builds, groups = [], [], {}
         simulate, layout = phaseclone.audit._simulate, phaseclone.cloner._layout
 
         def running(machines, amps):
@@ -276,12 +277,27 @@ class TestRunAudit:
             builds.append(d)
             return layout.__wrapped__(d)
 
+        for group in ("rows", "cols", "clone_a", "clone_b", "gram"):
+            build = vars(phaseclone.cloner._Layout)[group].func
+
+            def counting(self, build=build, group=group):
+                groups.setdefault(group, []).append(self.d)
+                return build(self)
+
+            counted = functools.cached_property(counting)
+            counted.__set_name__(phaseclone.cloner._Layout, group)
+            monkeypatch.setattr(phaseclone.cloner._Layout, group, counted)
+        monkeypatch.setattr(phaseclone.audit, "CHUNK_BYTES", 1)
         monkeypatch.setattr(phaseclone.audit, "_simulate", running)
         # the builder behind a fresh cache of the module's own size
         monkeypatch.setattr(phaseclone.cloner, "_layout", functools.lru_cache(**layout.cache_parameters())(building))
         assert run_audit(d_max=7, n_random=2, seed=0).overall
         changes = [d for previous, d in zip([None, *dims], dims) if d != previous]
+        assert len(dims) > len(changes)
         assert builds == changes == [2, 3, 4, 5, 6, 7, 3, 5, 7]
+        # the sweep reads every group; the MUB rows read only clone A's, for their fidelities
+        sweep = [2, 3, 4, 5, 6, 7]
+        assert groups == {"rows": sweep, "cols": sweep, "clone_a": changes, "clone_b": sweep, "gram": sweep}
 
     @pytest.mark.parametrize("d_max, n_random, seed", [(5, 1, 0), (6, 3, 5), (9, 2, 11), (4, 6, 3)])
     def test_stacked_checks_match_the_per_draw_loop_bit_for_bit(self, d_max, n_random, seed):

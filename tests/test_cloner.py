@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 import tracemalloc
 import warnings
@@ -248,10 +247,15 @@ class TestBuildMachine:
         assert peak < 1_000_000
 
     def test_unitarity_residual_refuses_a_row_with_two_nonzeros(self):
-        machine = build_machine(3, *optimal_params(3))
-        rows = machine.rows.copy()
+        rows = build_machine(3, *optimal_params(3)).rows.copy()
         rows[-1] = rows[0]
-        object.__setattr__(machine, "rows", rows)
+
+        class TwoInOneRow(CloningMachine):
+            @property
+            def rows(self):
+                return rows
+
+        machine = TwoInOneRow(3, *optimal_params(3))
         with pytest.raises(ValueError, match="more than one nonzero"):
             machine.unitarity_residual()
 
@@ -271,8 +275,8 @@ class TestBuildMachine:
             assert [m.unitarity_residual() for m in machines] == expected, d
 
     def test_stacked_residuals_refuse_machines_with_their_own_layout(self):
-        machines = [build_machine(3, *optimal_params(3)), build_machine(3, 1.0, 0.0)]
-        object.__setattr__(machines[1], "rows", machines[1].rows.copy())  # equal values, not the shared array
+        # machines of two dimensions read two layouts
+        machines = [build_machine(3, *optimal_params(3)), build_machine(4, 1.0, 0.0)]
         with pytest.raises(ValueError, match="share one rows/cols layout"):
             _unitarity_residuals(machines)
 
@@ -428,6 +432,16 @@ class TestCloneState:
             with pytest.raises(ValueError, match="not normalized"):
                 run(machine, np.array([1.0, 1.0, 0.0]))
 
+    def test_rejections_name_the_callers_own_state(self):
+        # simulate_fidelity runs one state as a stack of one, but reports the shape and the float |psi|^2 it was given
+        machine = build_machine(3, *optimal_params(3))
+        with pytest.raises(DimensionError, match=r"of shape \(3,\), got shape \(3, 3\)$"):
+            simulate_fidelity(machine, np.eye(3))
+        with pytest.raises(ValueError, match=r"\|psi\|\^2 = 3\.0$"):
+            simulate_fidelity(machine, np.ones(3))
+        with pytest.raises(ValueError, match=r"\|psi\|\^2 = 2\.0$"):  # the first state off the unit sphere
+            _simulate([machine], [[[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [3.0, 0.0, 0.0]]])
+
     def test_rejects_nan_input_instead_of_returning_nan(self):
         # |psi|^2 is NaN, which no tolerance test of the form "> tol" catches
         machine = build_machine(3, *optimal_params(3))
@@ -514,19 +528,19 @@ class TestSimulate:
         # X is a broadcast written in the gather's memory order; the gather amps[:, cols[block]] is the reference
         class Gathered(_Outputs):
             def _clone_parts(self, clone):
-                block, single, single_bins = self.plan.clones[clone]
+                block, single, single_bins = self.layout.clone(clone)
                 gathered = self.amps[:, block_cols(d, rows, cols)[clone]] * self.vals[0, block]  # one machine
                 return gathered, self._diag(single_bins, self.vals[:, single])
 
         rng = np.random.default_rng(61)
         for d in range(2, 65):
-            rows, cols, _ = _layout(d)
+            rows, cols = _layout(d).rows, _layout(d).cols
             machine = build_machine(d, *optimal_params(d))
             object.__setattr__(machine, "vals", rng.normal(size=machine.vals.size))  # unequal clones
             amps = rng.normal(size=(5, d)) + 1j * rng.normal(size=(5, d))
             amps /= np.linalg.norm(amps, axis=1, keepdims=True)
             out = _simulate([machine], amps[None])
-            ref = Gathered(out.plan, out.vals, out.amps)
+            ref = Gathered(out.layout, out.vals, out.amps)
             for name, got, want in (
                 ("clone A", out.clone(0), ref.clone(0)),
                 ("clone B", out.clone(1), ref.clone(1)),
@@ -595,10 +609,9 @@ class TestSimulate:
         assert peak < 2.5e6
 
 
-def plan_arrays(plan):
-    """Every array of a plan, in field order: each clone's three, then the Gram's four."""
-    gram = (plan.pairs, plan.pair_cols, plan.pair_bins, plan.diag_bins)
-    return [*itertools.chain(*plan.clones), *gram]
+# each plan group of cloner._Layout, and the slice of build_plan's arrays that holds the same group
+PLAN_GROUPS = {"clone_a": slice(0, 3), "clone_b": slice(3, 6), "gram": slice(6, 10)}
+LAYOUT_GROUPS = ("rows", "cols", *PLAN_GROUPS)
 
 
 class TestLayout:
@@ -606,33 +619,42 @@ class TestLayout:
 
     @pytest.mark.parametrize("d", range(2, 65))
     def test_matches_the_generic_derivation_array_by_array(self, d):
-        rows, cols, plan = _layout(d)
-        for k, (got, want) in enumerate(zip(plan_arrays(plan), plan_arrays(build_plan(d, rows, cols)), strict=True)):
-            assert got.dtype == want.dtype, k
-            np.testing.assert_array_equal(got, want, err_msg=f"plan array {k}")
+        layout = _layout(d)
+        want = build_plan(d, layout.rows, layout.cols)
+        for group, arrays in PLAN_GROUPS.items():
+            for k, (got, ref) in enumerate(zip(getattr(layout, group), want[arrays], strict=True)):
+                assert got.dtype == ref.dtype, (group, k)
+                np.testing.assert_array_equal(got, ref, err_msg=f"{group} array {k}")
 
     @pytest.mark.parametrize("d", range(2, 65))
     def test_each_block_row_reads_its_own_input(self, d):
         # block_cols[a, :] == a is what lets each clone's X be a broadcast of the inputs instead of a gather
-        rows, cols, _ = _layout(d)
-        for clone, got in enumerate(block_cols(d, rows, cols)):
+        layout = _layout(d)
+        for clone, got in enumerate(block_cols(d, layout.rows, layout.cols)):
             np.testing.assert_array_equal(got, np.broadcast_to(np.arange(d)[:, None], got.shape), err_msg=f"clone {clone}")
 
     def test_every_returned_array_is_read_only(self):
         # the layout is cached and shared by every machine of its d, so one stray write would corrupt them all
-        rows, cols, plan = _layout(4)
-        for k, arr in enumerate([rows, cols, *plan_arrays(plan)]):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[(0,) * arr.ndim] = 0
-            assert not arr.flags.writeable, k
+        layout = _layout(4)
+        for group in LAYOUT_GROUPS:
+            value = getattr(layout, group)
+            for k, arr in enumerate([value] if isinstance(value, np.ndarray) else value):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[(0,) * arr.ndim] = 0
+                assert not arr.flags.writeable, (group, k)
+
+    def test_a_fidelity_builds_only_clone_a(self):
+        # table's route, one fidelity per d, reads clone A's plan alone; the other groups stay unbuilt
+        _layout.cache_clear()
+        fidelity_report(9)
+        assert [group for group in LAYOUT_GROUPS if group in vars(_layout(9))] == ["clone_a"]
 
     def test_plan_builder_refuses_a_row_with_two_nonzeros(self):
         machine = build_machine(3, *optimal_params(3))
         rows = machine.rows.copy()
         rows[-1] = rows[0]
-        object.__setattr__(machine, "rows", rows)
         with pytest.raises(ValueError, match="more than one nonzero"):
-            build_plan(3, machine.rows, machine.cols)
+            build_plan(3, rows, machine.cols)
 
     def test_plan_builder_refuses_a_clone_block_with_a_gap(self):
         # moving |00>|R_0> to the free row |00>|R_1> leaves clone A's block column (0, 0) one nonzero short

@@ -355,7 +355,14 @@ class TestStandardBasisAndUnbiasedness:
 
 @pytest.mark.parametrize(
     "n,expected",
-    [(1, False), (2, True), (3, True), (4, False), (13, True), (49, False), (61, True)],
+    [(-3, False), (0, False), (True, False), (1, False), (2, True), (3, True), (4, False), (13, True), (49, False),
+     (61, True), (np.int64(61), True)],
 )
 def test_is_prime(n, expected):
     assert is_prime(n) is expected
+
+
+@pytest.mark.parametrize("n", [2.5, math.nan, math.inf, 3.0, "5"])
+def test_is_prime_follows_the_integer_rule(n):
+    with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
+        is_prime(n)
