@@ -30,7 +30,7 @@ from .linalg import (
     frobenius_distance,
     partial_trace,
 )
-from .optimize import ConvergenceError, SweepTable, maximize_fidelity, sweep_alpha
+from .optimize import SweepTable, maximize_fidelity, sweep_alpha
 from .states import (
     UnsupportedDimensionError,
     is_prime,
@@ -39,13 +39,12 @@ from .states import (
     random_phase_vector,
 )
 
-__version__ = "0.16.7"
+__version__ = "0.17.0"
 
 __all__ = [
     "AuditReport",
     "CheckResult",
     "CloningMachine",
-    "ConvergenceError",
     "DensityMatrix",
     "DimensionError",
     "EQ_TOL",

@@ -371,7 +371,7 @@ class _Outputs:
         diag = self._diag(single_bins, self.vals.take(single, axis=1))
         return x.transpose(2, 0, 1), diag
 
-    def clone(self, clone: int = 0) -> np.ndarray:
+    def clone(self, clone: int) -> np.ndarray:
         """(k r, d, d) reductions of clone A (``clone=0``) or B (``clone=1``)."""
         x, diag = self._clone_parts(clone)
         red = x @ x.conj().swapaxes(1, 2)

@@ -6,8 +6,8 @@ state ``|i0 i1 ... in>`` sits at flat index ``((i0*d1 + i1)*d2 + ...)``,
 exactly the ordering produced by ``numpy.kron``. Every partial trace and
 every isometry in the package assumes this layout.
 
-A pure state is a plain complex amplitude array, (d,) for one state,
-(n, d) for a stack and (k, n, d) for k stacks; every function that takes one checks it through
+A pure state is a plain complex amplitude array, (d,) for one state and
+(k, n, d) for k stacks of n; every function that takes one checks it through
 :func:`_normalized`. A mixed state is a :class:`DensityMatrix`, which keeps
 its factor dimensions for :func:`partial_trace`.
 
@@ -32,20 +32,6 @@ class DimensionError(ValueError):
     """Shape or factor-dimension mismatch between operands."""
 
 
-def _lock(arr: np.ndarray, shape_len: int) -> np.ndarray:
-    if arr.ndim != shape_len:
-        raise DimensionError(f"expected a {shape_len}-d array, got shape {arr.shape}")
-    arr.setflags(write=False)
-    return arr
-
-
-def _check_dims(dims) -> tuple[int, ...]:
-    dims = tuple(_integer(d, "factor dimension", 2, DimensionError) for d in dims)
-    if not dims:
-        raise DimensionError("need at least one factor dimension, got none")
-    return dims
-
-
 def _integer(value, name: str, minimum: int | None, error: type[ValueError] = ValueError) -> int:
     """Package-private: the one integer rule; return ``value`` as an int.
 
@@ -65,15 +51,14 @@ def _integer(value, name: str, minimum: int | None, error: type[ValueError] = Va
 def _normalized(amps, d: int, ndim: int = 1) -> np.ndarray:
     """Package-private: the one check of input states; return ``amps`` as a complex128 array.
 
-    ``amps`` must be one state of shape (d,) (``ndim=1``), a stack of
-    states of shape (n, d) (``ndim=2``) or k such stacks of shape
-    (k, n, d) (``ndim=3``), else DimensionError; and each state's |psi|^2
-    must lie within ``EQ_TOL`` of 1, else ValueError, which reports the
-    first such |psi|^2 as a float (a NaN amplitude fails too).
+    ``amps`` must be one state of shape (d,) (``ndim=1``) or k stacks of
+    states of shape (k, n, d) (``ndim=3``), else DimensionError; and each
+    state's |psi|^2 must lie within ``EQ_TOL`` of 1, else ValueError, which
+    reports the first such |psi|^2 as a float (a NaN amplitude fails too).
     """
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.ndim != ndim or amps.shape[-1] != d:
-        want = {1: f"({d},)", 2: f"(n, {d})", 3: f"(k, n, {d})"}[ndim]
+        want = f"({d},)" if ndim == 1 else f"(k, n, {d})"
         raise DimensionError(f"expected input states of shape {want}, got shape {amps.shape}")
     norm2 = (np.abs(amps) ** 2).sum(axis=-1)
     if not (np.abs(norm2 - 1.0) <= EQ_TOL).all():
@@ -95,7 +80,7 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        self._settle(self.dims, _lock(np.array(self.mat, dtype=np.complex128, copy=True), 2))
+        self._settle(self.dims, np.array(self.mat, dtype=np.complex128, copy=True))
 
     @classmethod
     def _adopt(cls, dims, mat: np.ndarray) -> "DensityMatrix":
@@ -107,14 +92,19 @@ class DensityMatrix:
         if mat.dtype != np.complex128:
             raise TypeError(f"expected a complex128 matrix, got {mat.dtype}")
         rho = object.__new__(cls)
-        rho._settle(dims, _lock(mat, 2))
+        rho._settle(dims, mat)
         return rho
 
     def _settle(self, dims, mat: np.ndarray) -> None:
-        object.__setattr__(self, "dims", _check_dims(dims))
-        n = self.total_dim
+        """Check ``dims`` and that ``mat`` is (n, n) for their product n, then store both with ``mat`` read-only."""
+        dims = tuple(_integer(d, "factor dimension", 2, DimensionError) for d in dims)
+        if not dims:
+            raise DimensionError("need at least one factor dimension, got none")
+        n = math.prod(dims)
         if mat.shape != (n, n):
-            raise DimensionError(f"matrix shape {mat.shape} does not match dims {self.dims}")
+            raise DimensionError(f"matrix shape {mat.shape} does not match dims {dims}")
+        mat.setflags(write=False)
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mat", mat)
 
     @property

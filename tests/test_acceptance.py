@@ -91,7 +91,7 @@ def test_criterion_03_numeric_rederivation():
     t0 = time.perf_counter()
     worst_f = worst_alpha = 0.0
     for d in range(2, 65):
-        alpha_star, f_star = maximize_fidelity(d, tol=1e-12)
+        alpha_star, f_star = maximize_fidelity(d)
         worst_f = max(worst_f, abs(f_star - optimal_fidelity(d)))
         worst_alpha = max(worst_alpha, abs(alpha_star - optimal_params(d)[0]))
     elapsed = time.perf_counter() - t0

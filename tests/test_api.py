@@ -21,7 +21,6 @@ PUBLIC = {
     "AuditReport",
     "CheckResult",
     "CloningMachine",
-    "ConvergenceError",
     "DensityMatrix",
     "DimensionError",
     "EQ_TOL",

@@ -187,9 +187,21 @@ class TestDomainTypes:
         assert not rho.mat.flags.writeable
         assert source.flags.writeable
 
-    def test_density_shape_check(self):
-        with pytest.raises(DimensionError):
-            DensityMatrix((2,), np.eye(3))
+    @pytest.mark.parametrize(
+        "make, error, match",
+        [
+            (lambda: DensityMatrix((2,), np.eye(3)), DimensionError, r"matrix shape \(3, 3\) does not match dims \(2,\)"),
+            (lambda: DensityMatrix((2,), np.ones(2)), DimensionError, r"matrix shape \(2,\) does not match dims \(2,\)"),
+            (lambda: DensityMatrix((2,), np.eye(2)[None]), DimensionError, r"matrix shape \(1, 2, 2\) does not match"),
+            (lambda: DensityMatrix((), np.eye(1)), DimensionError, "need at least one factor dimension, got none"),
+            (lambda: DensityMatrix._adopt((2,), np.eye(3, dtype=np.complex128)), DimensionError, r"matrix shape \(3, 3\)"),
+            (lambda: DensityMatrix._adopt((2,), np.eye(2)), TypeError, "expected a complex128 matrix, got float64"),
+        ],
+        ids=["wrong side", "1-d mat", "3-d mat", "empty dims", "adopt mis-shaped", "adopt not complex128"],
+    )
+    def test_density_shape_check(self, make, error, match):
+        with pytest.raises(error, match=match):
+            make()
 
 
 class TestIntegerRule:
