@@ -33,7 +33,12 @@ G_phi = U_phi G_0 U_phi^dag with U_phi = diag(e^(i phi)), so only each
 machine's phase-zero Gram G_0 is solved: by Weyl's inequality,
 -lambda_min(G_0) plus the machine's worst ||G_phi - U_phi G_0 U_phi^dag||_F
 over its draws bounds every draw's -lambda_min from above, and a draw
-whose Gram is not positive fails through its residual. The simulation
+whose Gram is not positive fails through its residual. Conjugating by
+U_phi multiplies entry (j, k) by e^(i(phi_j - phi_k)) = d psi_j conj(psi_k)
+for the phase state psi = e^(i phi) / sqrt(d), so this twist, which the
+covariance, closed-matrix and positivity checks read, is d psi psi^dag of
+the input states: no check takes it from a simulated output, and it
+costs one product per entry. The simulation
 costs O(d^3) time per draw and O(n d^2) memory per machine, and no Python
 work is left per draw: all of one d's phase vectors, machine by machine in
 sub-seed order, come from one batch of :mod:`phaseclone.states`' seeded
@@ -52,7 +57,6 @@ unbiasedness products and d simulations.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -205,36 +209,6 @@ def mub_worst(d: int, rows: list[dict]) -> tuple[float, float]:
     return worst_basis, worst_uniform
 
 
-@functools.lru_cache(maxsize=1)
-def _upper(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only row and column indices of the d(d - 1)/2 entries above the diagonal of a d-by-d matrix."""
-    upper = np.triu_indices(d, 1)
-    for arr in upper:
-        arr.setflags(write=False)
-    return upper
-
-
-def _twist(phases: np.ndarray) -> np.ndarray:
-    """``e^(i(phi_j - phi_k))`` at [..., j, k] for each (..., d) phase vector, bit for bit the full ``np.exp`` form.
-
-    The matrix is Hermitian, so only the entries above the diagonal take an
-    exponential. Below it, e^(i(phi_k - phi_j)) is their conjugate exactly:
-    phi_k - phi_j = -(phi_j - phi_k) in floating point, cos is even and sin
-    odd. The conjugate's imaginary part is taken as 0.0 - sin, so that a
-    zero keeps the sign the full form gives it. The diagonal is e^0 = 1, also
-    for a non-finite phase, whose row and column are NaN off the diagonal.
-    """
-    d = phases.shape[-1]
-    j, k = _upper(d)
-    twist = np.empty((*phases.shape, d), dtype=np.complex128)
-    upper = 1j * (phases[..., j] - phases[..., k])
-    twist[..., j, k] = np.exp(upper, out=upper)
-    np.subtract(0.0, upper.imag, out=upper.imag)
-    twist[..., k, j] = upper
-    twist[..., range(d), range(d)] = 1.0
-    return twist
-
-
 def _check_outputs(note, machines: list[CloningMachine], phases: np.ndarray) -> None:
     """Run every per-draw check on one chunk of whole machines of one d, simulated in one call.
 
@@ -247,19 +221,21 @@ def _check_outputs(note, machines: list[CloningMachine], phases: np.ndarray) -> 
     k, r, d = phases.shape
     states = phase_state(phases.reshape(-1, d)).reshape(k, r, d)
     out = _simulate(machines, states)
-    phases, amps = phases[:, 1:], states[:, 1:]
+    amps = states[:, 1:]
 
     note("phase_state_modulus", float(np.abs(np.abs(amps) - 1.0 / math.sqrt(d)).max()))
 
     # physical validity of the simulated output rho_AB = M M^dag, read off M: its trace is ||M||_F^2, the trace
     # of the d-by-d ancilla Gram G = M^dag M, and its nonzero spectrum is the Gram's, so positivity is checked
     # there; Hermiticity is checked on the reductions consumed below. Conjugating by U_phi = diag(e^(i phi))
-    # multiplies entry (j, k) by twist = e^(i(phi_j - phi_k)), and G_phi = U_phi G_0 U_phi^dag, so by Weyl's
-    # inequality each machine's -lambda_min(G_0) plus its draws' worst ||G_phi - G_0 twist||_F bounds every
-    # draw's -lambda_min from above. A non-finite phase-zero Gram would make the eigensolve raise, so it notes a
-    # NaN instead; a non-finite draw Gram makes its residual NaN
+    # multiplies entry (j, k) by e^(i(phi_j - phi_k)), which for psi = e^(i phi) / sqrt(d) is twist = d psi_j
+    # conj(psi_k): the twist reads the input states only, never an output. G_phi = U_phi G_0 U_phi^dag, so by
+    # Weyl's inequality each machine's -lambda_min(G_0) plus its draws' worst ||G_phi - G_0 twist||_F bounds
+    # every draw's -lambda_min from above. A non-finite phase-zero Gram would make the eigensolve raise, so it
+    # notes a NaN instead; a non-finite draw Gram makes its residual NaN
     gram = out.gram().reshape(k, r, d, d)
-    twist = _twist(phases)
+    twist = amps[:, :, :, None] * amps.conj()[:, :, None, :]
+    twist *= d
     gram0, gram = gram[:, :1], gram[:, 1:]
     norm2 = gram.diagonal(axis1=2, axis2=3).real.sum(axis=2)
     lowest = np.linalg.eigvalsh(gram0)[:, 0, 0] if np.isfinite(gram0).all() else math.nan
@@ -290,15 +266,14 @@ def _check_outputs(note, machines: list[CloningMachine], phases: np.ndarray) -> 
     note("closed_form_agreement", float(np.abs(fid.real - f_closed[:, None]).max()), float(np.abs(fid.imag).max()))
     note("fidelity_phase_independence", float(np.std(fid.real, axis=1, ddof=1).max()))
 
-    # shrink (scalar) form of the reduced output, built in place
+    # shrink (scalar) form of the reduced output, eta psi psi^dag + (1 - eta)/d I, with psi psi^dag = twist / d
     eta = _shrink(d, alpha, beta)[:, None, None, None]
-    scalar = amps[:, :, :, None] * amps.conj()[:, :, None, :]
-    scalar *= eta
+    scalar = (eta / d) * twist
     scalar += (1.0 - eta) / d * np.eye(d)
     note("scalar_form", _largest_norm(np.subtract(red_a, scalar, out=scalar)))
     del scalar
 
-    # entrywise closed-form reduced matrix
+    # entrywise closed-form reduced matrix: c e^(i(phi_j - phi_k)) off the diagonal, 1/d on it
     closed = (eta / d) * twist
     closed[:, :, range(d), range(d)] = 1.0 / d
     note("reduced_closed_matrix", _largest_norm(np.subtract(red_a, closed, out=closed)))

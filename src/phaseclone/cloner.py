@@ -342,7 +342,9 @@ class _Outputs:
     the nonzeros of V in O(d^3) time per state, with no d^3-sized array.
     Every machine reads its own ``vals`` by broadcasting over (k, r); no
     array is gathered per row. Each stack reads only the groups of d's
-    :class:`_Layout` it needs.
+    :class:`_Layout` it needs. Each clone block X is written C-contiguous,
+    so every state's slice is C-contiguous too and takes BLAS; a state run
+    alone therefore rounds as its slice of any stack does.
     """
 
     layout: _Layout
@@ -357,19 +359,15 @@ class _Outputs:
         return (w @ (np.abs(self.amps) ** 2).reshape(k, -1, d, 1)).reshape(-1, d)
 
     def _clone_parts(self, clone: int) -> tuple[np.ndarray, np.ndarray]:
-        """Clone ``clone``'s block X (k r, d, m) and diagonal D (k r, d): its reduction is X X^dag + diag(D)."""
+        """Clone ``clone``'s block X (k r, d, m) and diagonal D (k r, d): its reduction is X X^dag + diag(D).
+
+        X is one broadcast product written C-contiguous, whatever the layout of ``amps``.
+        """
         block, single, single_bins = self.layout.clone(clone)
         k, (n, d) = len(self.vals), self.amps.shape
-        amps = self.amps.T.reshape(d, 1, k, n // k)
-        # X is written (d, m, k, r) and viewed as (k r, d, m), the gather amps[:, cols[block]]'s memory order; a
-        # C-contiguous X would round fidelity()'s proj differently. A slice of a stack is never unit-stride, so
-        # its products take numpy's own loop; one state's X gets a spare row to keep it off unit stride too, so
-        # that a state rounds as it would in any stack
-        x = np.empty((*block.shape, n + (n == 1)), dtype=np.complex128)[..., :n]
-        vals = self.vals.take(block, axis=1).transpose(1, 2, 0)[..., None]
-        np.multiply(amps, vals, out=x.reshape(*block.shape, k, -1))
+        x = np.multiply(self.amps.reshape(k, n // k, d, 1), self.vals.take(block, axis=1)[:, None], order="C")
         diag = self._diag(single_bins, self.vals.take(single, axis=1))
-        return x.transpose(2, 0, 1), diag
+        return x.reshape(n, *block.shape), diag
 
     def clone(self, clone: int) -> np.ndarray:
         """(k r, d, d) reductions of clone A (``clone=0``) or B (``clone=1``)."""

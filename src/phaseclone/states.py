@@ -132,8 +132,7 @@ def _hasher(const: int, mult: int):
 
 def _seed_states(seeds: list[int]) -> list[np.ndarray]:
     """``SeedSequence(seed).generate_state(4, np.uint64)`` for every seed: four (n,) uint64 arrays."""
-    counts = np.array([max(1, -(-s.bit_length() // 32)) for s in seeds], dtype=int)  # 32-bit entropy words
-    width = max(4, counts.max(initial=0))
+    width = max(4, -(-max(seeds, default=0).bit_length() // 32))  # 32-bit entropy words of the widest seed
     words = np.frombuffer(b"".join(s.to_bytes(4 * width, "little") for s in seeds), "<u4")
     words = words.astype(np.uint32).reshape(len(seeds), width).T  # zero words pad each seed to the 4-word pool
     hashmix = _hasher(_INIT_A, _MULT_A)
@@ -147,9 +146,11 @@ def _seed_states(seeds: list[int]) -> list[np.ndarray]:
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(4, width):  # the words of seeds >= 2^128 beyond the pool, each seed's only as far as it has
-        for dst in range(4):
-            pool[dst] = np.where(counts > src, mix(pool[dst], hashmix(words[src])), pool[dst])
+    if width > 4:  # a seed >= 2^128: the words beyond the pool, each seed's only as far as it has
+        counts = np.array([-(-s.bit_length() // 32) for s in seeds])
+        for src in range(4, width):
+            for dst in range(4):
+                pool[dst] = np.where(counts > src, mix(pool[dst], hashmix(words[src])), pool[dst])
     generate = _hasher(_INIT_B, _MULT_B)
     out = [generate(pool[i % 4]).astype(np.uint64) for i in range(8)]
     return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]

@@ -11,7 +11,7 @@ import pytest
 import phaseclone.audit
 import phaseclone.cloner
 import phaseclone.states
-from phaseclone.audit import AuditReport, _check_outputs, _swap_residual, _twist, mub_rows, run_audit
+from phaseclone.audit import AuditReport, _check_outputs, _swap_residual, mub_rows, run_audit
 from phaseclone.cli import main
 from phaseclone.cloner import (
     CloningMachine,
@@ -96,9 +96,9 @@ def per_draw_residuals(d_max: int, n_random: int, seed: int) -> dict[str, float]
                 update("closed_form_agreement", abs(f_sim - fidelity_closed_form(d, machine.alpha, machine.beta)))
                 fidelities.append(f_sim)
                 eta = shrink_factor(d, machine.alpha, machine.beta)
-                scalar = eta * np.outer(psi, psi.conj()) + (1.0 - eta) / d * np.eye(d)
+                twist = d * np.outer(psi, psi.conj())  # e^(i(phi_j - phi_k)), read off the input state
+                scalar = (eta / d) * twist + (1.0 - eta) / d * np.eye(d)
                 update("scalar_form", frobenius_distance(red_a, scalar))
-                twist = np.exp(1j * (phases[:, None] - phases[None, :]))
                 closed = (eta / d) * twist
                 np.fill_diagonal(closed, 1.0 / d)
                 update("reduced_closed_matrix", frobenius_distance(red_a, closed))
@@ -582,35 +582,31 @@ class TestPositivityBound:
 
 
 class TestTwist:
-    """``_twist`` takes one exponential per unordered pair and must equal the full ``np.exp`` form bit for bit."""
+    """verify's twist e^(i(phi_j - phi_k)) is d psi_j conj(psi_k) of the phase state psi = e^(i phi) / sqrt(d)."""
 
-    @staticmethod
-    def full(phases):
-        return np.exp(1j * (phases[..., :, None] - phases[..., None, :]))
-
-    @staticmethod
-    def assert_same_bits(got, want):
-        assert got.shape == want.shape
-        assert (got == want).all()
-        for part in ("real", "imag"):
-            assert (np.signbit(getattr(got, part)) == np.signbit(getattr(want, part))).all(), part
-
-    def test_draws_match_the_full_form_with_every_zero_sign(self):
+    def test_the_phase_state_twist_lies_within_8_eps_of_the_exponential_form(self):
         for d in range(2, 65):
-            phases = _random_phase_vectors(d, range(d, d + 12)).reshape(3, 4, d)
-            self.assert_same_bits(_twist(phases), self.full(phases))
+            phases = _random_phase_vectors(d, range(d, d + 200))
+            psi = phase_state(phases)
+            twist = psi[:, :, None] * psi.conj()[:, None, :]
+            twist *= d
+            exact = np.exp(1j * (phases[:, :, None] - phases[:, None, :]))
+            assert np.abs(twist - exact).max() <= 8.0 * np.finfo(float).eps, d
 
-    def test_equal_and_signed_zero_phases_match_the_full_form(self):
-        # equal phases give a zero difference, whose sine is +0 in both triangles of the full form
-        phases = np.array([[0.0, -0.0, 0.0, 1.5, 1.5, -2.0, math.pi, -math.pi]])
-        self.assert_same_bits(_twist(phases), self.full(phases))
+    def test_a_phase_dependent_covariance_defect_fails_every_twist_check(self, monkeypatch):
+        # each reduction conjugated once more by U_phi = diag(e^(i phi)) = diag(sqrt(d) psi) is covariant, but under
+        # the doubled phase; a twist read off the outputs would follow it, one read off the input states cannot
+        clone_stack = _Outputs.clone
 
-    def test_a_nan_phase_poisons_its_row_and_column_off_the_diagonal(self):
-        twist = _twist(np.array([0.3, math.nan, 1.1]))
-        off = ~np.eye(3, dtype=bool)
-        assert np.isnan(twist[1][off[1]]).all() and np.isnan(twist[:, 1][off[:, 1]]).all()
-        assert (twist.diagonal() == 1.0).all()
-        assert not np.isnan(twist[[0, 2]][:, [0, 2]]).any()
+        def doubled(out, clone=0):
+            red = clone_stack(out, clone)
+            u = math.sqrt(red.shape[-1]) * out.amps
+            return u[:, :, None] * red * u.conj()[:, None, :]
+
+        monkeypatch.setattr(_Outputs, "clone", doubled)
+        by_name = {c.name: c for c in run_audit(d_max=4, n_random=2, seed=0).checks}
+        for name in ("scalar_form", "reduced_closed_matrix", "phase_covariance"):
+            assert not by_name[name].passed and by_name[name].residual > 1e-3, name
 
 
 class TestCovarianceStructure:

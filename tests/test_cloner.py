@@ -525,11 +525,12 @@ class TestSimulate:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
     def test_clone_blocks_match_the_indexing_gather_bit_for_bit(self):
-        # X is a broadcast written in the gather's memory order; the gather amps[:, cols[block]] is the reference
+        # X is a C-contiguous broadcast product; the gather amps[:, cols[block]], copied C-contiguous, is the reference
         class Gathered(_Outputs):
             def _clone_parts(self, clone):
                 block, single, single_bins = self.layout.clone(clone)
-                gathered = self.amps[:, block_cols(d, rows, cols)[clone]] * self.vals[0, block]  # one machine
+                gathered = np.ascontiguousarray(self.amps[:, block_cols(d, rows, cols)[clone]])
+                gathered *= self.vals[0, block]  # one machine
                 return gathered, self._diag(single_bins, self.vals[:, single])
 
         rng = np.random.default_rng(61)

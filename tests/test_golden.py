@@ -1,14 +1,16 @@
 """Golden output: fixed-seed CLI runs must print the same bytes and exit with the same code, release after release.
 
-Each entry of ``GOLDEN`` pins the sha256 of a command's stdout and its exit code, as version 0.16.2 printed
-them, so a change that moves any printed digit fails here. Rounding can differ between numpy releases, so the
-pins hold only on the numpy version they were recorded with.
+Each entry of ``GOLDEN`` pins the sha256 of a command's stdout and its exit code, as version 0.18.0 printed
+them (``table``'s pin is unchanged since version 0.16.2), so a change that moves any printed digit fails here.
+Rounding can differ between numpy releases, so the pins hold only on the numpy version they were recorded with.
 
-``golden_verify.json`` holds the parsed output of the three ``verify`` commands, as version 0.16.3 printed
-it, and ``golden_table_mub.json`` that of the ``table`` and two ``mub`` commands, as version 0.16.4 printed
-it: the exit code, every text field, and every number as the ``repr`` of its double. They are compared on any
-numpy version, text exactly and each number within ``ULPS`` units in the last place, so the values stay
-checked where the sha256 pins skip.
+``golden_verify.json`` holds the parsed output of the three ``verify`` commands, and ``golden_table_mub.json``
+that of the ``table`` and two ``mub`` commands, both as version 0.18.0 printed it: the exit code, every text
+field, and every number as the ``repr`` of its double. They are compared on any numpy version, text exactly
+and each number within ``ULPS`` units in the last place, so the values stay checked where the sha256 pins skip.
+
+A change that moves printed digits on purpose re-records both files and prints the new pins with
+``PYTHONPATH=src python tests/record_golden.py``, which also lists every number that moved.
 """
 
 import csv
@@ -26,14 +28,14 @@ from phaseclone.cli import main
 NUMPY_VERSION = "2.4.6"
 
 GOLDEN = {
-    "verify --d-max 12 --trials 20 --seed 3": (0, "a459a1c9f42da3e4a66aaafd987f786d1a13365d6b68a602ddc25c08881f98b6"),
-    "verify --d-max 6 --trials 4 --seed 1 --corrupt": (1, "0d5563abeb1f8c0538a45798a2ca477a7013a2f5b24549cf0428da237d156c02"),
+    "verify --d-max 12 --trials 20 --seed 3": (0, "1dfb8fcc2dedea3fa758001e69a7ebf1dad4b9f2d1476da2cfc858afd864eef9"),
+    "verify --d-max 6 --trials 4 --seed 1 --corrupt": (1, "b2f2b82420fb89a769a87bd82fe1dce50e66cc3c705475898faf61e2c4bccabf"),
     "verify --d-max 20 --trials 3 --seed 7 --format json": (
-        0, "b4c73cf9ea56f5d8bd5be47d683083666cb71089daf43ad0dcc04a2f7d754210"
+        0, "b48c79f6a5e44b68f3a13be5ec6822227db106bee96a4285784f90d28b78f901"
     ),
     "table --d-min 2 --d-max 64 --seed 1": (0, "3df95a3ef2d67d88cef93e7db6abb89a1601be4c0a6e7ace97daf2f58a7c003f"),
-    "mub --d 29": (0, "0d60443ddb236468b36c72f51d7ea118194cedbb66e1c2563d7ab907b09c9aa7"),
-    "mub --d 29 --format json": (0, "2f53bc6e0aca6b70f8cb5788a23683a59e62a5464b1461edbe0ea2b5a4b18203"),
+    "mub --d 29": (0, "2d00f2e88fe1df2fdfae890a0a697175320f40f6dc61630d2aab4d15722c35bd"),
+    "mub --d 29 --format json": (0, "e9913803d30558ce6567cfb7377acbc9ce92f2801a0c294a39be09a8629eeb7b"),
 }
 
 VALUES = json.loads(Path(__file__).with_name("golden_verify.json").read_text(encoding="utf-8"))
