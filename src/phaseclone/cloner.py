@@ -407,6 +407,8 @@ def _simulate(machines, amps, ndim: int = 3) -> _Outputs:
     gave; the MUB rows pass one machine and a (1, d, d) stack, and the
     audit's sweep a chunk of one d's machines. All of them read their
     stacks from the returned :class:`_Outputs`, through the layout of that d.
+    The states are kept C-contiguous (a copy only if they are not), so a
+    stack rounds the same whatever the memory layout its caller gave.
     """
     d = machines[0].d
     if any(machine.d != d for machine in machines):
@@ -414,7 +416,7 @@ def _simulate(machines, amps, ndim: int = 3) -> _Outputs:
     amps = _normalized(amps, d, ndim)
     if ndim == 3 and len(amps) != len(machines):
         raise DimensionError(f"expected one stack of states per machine ({len(machines)}), got {len(amps)}")
-    return _Outputs(_layout(d), np.array([machine.vals for machine in machines]), amps.reshape(-1, d))
+    return _Outputs(_layout(d), np.array([machine.vals for machine in machines]), np.ascontiguousarray(amps.reshape(-1, d)))
 
 
 def _output_factor(machine: CloningMachine, psi) -> np.ndarray:

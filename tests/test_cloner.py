@@ -592,6 +592,23 @@ class TestSimulate:
                 alone = np.concatenate([read(_simulate([machine], psi[None, None])) for psi in amps])
                 assert (alone == read(stacked)).all(), f"{name} at d = {d}"
 
+    def test_a_stack_rounds_the_same_whatever_the_layout_of_its_states(self):
+        # a Fortran-ordered stack once sent fidelity()'s psi^dag X product off BLAS and moved its last bits
+        rng = np.random.default_rng(73)
+        for d in range(2, 65):
+            machine = build_machine(d, *optimal_params(d))
+            object.__setattr__(machine, "vals", rng.normal(size=machine.vals.size))  # unequal clones
+            amps = rng.normal(size=(1, 6, d)) + 1j * rng.normal(size=(1, 6, d))
+            amps /= np.linalg.norm(amps, axis=2, keepdims=True)
+            wide = np.zeros((1, 12, 2 * d), dtype=np.complex128)
+            wide[:, ::2, ::2] = amps
+            base = _simulate([machine], amps)
+            for layout, states in (("Fortran", np.asfortranarray(amps)), ("strided", wide[:, ::2, ::2])):
+                out = _simulate([machine], states)
+                assert out.amps.flags.c_contiguous and out._clone_parts(0)[0].flags.c_contiguous, (layout, d)
+                for name, read in STACK_READS.items():
+                    assert (read(out) == read(base)).all(), f"{name} of a {layout} stack at d = {d}"
+
     def test_mub_rows_at_d29_traces_under_2_megabytes(self):
         # one basis (29 states) is simulated at a time, and clone A's reduction is never stacked
         rows, peak = traced_peak_bytes(lambda: mub_rows(29))
