@@ -269,13 +269,13 @@ def _check_outputs(note, machines: list[CloningMachine], phases: np.ndarray) -> 
     # shrink (scalar) form of the reduced output, eta psi psi^dag + (1 - eta)/d I, with psi psi^dag = twist / d
     eta = _shrink(d, alpha, beta)[:, None, None, None]
     scalar = (eta / d) * twist
-    scalar += (1.0 - eta) / d * np.eye(d)
+    scalar.reshape(k, r - 1, d * d)[..., :: d + 1] += (1.0 - eta[..., 0]) / d
     note("scalar_form", _largest_norm(np.subtract(red_a, scalar, out=scalar)))
     del scalar
 
     # entrywise closed-form reduced matrix: c e^(i(phi_j - phi_k)) off the diagonal, 1/d on it
     closed = (eta / d) * twist
-    closed[:, :, range(d), range(d)] = 1.0 / d
+    closed.reshape(k, r - 1, d * d)[..., :: d + 1] = 1.0 / d
     note("reduced_closed_matrix", _largest_norm(np.subtract(red_a, closed, out=closed)))
     del closed
 

@@ -35,18 +35,19 @@ machines of one d at once, each on its own stack of r input states. Where
 V's nonzeros sit depends on d alone (the split only sets their values), so
 a machine stores only its ``vals``, and every machine of one d reads its
 ``rows``/``cols`` and the plan of which nonzeros of the pure output
-M = V|psi> (d^2 by d) meet in a clone reduction or in the ancilla Gram
-M^dag M from one :class:`_Layout` of d (:func:`_layout`). All of these are
-written down from one enumeration of d's index pairs, and each group is
-built the first time a route reads it: a fidelity reads only clone A's
-plan. No sort discovers the plan, and the tests hold it to a generic
-derivation from ``rows``/``cols``. A stack's reductions are then batched
-products of the amplitudes ``vals * psi[cols]``, each machine's ``vals``
-broadcast over its own states: O(d^3) time per state and O(k r d^2)
-memory, with no d^3-sized array. The dense route (:func:`_output_factor`,
-:func:`clone_state`, which forms the d^2-by-d^2 two-clone state M M^dag)
-stays for callers that ask for the two-clone state, and as the reference
-the tests hold the plan to.
+M = V|psi> (d^2 by d) meet in each clone's reduction from one
+:class:`_Layout` of d (:func:`_layout`). All of these are written down
+from one enumeration of d's index pairs, and each group is built the
+first time a route reads it: a fidelity reads only clone A's plan. No
+sort discovers the plan, and the tests hold it to a generic derivation
+from ``rows``/``cols``. The ancilla Gram M^dag M needs no plan of its
+own: it is read off the two clone blocks. A stack's reductions are then
+batched products of the amplitudes ``vals * psi[cols]``, each machine's
+``vals`` broadcast over its own states: O(d^3) time per state and
+O(k r d^2) memory, with no d^3-sized array. The dense route
+(:func:`_output_factor`, :func:`clone_state`, which forms the
+d^2-by-d^2 two-clone state M M^dag) stays for callers that ask for the
+two-clone state, and as the reference the tests hold the plan to.
 """
 
 from __future__ import annotations
@@ -230,11 +231,11 @@ class _Layout:
     kept as ``j`` and ``l``; p is a pair's rank in it. Nonzero j < d is
     |jj>|R_j> in column j, nonzero d + p is |jl>|R_l> and nonzero
     d + P + p is |lj>|R_l>, both in column j. The groups are ``rows`` and
-    ``cols`` (``V[rows[k], cols[k]] == vals[k]``), each clone's
-    reduction (``clone_a``, ``clone_b``) and the ancilla Gram (``gram``).
-    Each is a :func:`functools.cached_property`, so a route pays only for
-    the groups it reads (a fidelity reads clone A alone), and each is built
-    at most once per layout. Every array is read-only, since one layout
+    ``cols`` (``V[rows[k], cols[k]] == vals[k]``) and each clone's
+    reduction (``clone_a``, ``clone_b``). Each is a
+    :func:`functools.cached_property`, so a route pays only for the groups
+    it reads (a fidelity reads clone A alone), and each is built at most
+    once per layout. Every array is read-only, since one layout
     serves every machine of its d. No closed form is read; the tests hold
     every array to a generic derivation from ``rows`` and ``cols``.
 
@@ -254,16 +255,16 @@ class _Layout:
       (l, l)) the second: nonzero a sits at [a, a], pair (j, l) at [j, l].
       Each nonzero of the other kind adds to the diagonal entry l from
       input j.
-    - ``gram`` is ``(pairs, pair_cols, pair_bins, diag_bins)``. The Gram
-      M^dag M sums over (a, b), whose keys hold one or two nonzeros. The
-      two of a pair meet at Gram entry (c_p, c_q) off the diagonal.
-      ``pairs`` (2, P) holds their indices, ``pair_cols`` their input
-      columns and ``pair_bins`` that entry as ``c_p * d + c_q``: |lj>|R_l>
-      (nonzero d + P + p) shares its (A, B) digits with |lj>|R_j>, the
-      first kind's pair (l, j), and the two meet at entry (j, l) from
-      inputs (l, j). Pair p is the only one at entry (j, l), so each pair's
-      product is its entry. Every nonzero adds |amplitude|^2 to diagonal
-      entry c, at ``diag_bins`` = ``c * d + col``.
+
+    The ancilla Gram M^dag M sums over the (A, B) digits, and each such
+    key holds one or two nonzeros. Key (l, j), l != j, holds |lj>|R_j>
+    (input l), which is clone A's ``block[l, j]``, and |lj>|R_l> (input j),
+    which is clone B's ``block[j, l]``; the two meet at Gram entry (j, l).
+    So the Gram off its diagonal is conj(X_A^T) X_B entrywise plus its
+    conjugate transpose, with no plan of its own. Every nonzero adds
+    |amplitude|^2 to diagonal entry c at ``c * d + col``: ``a * (d + 1)``
+    for nonzero a < d and ``single_bins`` (shared by both clones) for each
+    of the two off-diagonal kinds.
     """
 
     def __init__(self, d: int):
@@ -304,14 +305,6 @@ class _Layout:
         block[j, l] = start + rank
         return _read_only(block, 2 * d + j.size - start + rank, l * d + j)
 
-    @functools.cached_property
-    def gram(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        d, j, l = self.d, self.j, self.l
-        n_off = j.size
-        swapped = l * d + j
-        pairs = np.stack([d + l * (d - 1) + j - (j > l), d + n_off + np.arange(n_off)])
-        return _read_only(pairs, np.stack([l, j]), j * d + l, np.concatenate([np.arange(d) * (d + 1), swapped, swapped]))
-
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """Lock each array of a layout group read-only and return the group as a tuple."""
@@ -342,9 +335,10 @@ class _Outputs:
     the nonzeros of V in O(d^3) time per state, with no d^3-sized array.
     Every machine reads its own ``vals`` by broadcasting over (k, r); no
     array is gathered per row. Each stack reads only the groups of d's
-    :class:`_Layout` it needs. Each clone block X is written C-contiguous,
-    so every state's slice is C-contiguous too and takes BLAS; a state run
-    alone therefore rounds as its slice of any stack does.
+    :class:`_Layout` it needs: a clone its own plan, the Gram both clones'
+    plans. Each clone block X is written C-contiguous, so every state's
+    slice is C-contiguous too and takes BLAS; a state run alone therefore
+    rounds as its slice of any stack does.
     """
 
     layout: _Layout
@@ -377,18 +371,16 @@ class _Outputs:
         return red
 
     def gram(self) -> np.ndarray:
-        """(k r, d, d) ancilla Grams M^dag M: the pair products of each (A, B) key plus the diagonal."""
-        pairs, pair_cols, pair_bins, diag_bins = self.layout.gram
+        """(k r, d, d) ancilla Grams M^dag M, off the diagonal conj(X_A^T) X_B entrywise plus its conjugate transpose."""
+        (block_a, _, bins), (block_b, _, _) = self.layout.clone(0), self.layout.clone(1)
         k, (n, d) = len(self.vals), self.amps.shape
         amps = self.amps.reshape(k, n // k, d)
-        first, second = (
-            (amps.take(pair_cols[i], axis=2) * self.vals.take(pairs[i], axis=1)[:, None]).reshape(n, -1) for i in (0, 1)
-        )
-        gram = np.zeros((n, d * d), dtype=np.complex128)
-        gram[:, pair_bins] = np.conjugate(first, out=first) * second
+        gram = amps[..., None, :] * self.vals.take(block_a.T, axis=1)[:, None]
+        np.conjugate(gram, out=gram)
+        gram *= amps[..., None] * self.vals.take(block_b, axis=1)[:, None]
         gram = gram.reshape(n, d, d)
         gram += gram.conj().swapaxes(1, 2)
-        gram.reshape(n, -1)[:, :: d + 1] = self._diag(diag_bins, self.vals)
+        gram.reshape(n, -1)[:, :: d + 1] = self._diag(np.concatenate([np.arange(d) * (d + 1), bins, bins]), self.vals)
         return gram
 
     def fidelity(self) -> np.ndarray:

@@ -15,9 +15,11 @@ from phaseclone.cloner import _one_nonzero_per_row
 def build_plan(d: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, ...]:
     """The plan of the triples ``rows``/``cols`` of a d-level machine, as ten arrays.
 
-    They come in the order of ``cloner._Layout``'s groups: clone A's
-    ``(block, single, single_bins)``, clone B's, then the Gram's
-    ``(pairs, pair_cols, pair_bins, diag_bins)``.
+    Clone A's ``(block, single, single_bins)`` and clone B's come first, in
+    the order of ``cloner._Layout``'s groups, then the Gram's
+    ``(pairs, pair_cols, pair_bins, diag_bins)``. The layout keeps no Gram
+    plan; the tests build the Gram from these four as the bit-for-bit
+    reference of the one read off the two clone blocks.
 
     Checks, rather than assumes, what the plan relies on: at most one
     nonzero per row, full blocks for both clones, at most two nonzeros per

@@ -200,7 +200,7 @@ def test_criterion_10_reproducible_verify(tmp_path, capsys):
 
 def test_criterion_11_full_range_within_budget(capsys):
     timings = {}
-    for argv, budget in ((["verify", "--d-max", "64", "--trials", "2"], 4.0), (["mub", "--d", "61"], 2.0)):
+    for argv, budget in ((["verify", "--d-max", "64", "--trials", "2"], 3.0), (["mub", "--d", "61"], 2.0)):
         t0 = time.perf_counter()
         code = cli_main(argv)
         elapsed = time.perf_counter() - t0
@@ -209,4 +209,4 @@ def test_criterion_11_full_range_within_budget(capsys):
         assert elapsed < budget, (argv, elapsed)
         timings[argv[0]] = elapsed
     announce(11, f"the whole accepted range runs clean: verify over d = 2..64 in {timings['verify']:.2f} s "
-                 f"(budget 4 s) and mub at d = 61 in {timings['mub']:.2f} s (budget 2 s)")
+                 f"(budget 3 s) and mub at d = 61 in {timings['mub']:.2f} s (budget 2 s)")

@@ -277,7 +277,7 @@ class TestRunAudit:
             builds.append(d)
             return layout.__wrapped__(d)
 
-        for group in ("rows", "cols", "clone_a", "clone_b", "gram"):
+        for group in ("rows", "cols", "clone_a", "clone_b"):
             build = vars(phaseclone.cloner._Layout)[group].func
 
             def counting(self, build=build, group=group):
@@ -297,7 +297,7 @@ class TestRunAudit:
         assert builds == changes == [2, 3, 4, 5, 6, 7, 3, 5, 7]
         # the sweep reads every group; the MUB rows read only clone A's, for their fidelities
         sweep = [2, 3, 4, 5, 6, 7]
-        assert groups == {"rows": sweep, "cols": sweep, "clone_a": changes, "clone_b": sweep, "gram": sweep}
+        assert groups == {"rows": sweep, "cols": sweep, "clone_a": changes, "clone_b": sweep}
 
     @pytest.mark.parametrize("d_max, n_random, seed", [(5, 1, 0), (6, 3, 5), (9, 2, 11), (4, 6, 3)])
     def test_stacked_checks_match_the_per_draw_loop_bit_for_bit(self, d_max, n_random, seed):

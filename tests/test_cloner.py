@@ -628,7 +628,7 @@ class TestSimulate:
 
 
 # each plan group of cloner._Layout, and the slice of build_plan's arrays that holds the same group
-PLAN_GROUPS = {"clone_a": slice(0, 3), "clone_b": slice(3, 6), "gram": slice(6, 10)}
+PLAN_GROUPS = {"clone_a": slice(0, 3), "clone_b": slice(3, 6)}
 LAYOUT_GROUPS = ("rows", "cols", *PLAN_GROUPS)
 
 
@@ -643,6 +643,41 @@ class TestLayout:
             for k, (got, ref) in enumerate(zip(getattr(layout, group), want[arrays], strict=True)):
                 assert got.dtype == ref.dtype, (group, k)
                 np.testing.assert_array_equal(got, ref, err_msg=f"{group} array {k}")
+
+    def test_gram_matches_the_generic_pairs_bit_for_bit(self):
+        # the layout keeps no Gram plan: the Gram is read off the two clone blocks, and each generic pair of an (A, B)
+        # key is one entry of clone A's block, transposed, and one of clone B's. The Gram built the old way, a scatter
+        # of each pair's product, is the reference, down to the signs of its zeros
+        rng = np.random.default_rng(79)
+        for d in range(2, 65):
+            block_a, _, bins_a, block_b, _, bins_b, pairs, pair_cols, pair_bins, diag_bins = build_plan(
+                d, _layout(d).rows, _layout(d).cols
+            )
+            j, l = np.divmod(pair_bins, d)
+            np.testing.assert_array_equal(pair_bins, np.flatnonzero(~np.eye(d, dtype=bool)))  # row-major off-diagonal
+            np.testing.assert_array_equal(pairs, np.stack([block_a[l, j], block_b[j, l]]))
+            np.testing.assert_array_equal(pair_cols, np.stack([l, j]))
+            np.testing.assert_array_equal(bins_a, bins_b)
+            np.testing.assert_array_equal(diag_bins, np.concatenate([np.arange(d) * (d + 1), bins_a, bins_a]))
+
+            machines = [build_machine(d, *optimal_params(d)) for _ in range(2)]
+            for machine in machines:
+                object.__setattr__(machine, "vals", rng.normal(size=machine.vals.size))  # unequal clones
+            amps = rng.normal(size=(2, 3, d)) + 1j * rng.normal(size=(2, 3, d))
+            amps /= np.linalg.norm(amps, axis=2, keepdims=True)
+            out = _simulate(machines, amps)
+            first, second = (
+                (amps.take(cols, axis=2) * out.vals.take(nonzeros, axis=1)[:, None]).reshape(6, -1)
+                for nonzeros, cols in zip(pairs, pair_cols)
+            )
+            want = np.zeros((6, d * d), dtype=np.complex128)
+            want[:, pair_bins] = np.conjugate(first) * second
+            want = want.reshape(6, d, d)
+            want += want.conj().swapaxes(1, 2)
+            want.reshape(6, -1)[:, :: d + 1] = out._diag(diag_bins, out.vals)
+            got = out.gram()
+            np.testing.assert_array_equal(got, want, err_msg=f"d = {d}")
+            assert got.tobytes() == want.tobytes(), f"signs of zeros at d = {d}"
 
     @pytest.mark.parametrize("d", range(2, 65))
     def test_each_block_row_reads_its_own_input(self, d):
