@@ -12,7 +12,7 @@ plus ``n_random`` random splits) are alive at a time. Each machine runs
 once, through the simulation route of :mod:`phaseclone.cloner`, on one
 stack of phase states: row 0 is the phase-zero state, the reference of
 the phase covariance check, and rows 1..n are its seeded draws. The
-machines of one d share their d's plan, so they run in chunks of whole
+machines of one d share their d's blocks, so they run in chunks of whole
 machines, one simulation per chunk: a chunk holds as many machines as
 keep its (rows, d, d) complex stacks within ``CHUNK_BYTES`` (128 KiB),
 and at least one. At ``--trials 20`` that is 46 chunks for d = 2..12, and

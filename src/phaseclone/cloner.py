@@ -33,21 +33,20 @@ matrix is built only on request, for inspection and as a test reference.
 Every simulation goes through one route, :func:`_simulate`, which runs k
 machines of one d at once, each on its own stack of r input states. Where
 V's nonzeros sit depends on d alone (the split only sets their values), so
-a machine stores only its ``vals``, and every machine of one d reads its
-``rows``/``cols`` and the plan of which nonzeros of the pure output
-M = V|psi> (d^2 by d) meet in each clone's reduction from one
-:class:`_Layout` of d (:func:`_layout`). All of these are written down
-from one enumeration of d's index pairs, and each group is built the
-first time a route reads it: a fidelity reads only clone A's plan. No
-sort discovers the plan, and the tests hold it to a generic derivation
-from ``rows``/``cols``. The ancilla Gram M^dag M needs no plan of its
-own: it is read off the two clone blocks. A stack's reductions are then
-batched products of the amplitudes ``vals * psi[cols]``, each machine's
-``vals`` broadcast over its own states: O(d^3) time per state and
-O(k r d^2) memory, with no d^3-sized array. The dense route
+a machine stores only its ``vals``, and every machine of one d reads one
+cached pair of d-by-d clone blocks (:func:`_blocks`): which nonzeros of
+the pure output M = V|psi> (d^2 by d) meet in each clone's reduction.
+Each clone's reduction, its diagonal included, and the ancilla Gram
+M^dag M are read off the two blocks, which no sort discovers; the tests
+hold them to a generic derivation from ``rows``/``cols``. Those two are
+written down on each read (:func:`_indices`), for the dense route and
+the unitarity and swap checks only. A stack's reductions are batched
+products of the amplitudes ``vals * psi[cols]``, each machine's ``vals``
+broadcast over its own states: O(d^3) time per state and O(k r d^2)
+memory, with no d^3-sized array. The dense route
 (:func:`_output_factor`, :func:`clone_state`, which forms the
 d^2-by-d^2 two-clone state M M^dag) stays for callers that ask for the
-two-clone state, and as the reference the tests hold the plan to.
+two-clone state, and as the reference the tests hold the blocks to.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ PARAM_NORM_TOL = 1e-9  # max |alpha^2 + beta^2 - 1| accepted
 def _check_domain(
     d: int, alpha: float | None = None, beta: float | None = None, norm_tol: float = PARAM_NORM_TOL
 ) -> int:
-    """Return d as an int; reject a d that is not an integer >= 2 (a NaN, an infinity, 2.5) and, when given, a split that is negative, NaN or off the unit circle by more than ``norm_tol``.
+    """Return d as an int; reject a d that is not an integer >= 2 (a NaN, an infinity, 2.5) and, when given, a split that is negative, NaN, of infinite norm or off the unit circle by more than ``norm_tol``.
 
     Any integer type passes, numpy's too, and the caller computes with the
     returned int, so a narrow one cannot wrap. Never renormalizes: a split
@@ -76,9 +75,9 @@ def _check_domain(
     d = _integer(d, "d", 2)
     if alpha is None:
         return d
-    if not (alpha >= 0.0 and beta >= 0.0):
-        raise ValueError(f"alpha and beta must be nonnegative, got ({alpha!r}, {beta!r})")
     norm2 = alpha * alpha + beta * beta
+    if not (alpha >= 0.0 and beta >= 0.0 and math.isfinite(norm2)):
+        raise ValueError(f"alpha and beta must be nonnegative, with a finite alpha^2 + beta^2, got ({alpha!r}, {beta!r})")
     if abs(norm2 - 1.0) > norm_tol:
         raise ValueError(f"alpha^2 + beta^2 = {norm2!r} is not within {norm_tol} of 1")
     return d
@@ -99,14 +98,15 @@ class CloningMachine:
     so the machine describes V by those alone: ``rows``, ``cols`` and
     ``vals`` are read-only arrays with ``V[rows[k], cols[k]] == vals[k]``.
     Only ``vals`` is computed at construction. ``rows`` and ``cols`` depend
-    on d alone, so they are properties that read d's :func:`_layout`,
-    built on first read and shared by every machine of d. Rows are indexed
+    on d alone, so they are properties that :func:`_indices` writes down
+    on each read; the simulation reads neither. Rows are indexed
     by (clone A, clone B, ancilla) in the fixed tensor convention, and
     column j is the image of input basis state |j>. :attr:`isometry`
     rebuilds the dense d^3-by-d matrix on each access.
     Machines compare and hash by ``(d, alpha, beta)``. The constructor checks
-    d and the signs but not alpha^2 + beta^2 = 1, so an unnormalized machine
-    can be built on purpose; :func:`build_machine` is the checked entry point.
+    d, the signs and that alpha^2 + beta^2 is finite, but not that it is 1, so
+    an unnormalized machine can be built on purpose; :func:`build_machine` is
+    the checked entry point.
     """
 
     d: int
@@ -116,10 +116,10 @@ class CloningMachine:
 
     def __post_init__(self):
         d = _check_domain(self.d, self.alpha, self.beta, norm_tol=math.inf)
-        # d's layout becomes the cached one here, with none of its groups built: the previous d's layout is then freed
-        # before this d's machines and stacks are allocated, which keeps verify's peak RSS about 0.15 MB lower
-        _layout(d)
-        # alpha on the d nonzeros |jj>|R_j>, which the layout lists first, and beta / sqrt(2(d-1)) on the 2d(d-1) others
+        # d's blocks become the cached ones here: the previous d's blocks are then freed before this d's machines and
+        # stacks are allocated, which keeps verify's peak RSS about 0.04 MB lower
+        _blocks(d)
+        # alpha on the d nonzeros |jj>|R_j>, which come first, and beta / sqrt(2(d-1)) on the 2d(d-1) others
         vals = np.concatenate([np.full(d, self.alpha), np.full(2 * d * (d - 1), self.beta / math.sqrt(2.0 * (d - 1)))])
         vals.setflags(write=False)
         object.__setattr__(self, "d", d)
@@ -127,13 +127,13 @@ class CloningMachine:
 
     @property
     def rows(self) -> np.ndarray:
-        """Read-only row index of each nonzero of V, read from d's layout: one array for every machine of d."""
-        return _layout(self.d).rows
+        """Read-only row index of each nonzero of V, written down from d on every read."""
+        return _indices(self.d)[0]
 
     @property
     def cols(self) -> np.ndarray:
-        """Read-only column index of each nonzero of V, read from d's layout: one array for every machine of d."""
-        return _layout(self.d).cols
+        """Read-only column index of each nonzero of V, written down from d on every read."""
+        return _indices(self.d)[1]
 
     @property
     def isometry(self) -> np.ndarray:
@@ -157,9 +157,9 @@ class CloningMachine:
 def _unitarity_residuals(machines) -> np.ndarray:
     """Package-private: ``||V^dag V - I||_F`` of each of k machines of one d, as a (k,) array, in one pass.
 
-    The machines must share one d, so that they read one ``rows``/``cols``
-    from d's :func:`_layout`; that is checked, and so is the one nonzero
-    per row that makes each V^dag V diagonal. One offset
+    The machines must share one d, so that one ``rows``/``cols`` serves
+    them all; that is checked, and so is the one nonzero per row that
+    makes each V^dag V diagonal. One offset
     bincount then gives every machine's diagonal, and each residual is
     summed as ``np.linalg.norm`` sums a vector, so a machine's residual is
     the same in any stack.
@@ -223,105 +223,35 @@ def build_machine(d: int, alpha: float, beta: float) -> CloningMachine:
     return CloningMachine(d, alpha / scale, beta / scale)
 
 
-class _Layout:
-    """Package-private: where V's 2d^2 - d nonzeros sit, for one d, each group of index arrays built on first read.
-
-    Every array depends on d alone and comes from one row-major
-    enumeration of the P = d(d - 1) ordered pairs (j, l) with j != l,
-    kept as ``j`` and ``l``; p is a pair's rank in it. Nonzero j < d is
-    |jj>|R_j> in column j, nonzero d + p is |jl>|R_l> and nonzero
-    d + P + p is |lj>|R_l>, both in column j. The groups are ``rows`` and
-    ``cols`` (``V[rows[k], cols[k]] == vals[k]``) and each clone's
-    reduction (``clone_a``, ``clone_b``). Each is a
-    :func:`functools.cached_property`, so a route pays only for the groups
-    it reads (a fidelity reads clone A alone), and each is built at most
-    once per layout. Every array is read-only, since one layout
-    serves every machine of its d. No closed form is read; the tests hold
-    every array to a generic derivation from ``rows`` and ``cols``.
-
-    Nonzero k of V gives the output amplitude ``vals[k] * psi[cols[k]]``
-    at the digits (a, b, c) of ``rows[k]`` (clone A, clone B, ancilla),
-    and a reduction sums the products of the amplitudes that share its
-    traced digits (its key):
-
-    - ``clone(i)`` serves clone i's reduction X X^dag as ``(block, single,
-      single_bins)``. The keys hit by several nonzeros form a full (d, m)
-      block: ``block`` holds the nonzero at [kept digit, key rank], and row
-      a of the block reads input a, so X is ``psi[:, None] * vals[block]``,
-      one broadcast product. A key hit once adds |amplitude|^2 to one
-      diagonal entry: ``single`` lists those nonzeros and ``single_bins``
-      their ``kept * d + col``. Clone A's block (keys (b, c) = (l, l))
-      holds the first off-diagonal kind and clone B's (keys (a, c) =
-      (l, l)) the second: nonzero a sits at [a, a], pair (j, l) at [j, l].
-      Each nonzero of the other kind adds to the diagonal entry l from
-      input j.
-
-    The ancilla Gram M^dag M sums over the (A, B) digits, and each such
-    key holds one or two nonzeros. Key (l, j), l != j, holds |lj>|R_j>
-    (input l), which is clone A's ``block[l, j]``, and |lj>|R_l> (input j),
-    which is clone B's ``block[j, l]``; the two meet at Gram entry (j, l).
-    So the Gram off its diagonal is conj(X_A^T) X_B entrywise plus its
-    conjugate transpose, with no plan of its own. Every nonzero adds
-    |amplitude|^2 to diagonal entry c at ``c * d + col``: ``a * (d + 1)``
-    for nonzero a < d and ``single_bins`` (shared by both clones) for each
-    of the two off-diagonal kinds.
-    """
-
-    def __init__(self, d: int):
-        self.d = d
-        self.j, self.l = np.nonzero(~np.eye(d, dtype=bool))
-
-    @functools.cached_property
-    def rows(self) -> np.ndarray:
-        d, j, l = self.d, self.j, self.l
-        rows = np.concatenate([np.arange(d) * (d * d + d + 1), (j * d + l) * d + l, (l * d + j) * d + l])
-        rows.setflags(write=False)
-        return rows
-
-    @functools.cached_property
-    def cols(self) -> np.ndarray:
-        cols = np.concatenate([np.arange(self.d), self.j, self.j])
-        cols.setflags(write=False)
-        return cols
-
-    @functools.cached_property
-    def clone_a(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._clone(self.d)
-
-    @functools.cached_property
-    def clone_b(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._clone(self.d + self.j.size)
-
-    def clone(self, clone: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Clone A's (``clone=0``) or B's (``clone=1``) ``(block, single, single_bins)``; only that clone's is built."""
-        return self.clone_b if clone else self.clone_a
-
-    def _clone(self, start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The clone whose block holds nonzeros start .. start + P - 1: clone A's the |jl>|R_l> kind, clone B's |lj>|R_l>."""
-        d, j, l = self.d, self.j, self.l
-        diag, rank = np.arange(d), np.arange(j.size)
-        block = np.empty((d, d), dtype=np.intp)
-        block[diag, diag] = diag
-        block[j, l] = start + rank
-        return _read_only(block, 2 * d + j.size - start + rank, l * d + j)
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Lock each array of a layout group read-only and return the group as a tuple."""
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
-
-
 @functools.lru_cache(maxsize=1)
-def _layout(d: int) -> _Layout:
-    """The :class:`_Layout` of d, shared by every machine of d while it is cached.
+def _blocks(d: int) -> np.ndarray:
+    """Package-private: the read-only (2, d, d) clone blocks of d, shared by every machine of d while it is cached.
 
-    Callers work one d at a time, so one entry is enough: each d's layout
-    is made once per run of one d, and each of its groups is built once
-    within that run, the first time a route reads it.
+    Nonzero a < d of V is |aa>|R_a> in column a; with p the rank of pair
+    (j, l), j != l, in the row-major enumeration of the P = d(d - 1) such
+    pairs, nonzero d + p is |jl>|R_l> and nonzero d + P + p is |lj>|R_l>,
+    both in column j. Entry [j, l] of block 0 (clone A) is d + p, of block
+    1 (clone B) d + P + p, and both diagonals hold nonzero a. Clone i's
+    block lists the nonzeros whose traced digits (clone A's (b, c), clone
+    B's (a, c)) equal (l, l), with row j reading input j. Callers work one d
+    at a time, so one cache entry is enough.
     """
-    return _Layout(d)
+    r = np.arange(d)
+    first = d + r[:, None] * (d - 1) + r - (r > r[:, None])
+    blocks = np.stack([first, first + d * (d - 1)])
+    blocks.reshape(2, -1)[:, :: d + 1] = r
+    blocks.setflags(write=False)
+    return blocks
+
+
+def _indices(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Package-private: read-only ``rows`` and ``cols`` of V's nonzeros, ``V[rows[k], cols[k]] == vals[k]``, in :func:`_blocks`' order."""
+    j, l = np.nonzero(~np.eye(d, dtype=bool))
+    rows = np.concatenate([np.arange(d) * (d * d + d + 1), (j * d + l) * d + l, (l * d + j) * d + l])
+    cols = np.concatenate([np.arange(d), j, j])
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,34 +264,42 @@ class _Outputs:
     has one slice per row of ``amps``, in that order, and is computed from
     the nonzeros of V in O(d^3) time per state, with no d^3-sized array.
     Every machine reads its own ``vals`` by broadcasting over (k, r); no
-    array is gathered per row. Each stack reads only the groups of d's
-    :class:`_Layout` it needs: a clone its own plan, the Gram both clones'
-    plans. Each clone block X is written C-contiguous, so every state's
-    slice is C-contiguous too and takes BLAS; a state run alone therefore
-    rounds as its slice of any stack does.
+    array is gathered per row. ``blocks`` is d's :func:`_blocks`: clone i's
+    X is ``psi[:, None] * vals[blocks[i]]``, and every diagonal is a matmul
+    of |psi|^2 by |vals|^2 taken at the blocks, transposed. Each X is
+    written C-contiguous, so every state's slice is C-contiguous too and
+    takes BLAS; a state run alone therefore rounds as its slice of any
+    stack does.
     """
 
-    layout: _Layout
+    blocks: np.ndarray
     vals: np.ndarray
     amps: np.ndarray
 
-    def _diag(self, bins: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        """(k r, d): W_i |psi|^2 for each state of machine i, with W_i the d-by-d sum of row i of |vals|^2 over ``bins``."""
-        k, d = len(vals), self.amps.shape[1]
-        bins = bins + np.arange(0, k * d * d, d * d)[:, None]  # one bincount for all k machines: machine i's W at i d^2
-        w = np.bincount(bins.ravel(), weights=(np.abs(vals) ** 2).ravel(), minlength=k * d * d).reshape(k, 1, d, d)
-        return (w @ (np.abs(self.amps) ** 2).reshape(k, -1, d, 1)).reshape(-1, d)
+    def _weights(self, clone: int) -> np.ndarray:
+        """(k, d, d): |vals|^2 of the other clone's block, transposed, with its diagonal zeroed.
+
+        Entry [l, j] is what input j adds to diagonal entry l of clone
+        ``clone``'s reduction outside its block: the other kind of pair (j, l)
+        is alone at its traced digits there, and lands at kept digit l.
+        """
+        w = np.abs(self.vals.take(self.blocks[1 - clone].T, axis=1)) ** 2
+        w.reshape(len(w), -1)[:, :: w.shape[1] + 1] = 0.0
+        return w
+
+    def _diag(self, w: np.ndarray) -> np.ndarray:
+        """(k r, d): W_i |psi|^2 for each state of machine i, with W_i row i of the (k, d, d) weights ``w``."""
+        k, d = len(w), self.amps.shape[1]
+        return (w.reshape(k, 1, d, d) @ (np.abs(self.amps) ** 2).reshape(k, -1, d, 1)).reshape(-1, d)
 
     def _clone_parts(self, clone: int) -> tuple[np.ndarray, np.ndarray]:
-        """Clone ``clone``'s block X (k r, d, m) and diagonal D (k r, d): its reduction is X X^dag + diag(D).
+        """Clone ``clone``'s block X (k r, d, d) and diagonal D (k r, d): its reduction is X X^dag + diag(D).
 
         X is one broadcast product written C-contiguous, whatever the layout of ``amps``.
         """
-        block, single, single_bins = self.layout.clone(clone)
         k, (n, d) = len(self.vals), self.amps.shape
-        x = np.multiply(self.amps.reshape(k, n // k, d, 1), self.vals.take(block, axis=1)[:, None], order="C")
-        diag = self._diag(single_bins, self.vals.take(single, axis=1))
-        return x.reshape(n, *block.shape), diag
+        x = np.multiply(self.amps.reshape(k, n // k, d, 1), self.vals.take(self.blocks[clone], axis=1)[:, None], order="C")
+        return x.reshape(n, d, d), self._diag(self._weights(clone))
 
     def clone(self, clone: int) -> np.ndarray:
         """(k r, d, d) reductions of clone A (``clone=0``) or B (``clone=1``)."""
@@ -371,8 +309,16 @@ class _Outputs:
         return red
 
     def gram(self) -> np.ndarray:
-        """(k r, d, d) ancilla Grams M^dag M, off the diagonal conj(X_A^T) X_B entrywise plus its conjugate transpose."""
-        (block_a, _, bins), (block_b, _, _) = self.layout.clone(0), self.layout.clone(1)
+        """(k r, d, d) ancilla Grams M^dag M, off the diagonal conj(X_A^T) X_B entrywise plus its conjugate transpose.
+
+        The Gram sums over the (A, B) digits. Key (l, j), l != j, holds
+        |lj>|R_j> (input l), clone A's ``block[l, j]``, and |lj>|R_l> (input
+        j), clone B's ``block[j, l]``; the two meet at entry (j, l). Every
+        nonzero adds its |amplitude|^2 to the diagonal entry of its ancilla
+        digit: clone B's pairs as in clone A's diagonal, the rest as clone
+        A's block, transposed, gives them.
+        """
+        block_a, block_b = self.blocks
         k, (n, d) = len(self.vals), self.amps.shape
         amps = self.amps.reshape(k, n // k, d)
         gram = amps[..., None, :] * self.vals.take(block_a.T, axis=1)[:, None]
@@ -380,7 +326,7 @@ class _Outputs:
         gram *= amps[..., None] * self.vals.take(block_b, axis=1)[:, None]
         gram = gram.reshape(n, d, d)
         gram += gram.conj().swapaxes(1, 2)
-        gram.reshape(n, -1)[:, :: d + 1] = self._diag(np.concatenate([np.arange(d) * (d + 1), bins, bins]), self.vals)
+        gram.reshape(n, -1)[:, :: d + 1] = self._diag(self._weights(0) + np.abs(self.vals.take(block_a.T, axis=1)) ** 2)
         return gram
 
     def fidelity(self) -> np.ndarray:
@@ -398,7 +344,7 @@ def _simulate(machines, amps, ndim: int = 3) -> _Outputs:
     ``ndim=1``, so that a bad state is reported in the shape its caller
     gave; the MUB rows pass one machine and a (1, d, d) stack, and the
     audit's sweep a chunk of one d's machines. All of them read their
-    stacks from the returned :class:`_Outputs`, through the layout of that d.
+    stacks from the returned :class:`_Outputs`, through the blocks of that d.
     The states are kept C-contiguous (a copy only if they are not), so a
     stack rounds the same whatever the memory layout its caller gave.
     """
@@ -408,7 +354,7 @@ def _simulate(machines, amps, ndim: int = 3) -> _Outputs:
     amps = _normalized(amps, d, ndim)
     if ndim == 3 and len(amps) != len(machines):
         raise DimensionError(f"expected one stack of states per machine ({len(machines)}), got {len(amps)}")
-    return _Outputs(_layout(d), np.array([machine.vals for machine in machines]), np.ascontiguousarray(amps.reshape(-1, d)))
+    return _Outputs(_blocks(d), np.array([machine.vals for machine in machines]), np.ascontiguousarray(amps.reshape(-1, d)))
 
 
 def _output_factor(machine: CloningMachine, psi) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Test oracle: the simulation plan derived generically from the index arrays of V's nonzeros.
 
-``cloner._layout`` writes each d's plan down, group by group, from the
-enumeration that also gives ``rows`` and ``cols``. :func:`build_plan`
-instead discovers the plan from any ``rows``/``cols`` by sorting and
-counting, and checks on the way everything the plan relies on, so the
-tests can hold the written-down plan to it array by array.
+``cloner._blocks`` writes each d's two clone blocks down with arithmetic
+on the enumeration that also gives ``rows`` and ``cols``, and the
+simulation reads every diagonal off them. :func:`build_plan` instead
+discovers the plan from any ``rows``/``cols`` by sorting and counting,
+and checks on the way everything the plan relies on, so the tests can
+hold the blocks, and what the diagonals assume of them, to it.
 """
 
 import numpy as np
@@ -15,11 +16,12 @@ from phaseclone.cloner import _one_nonzero_per_row
 def build_plan(d: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, ...]:
     """The plan of the triples ``rows``/``cols`` of a d-level machine, as ten arrays.
 
-    Clone A's ``(block, single, single_bins)`` and clone B's come first, in
-    the order of ``cloner._Layout``'s groups, then the Gram's
-    ``(pairs, pair_cols, pair_bins, diag_bins)``. The layout keeps no Gram
-    plan; the tests build the Gram from these four as the bit-for-bit
-    reference of the one read off the two clone blocks.
+    Clone A's ``(block, single, single_bins)`` and clone B's come first:
+    its block, and the nonzeros that each add to one diagonal entry of its
+    reduction alone, with their bins. Then come the Gram's ``(pairs,
+    pair_cols, pair_bins, diag_bins)``. The simulation keeps neither the
+    singles nor a Gram plan; the tests build each diagonal and the Gram
+    from them as the bit-for-bit reference of those read off the blocks.
 
     Checks, rather than assumes, what the plan relies on: at most one
     nonzero per row, full blocks for both clones, at most two nonzeros per

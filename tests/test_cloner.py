@@ -14,7 +14,8 @@ from phaseclone.cloner import (
     FidelityReport,
     VerificationError,
     _fidelity,
-    _layout,
+    _blocks,
+    _indices,
     _output_factor,
     _Outputs,
     _shrink,
@@ -172,10 +173,14 @@ class TestBuildMachine:
                 np.testing.assert_array_equal(machine.isometry[:, j], expected)
 
     def test_machines_of_one_dimension_share_the_index_layout(self):
-        # rows/cols depend on d alone, so every machine of one d holds the same read-only arrays
+        # rows/cols depend on d alone, so every machine of one d reads equal read-only arrays, and every simulation of
+        # one d reads the one cached pair of clone blocks
         first, second = build_machine(5, *optimal_params(5)), build_machine(5, 1.0, 0.0)
-        assert first.rows is second.rows and first.cols is second.cols
-        assert not first.rows.flags.writeable
+        for got, want in ((first.rows, second.rows), (first.cols, second.cols)):
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable and not want.flags.writeable
+        psi = np.full((1, 1, 5), 1 / math.sqrt(5))
+        assert _simulate([first], psi).blocks is _simulate([second], psi).blocks is _blocks(5)
 
     def test_derived_isometry_matches_the_loop_reference_bit_for_bit(self):
         rng = np.random.default_rng(5)
@@ -294,7 +299,8 @@ class TestBuildMachine:
             build_machine(3, 2.0, 2.0)  # norm off by 7
         with pytest.raises(ValueError):
             build_machine(2, -INV_SQRT2, INV_SQRT2)
-        for alpha, beta in [(math.nan, 1.0), (1.0, math.nan)]:
+        # a NaN split, or one whose norm is infinite or overflows, would give a NaN or infinite fidelity
+        for alpha, beta in [(math.nan, 1.0), (1.0, math.nan), (math.inf, 0.0), (0.0, math.inf), (1e300, 1e300)]:
             with pytest.raises(ValueError, match="nonnegative"):
                 build_machine(3, alpha, beta)
             with pytest.raises(ValueError, match="nonnegative"):
@@ -482,6 +488,21 @@ def dense_stacks(machine, amps):
     return [np.array(stack) for stack in zip(*refs)]
 
 
+def bincount_diag(out, bins, vals):
+    """Reference diagonal of each state: W_i |psi|^2, with W_i the d-by-d sum of row i of |vals|^2 over ``bins`` by one bincount."""
+    k, d = len(vals), out.amps.shape[1]
+    bins = bins + np.arange(0, k * d * d, d * d)[:, None]  # machine i's W at i d^2
+    w = np.bincount(bins.ravel(), weights=(np.abs(vals) ** 2).ravel(), minlength=k * d * d).reshape(k, 1, d, d)
+    return (w @ (np.abs(out.amps) ** 2).reshape(k, -1, d, 1)).reshape(-1, d)
+
+
+def unequal_vals(rng, size):
+    """Random values for V's nonzeros, so that the two clones differ, with a zero of each sign among them."""
+    vals = rng.normal(size=size)
+    vals[rng.choice(size, 2, replace=False)] = [0.0, -0.0]
+    return vals
+
+
 # every stack an _Outputs gives, one slice (or value) per input state
 STACK_READS = {
     "clone A": lambda out: out.clone(0),
@@ -525,23 +546,25 @@ class TestSimulate:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
     def test_clone_blocks_match_the_indexing_gather_bit_for_bit(self):
-        # X is a C-contiguous broadcast product; the gather amps[:, cols[block]], copied C-contiguous, is the reference
+        # X is a C-contiguous broadcast product; the gather amps[:, cols[block]], copied C-contiguous, is the reference,
+        # and the diagonal the generic plan's singly hit nonzeros, summed by a bincount
         class Gathered(_Outputs):
             def _clone_parts(self, clone):
-                block, single, single_bins = self.layout.clone(clone)
+                _, single, single_bins = plan[3 * clone : 3 * clone + 3]
                 gathered = np.ascontiguousarray(self.amps[:, block_cols(d, rows, cols)[clone]])
-                gathered *= self.vals[0, block]  # one machine
-                return gathered, self._diag(single_bins, self.vals[:, single])
+                gathered *= self.vals[0, self.blocks[clone]]  # one machine
+                return gathered, bincount_diag(self, single_bins, self.vals[:, single])
 
         rng = np.random.default_rng(61)
         for d in range(2, 65):
-            rows, cols = _layout(d).rows, _layout(d).cols
+            rows, cols = _indices(d)
+            plan = build_plan(d, rows, cols)
             machine = build_machine(d, *optimal_params(d))
-            object.__setattr__(machine, "vals", rng.normal(size=machine.vals.size))  # unequal clones
+            object.__setattr__(machine, "vals", unequal_vals(rng, machine.vals.size))
             amps = rng.normal(size=(5, d)) + 1j * rng.normal(size=(5, d))
             amps /= np.linalg.norm(amps, axis=1, keepdims=True)
             out = _simulate([machine], amps[None])
-            ref = Gathered(out.layout, out.vals, out.amps)
+            ref = Gathered(out.blocks, out.vals, out.amps)
             for name, got, want in (
                 ("clone A", out.clone(0), ref.clone(0)),
                 ("clone B", out.clone(1), ref.clone(1)),
@@ -627,32 +650,30 @@ class TestSimulate:
         assert peak < 2.5e6
 
 
-# each plan group of cloner._Layout, and the slice of build_plan's arrays that holds the same group
-PLAN_GROUPS = {"clone_a": slice(0, 3), "clone_b": slice(3, 6)}
-LAYOUT_GROUPS = ("rows", "cols", *PLAN_GROUPS)
-
-
 class TestLayout:
-    """Each d's index layout and plan, written down from its enumeration, against the oracle's generic derivation."""
+    """Each d's clone blocks and index arrays, written down from its enumeration, against the oracle's generic derivation."""
 
     @pytest.mark.parametrize("d", range(2, 65))
     def test_matches_the_generic_derivation_array_by_array(self, d):
-        layout = _layout(d)
-        want = build_plan(d, layout.rows, layout.cols)
-        for group, arrays in PLAN_GROUPS.items():
-            for k, (got, ref) in enumerate(zip(getattr(layout, group), want[arrays], strict=True)):
-                assert got.dtype == ref.dtype, (group, k)
-                np.testing.assert_array_equal(got, ref, err_msg=f"{group} array {k}")
+        want = build_plan(d, *_indices(d))
+        blocks = _blocks(d)
+        j, l = np.nonzero(~np.eye(d, dtype=bool))
+        for clone in (0, 1):
+            block, single, single_bins = want[3 * clone : 3 * clone + 3]
+            assert blocks.dtype == block.dtype
+            np.testing.assert_array_equal(blocks[clone], block, err_msg=f"clone {clone}'s block")
+            # the diagonal weights assume this: a clone's singly hit nonzeros are the other clone's block off its
+            # diagonal, entry [j, l] at bin l d + j
+            np.testing.assert_array_equal(single, blocks[1 - clone][j, l], err_msg=f"clone {clone}'s single")
+            np.testing.assert_array_equal(single_bins, l * d + j, err_msg=f"clone {clone}'s single bins")
 
     def test_gram_matches_the_generic_pairs_bit_for_bit(self):
-        # the layout keeps no Gram plan: the Gram is read off the two clone blocks, and each generic pair of an (A, B)
+        # there is no Gram plan: the Gram is read off the two clone blocks, and each generic pair of an (A, B)
         # key is one entry of clone A's block, transposed, and one of clone B's. The Gram built the old way, a scatter
         # of each pair's product, is the reference, down to the signs of its zeros
         rng = np.random.default_rng(79)
         for d in range(2, 65):
-            block_a, _, bins_a, block_b, _, bins_b, pairs, pair_cols, pair_bins, diag_bins = build_plan(
-                d, _layout(d).rows, _layout(d).cols
-            )
+            block_a, _, bins_a, block_b, _, bins_b, pairs, pair_cols, pair_bins, diag_bins = build_plan(d, *_indices(d))
             j, l = np.divmod(pair_bins, d)
             np.testing.assert_array_equal(pair_bins, np.flatnonzero(~np.eye(d, dtype=bool)))  # row-major off-diagonal
             np.testing.assert_array_equal(pairs, np.stack([block_a[l, j], block_b[j, l]]))
@@ -662,7 +683,7 @@ class TestLayout:
 
             machines = [build_machine(d, *optimal_params(d)) for _ in range(2)]
             for machine in machines:
-                object.__setattr__(machine, "vals", rng.normal(size=machine.vals.size))  # unequal clones
+                object.__setattr__(machine, "vals", unequal_vals(rng, machine.vals.size))
             amps = rng.normal(size=(2, 3, d)) + 1j * rng.normal(size=(2, 3, d))
             amps /= np.linalg.norm(amps, axis=2, keepdims=True)
             out = _simulate(machines, amps)
@@ -674,7 +695,7 @@ class TestLayout:
             want[:, pair_bins] = np.conjugate(first) * second
             want = want.reshape(6, d, d)
             want += want.conj().swapaxes(1, 2)
-            want.reshape(6, -1)[:, :: d + 1] = out._diag(diag_bins, out.vals)
+            want.reshape(6, -1)[:, :: d + 1] = bincount_diag(out, diag_bins, out.vals)
             got = out.gram()
             np.testing.assert_array_equal(got, want, err_msg=f"d = {d}")
             assert got.tobytes() == want.tobytes(), f"signs of zeros at d = {d}"
@@ -682,25 +703,15 @@ class TestLayout:
     @pytest.mark.parametrize("d", range(2, 65))
     def test_each_block_row_reads_its_own_input(self, d):
         # block_cols[a, :] == a is what lets each clone's X be a broadcast of the inputs instead of a gather
-        layout = _layout(d)
-        for clone, got in enumerate(block_cols(d, layout.rows, layout.cols)):
+        for clone, got in enumerate(block_cols(d, *_indices(d))):
             np.testing.assert_array_equal(got, np.broadcast_to(np.arange(d)[:, None], got.shape), err_msg=f"clone {clone}")
 
     def test_every_returned_array_is_read_only(self):
-        # the layout is cached and shared by every machine of its d, so one stray write would corrupt them all
-        layout = _layout(4)
-        for group in LAYOUT_GROUPS:
-            value = getattr(layout, group)
-            for k, arr in enumerate([value] if isinstance(value, np.ndarray) else value):
-                with pytest.raises(ValueError, match="read-only"):
-                    arr[(0,) * arr.ndim] = 0
-                assert not arr.flags.writeable, (group, k)
-
-    def test_a_fidelity_builds_only_clone_a(self):
-        # table's route, one fidelity per d, reads clone A's plan alone; the other groups stay unbuilt
-        _layout.cache_clear()
-        fidelity_report(9)
-        assert [group for group in LAYOUT_GROUPS if group in vars(_layout(9))] == ["clone_a"]
+        # the blocks are cached and shared by every machine of their d, so one stray write would corrupt them all
+        for name, arr in (("blocks", _blocks(4)), *zip(("rows", "cols"), _indices(4))):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 0
+            assert not arr.flags.writeable, name
 
     def test_plan_builder_refuses_a_row_with_two_nonzeros(self):
         machine = build_machine(3, *optimal_params(3))
