@@ -713,6 +713,22 @@ class TestLayout:
                 arr[(0,) * arr.ndim] = 0
             assert not arr.flags.writeable, name
 
+    def test_a_fidelity_reads_the_blocks_alone(self, monkeypatch):
+        # table's route, one fidelity per d, reads d's clone blocks and never writes down rows or cols
+        written = []
+
+        def indices(d):
+            written.append(d)
+            return _indices(d)
+
+        monkeypatch.setattr("phaseclone.cloner._indices", indices)
+        report = fidelity_report(9)
+        assert report.f_simulated == pytest.approx(report.f_closed, abs=1e-12)
+        assert written == []
+        # the probe is live: a read of rows goes through it
+        build_machine(9, *optimal_params(9)).rows
+        assert written == [9]
+
     def test_plan_builder_refuses_a_row_with_two_nonzeros(self):
         machine = build_machine(3, *optimal_params(3))
         rows = machine.rows.copy()
