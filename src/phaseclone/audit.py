@@ -24,9 +24,10 @@ to phase covariance and the phase-state modulus, then runs once per chunk
 on the stacks (one stacked overlap <psi|rho_A|psi>, one stacked
 eigensolve of the machines' phase-zero Grams), and each stack is dropped
 once its checks have read it.
-The chunks cannot be seen in the report: each check is a per-slice
-residual folded by a maximum, and a machine's slices round as they would
-if it ran alone. The two-clone output rho_AB = M M^dag is never formed:
+The chunks cannot be seen in the report: each check returns one residual
+per machine, read off that machine's slices alone, which round as they
+would if it ran alone, and :func:`_worst` folds each check once over the
+run. The two-clone output rho_AB = M M^dag is never formed:
 its trace ||M||_F^2 is the Gram's, and its positivity is checked on the
 Gram, which has the same nonzero spectrum. The Gram is phase covariant,
 G_phi = U_phi G_0 U_phi^dag with U_phi = diag(e^(i phi)), so only each
@@ -73,7 +74,7 @@ from .cloner import (
     optimal_params,
     uqcm_fidelity,
 )
-from .linalg import EQ_TOL, PSD_TOL, _integer, _largest_norm
+from .linalg import EQ_TOL, PSD_TOL, _integer, _norms
 from .optimize import optimum_residual, sweep_alpha
 from .states import (
     _mub_amps,
@@ -119,11 +120,6 @@ CHECKS = {
 NEEDS_D3 = ("superiority_gap_decreasing", "level3_value", "mub_unbiasedness", "mub_cloning_uniformity")
 
 
-def _nan_wins(x: float) -> tuple[bool, float]:
-    """Key under which ``max`` keeps a NaN residual; by plain comparison it would drop it."""
-    return x != x, x
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -158,8 +154,13 @@ class AuditReport:
         ]
 
 
-def _swap_residual(d: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> float:
-    """Worst ``|V[(a, b, c), j] - V[(b, a, c), j]|`` over the nonzeros at ``rows``/``cols`` of every V whose values are a row of ``vals``.
+def _worst(*residuals) -> float:
+    """The one fold of a check's residuals (arrays, lists or floats) into its reported value: their maximum from 0.0, NaN if any is."""
+    return float(np.max(np.hstack([0.0, *residuals])))
+
+
+def _swap_residual(d: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Worst ``|V[(a, b, c), j] - V[(b, a, c), j]|`` over the nonzeros at ``rows``/``cols`` of V, for each V whose values are a row of ``vals``.
 
     V maps every input into Sym(A (x) B) (x) ancilla exactly when it is
     unchanged by swapping the two clone digits, so a correct machine gives
@@ -173,7 +174,7 @@ def _swap_residual(d: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray)
     order = np.argsort(here, kind="stable")  # with numpy 2.4 the default sort adds 0.3 MB to verify's peak RSS
     found = order[np.searchsorted(here, there, sorter=order).clip(max=len(rows) - 1)]
     mirrored = np.where(here[found] == there, vals[..., found], 0.0)
-    return float(np.abs(vals - mirrored).max())
+    return np.abs(vals - mirrored).max(axis=-1)
 
 
 def mub_rows(d: int) -> list[dict]:
@@ -204,26 +205,25 @@ def mub_rows(d: int) -> list[dict]:
 def mub_worst(d: int, rows: list[dict]) -> tuple[float, float]:
     """Worst basis residual and worst ``|F - F_opt(d)|`` over the rows of :func:`mub_rows`."""
     target = optimal_fidelity(d)
-    worst_basis = max((r["value"] for r in rows if r["kind"] != "fidelity"), key=_nan_wins)
-    worst_uniform = max((abs(r["value"] - target) for r in rows if r["kind"] == "fidelity"), key=_nan_wins)
-    return worst_basis, worst_uniform
+    worst_basis = _worst([r["value"] for r in rows if r["kind"] != "fidelity"])
+    return worst_basis, _worst([abs(r["value"] - target) for r in rows if r["kind"] == "fidelity"])
 
 
-def _check_outputs(note, machines: list[CloningMachine], phases: np.ndarray) -> None:
+def _check_outputs(machines: list[CloningMachine], phases: np.ndarray) -> dict[str, np.ndarray]:
     """Run every per-draw check on one chunk of whole machines of one d, simulated in one call.
 
     ``phases`` is (k, r, d): row 0 of machine i's stack is the phase-zero
     state, the reference of the phase covariance check, and rows 1..r-1 are
     its draws. Every check reads the (k, r-1, d, d) stacks the outputs
-    M = V|psi> give and folds its residuals through ``note``; each stack is
-    freed when it has been read, and all of them on return.
+    M = V|psi> give and returns a (k,) array: entry i is machine i's worst
+    residual, read off machine i's rows alone. Each stack is freed when it
+    has been read, and all of them on return.
     """
     k, r, d = phases.shape
     states = phase_state(phases.reshape(-1, d)).reshape(k, r, d)
     out = _simulate(machines, states)
     amps = states[:, 1:]
-
-    note("phase_state_modulus", float(np.abs(np.abs(amps) - 1.0 / math.sqrt(d)).max()))
+    found = {"phase_state_modulus": np.abs(np.abs(amps) - 1.0 / math.sqrt(d)).max(axis=(1, 2))}
 
     # physical validity of the simulated output rho_AB = M M^dag, read off M: its trace is ||M||_F^2, the trace
     # of the d-by-d ancilla Gram G = M^dag M, and its nonzero spectrum is the Gram's, so positivity is checked
@@ -231,18 +231,19 @@ def _check_outputs(note, machines: list[CloningMachine], phases: np.ndarray) -> 
     # multiplies entry (j, k) by e^(i(phi_j - phi_k)), which for psi = e^(i phi) / sqrt(d) is twist = d psi_j
     # conj(psi_k): the twist reads the input states only, never an output. G_phi = U_phi G_0 U_phi^dag, so by
     # Weyl's inequality each machine's -lambda_min(G_0) plus its draws' worst ||G_phi - G_0 twist||_F bounds
-    # every draw's -lambda_min from above. A non-finite phase-zero Gram would make the eigensolve raise, so it
-    # notes a NaN instead; a non-finite draw Gram makes its residual NaN
+    # every draw's -lambda_min from above. A non-finite phase-zero Gram would make the eigensolve raise, so its
+    # machine gets a NaN instead; a non-finite draw Gram makes its residual NaN
     gram = out.gram().reshape(k, r, d, d)
     twist = amps[:, :, :, None] * amps.conj()[:, :, None, :]
     twist *= d
     gram0, gram = gram[:, :1], gram[:, 1:]
     norm2 = gram.diagonal(axis1=2, axis2=3).real.sum(axis=2)
-    lowest = np.linalg.eigvalsh(gram0)[:, 0, 0] if np.isfinite(gram0).all() else math.nan
+    finite, lowest = np.isfinite(gram0).all(axis=(1, 2, 3)), np.full(k, math.nan)
+    lowest[finite] = np.linalg.eigvalsh(gram0[finite])[:, 0, 0]
     drift = np.multiply(gram0, twist).reshape(k, r - 1, d * d)
     drift -= gram.reshape(k, r - 1, d * d)
     drift = np.sqrt(np.vecdot(drift, drift).real).max(axis=1)  # each machine's worst ||G_phi - G_0 twist||_F
-    note("output_state_validity", float(np.abs(norm2 - 1.0).max()), float((drift - lowest).max()))
+    found["output_state_validity"] = validity = np.maximum(np.abs(norm2 - 1.0).max(axis=1), drift - lowest)
     del gram, gram0, drift
 
     red_a = out.clone(0).reshape(k, r, d, d)
@@ -250,11 +251,11 @@ def _check_outputs(note, machines: list[CloningMachine], phases: np.ndarray) -> 
     red_b = out.clone(1).reshape(k, r, d, d)[:, 1:]
     for red in (red_a, red_b):  # each against its conjugate transpose, written C-ordered (summed row by row) in place
         skew = np.conjugate(red.swapaxes(2, 3), order="C")
-        note("output_state_validity", _largest_norm(np.subtract(red, skew, out=skew)))
+        np.maximum(validity, _norms(np.subtract(red, skew, out=skew)).max(axis=1), out=validity)
     del skew
 
     # the two clones are interchangeable
-    note("clone_symmetry", _largest_norm(np.subtract(red_a, red_b, out=red_b)))
+    found["clone_symmetry"] = _norms(np.subtract(red_a, red_b, out=red_b)).max(axis=1)
     del red_b
 
     # brute force vs closed form: <psi|rho_A|psi>, the overlap simulate_fidelity computes, summed another way
@@ -263,56 +264,58 @@ def _check_outputs(note, machines: list[CloningMachine], phases: np.ndarray) -> 
     fid = (amps.conj()[:, :, None, :] @ red_a @ amps[:, :, :, None])[:, :, 0, 0]
     alpha, beta = np.array([(m.alpha, m.beta) for m in machines]).T  # built by build_machine: in the domain
     f_closed = _fidelity(d, alpha, beta)
-    note("closed_form_agreement", float(np.abs(fid.real - f_closed[:, None]).max()), float(np.abs(fid.imag).max()))
-    note("fidelity_phase_independence", float(np.std(fid.real, axis=1, ddof=1).max()))
+    found["closed_form_agreement"] = np.maximum(np.abs(fid.real - f_closed[:, None]), np.abs(fid.imag)).max(axis=1)
+    found["fidelity_phase_independence"] = np.std(fid.real, axis=1, ddof=1)
 
     # shrink (scalar) form of the reduced output, eta psi psi^dag + (1 - eta)/d I, with psi psi^dag = twist / d
     eta = _shrink(d, alpha, beta)[:, None, None, None]
     scalar = (eta / d) * twist
     scalar.reshape(k, r - 1, d * d)[..., :: d + 1] += (1.0 - eta[..., 0]) / d
-    note("scalar_form", _largest_norm(np.subtract(red_a, scalar, out=scalar)))
+    found["scalar_form"] = _norms(np.subtract(red_a, scalar, out=scalar)).max(axis=1)
     del scalar
 
     # entrywise closed-form reduced matrix: c e^(i(phi_j - phi_k)) off the diagonal, 1/d on it
     closed = (eta / d) * twist
     closed.reshape(k, r - 1, d * d)[..., :: d + 1] = 1.0 / d
-    note("reduced_closed_matrix", _largest_norm(np.subtract(red_a, closed, out=closed)))
+    found["reduced_closed_matrix"] = _norms(np.subtract(red_a, closed, out=closed)).max(axis=1)
     del closed
 
     # phase covariance: the reduced output is the phase-zero one conjugated by U_phi
     np.multiply(red0, twist, out=twist)
-    note("phase_covariance", _largest_norm(np.subtract(red_a, twist, out=twist)))
+    found["phase_covariance"] = _norms(np.subtract(red_a, twist, out=twist)).max(axis=1)
+    return found
 
 
-def _check_machines(note, d: int, thetas, sub_seeds: range, corrupt: bool) -> None:
-    """Build one d's machines (the optimum plus one split per angle in ``thetas``) and run every check of them.
+def _check_machines(d: int, thetas, sub_seeds: range, corrupt: bool) -> dict[str, np.ndarray]:
+    """Build one d's machines (the optimum plus one split per angle in ``thetas``) and return every check's residuals.
 
     Each machine is simulated on the phase-zero state stacked with its
     ``len(sub_seeds) / len(machines)`` draws, which take the sub-seeds
     machine by machine. The machines run in chunks of whole machines, so
     each chunk's (rows, d, d) stacks stay near ``CHUNK_BYTES``, and every
-    stack is freed on return.
+    stack is freed on return. Each check's array holds one worst residual
+    per machine, in order; the unitarity check's ends with the corrupted
+    machine, when asked for.
     """
     machines = [build_machine(d, *optimal_params(d))]
     machines += [build_machine(d, math.cos(theta), math.sin(theta)) for theta in thetas.tolist()]
 
-    # V^dag V = I (the corrupted machine, when injected, must trip this)
-    note("isometry_unitarity", *_unitarity_residuals(machines).tolist())
-    if corrupt:
-        opt = machines[0]
-        bad = CloningMachine(d, opt.alpha * math.sqrt(0.9), opt.beta * math.sqrt(0.9))
-        note("isometry_unitarity", bad.unitarity_residual())
+    # V^dag V = I (the corrupted machine, when injected, is one more entry and must trip this)
+    opt = machines[0]  # every machine of one d shares its rows and cols
+    bad = [CloningMachine(d, opt.alpha * math.sqrt(0.9), opt.beta * math.sqrt(0.9))] if corrupt else []
+    found = {"isometry_unitarity": _unitarity_residuals(machines + bad)}
 
     # all of this d's draws come in one batch, machine by machine; a chunk's stacks hold k machines' r rows each
     draws = _random_phase_vectors(d, sub_seeds).reshape(len(machines), -1, d)
     phases = np.concatenate([np.zeros((len(machines), 1, d)), draws], axis=1)
     per_chunk = max(1, CHUNK_BYTES // (phases.shape[1] * d * d * np.dtype(np.complex128).itemsize))
-    for start in range(0, len(machines), per_chunk):
-        _check_outputs(note, machines[start : start + per_chunk], phases[start : start + per_chunk])
+    starts = range(0, len(machines), per_chunk)
+    chunks = [_check_outputs(machines[i : i + per_chunk], phases[i : i + per_chunk]) for i in starts]
+    found.update((name, np.concatenate([chunk[name] for chunk in chunks])) for name in chunks[0])
 
     # V maps into the symmetric subspace of the two clones: swapping their digits leaves every machine unchanged
-    opt = machines[0]  # every machine of one d shares its rows and cols
-    note("symmetric_pair_swap", _swap_residual(d, opt.rows, opt.cols, np.stack([m.vals for m in machines])))
+    found["symmetric_pair_swap"] = _swap_residual(d, opt.rows, opt.cols, np.stack([m.vals for m in machines]))
+    return found
 
 
 def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> AuditReport:
@@ -321,7 +324,7 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
     ``corrupt`` adds an unnormalized machine (the optimal split scaled by
     sqrt(0.9), so V^dag V = 0.9 I) to the unitarity check; the resulting
     failure demonstrates that the suite actually has teeth. Failures are
-    recorded, never raised.
+    recorded, never raised. Each check's residuals are folded once, by :func:`_worst`.
     """
     d_max, n_random = _integer(d_max, "d_max", 2), _integer(n_random, "n_random", 1)
     seed = _integer(seed, "seed", 0)
@@ -331,48 +334,46 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
     angles = _uniforms([seed], len(dims) * n_random).reshape(len(dims), n_random) * (math.pi / 2.0)
     first = seed * 1_000_003 + 1  # the sub-seed of the first phase draw; each later draw takes the next one
     n_draws = (1 + n_random) * max(2, n_random)  # per d: each machine's draws
-    worst = dict.fromkeys(CHECKS, 0.0)
-
-    def note(name: str, *residuals: float) -> None:
-        worst[name] = max(worst[name], *residuals, key=_nan_wins)
+    found = {name: [] for name in CHECKS}
+    bumpy = 0  # the number of d whose sweep is not unimodal
 
     for d, thetas in zip(dims, angles):
         # this d's machines, draws and stacks live only inside _check_machines, so the MUB checks below never run
         # on top of them
-        _check_machines(note, d, thetas, range(first, first + n_draws), corrupt)
+        for name, residuals in _check_machines(d, thetas, range(first, first + n_draws), corrupt).items():
+            found[name].append(residuals)
         first += n_draws
 
         # optimizer, closed form and explicit parameters agree
-        note("optimum_consistency", optimum_residual(d))
+        found["optimum_consistency"].append(optimum_residual(d))
 
         # alpha sweep: the grid never beats the analytic optimum, and is unimodal
         table = sweep_alpha(d, 101)
-        note("sweep_upper_bound", table.max_f - optimal_fidelity(d))
+        found["sweep_upper_bound"].append(table.max_f - optimal_fidelity(d))
         diffs = np.diff([row[2] for row in table.rows])
-        worst["objective_unimodal"] += int(np.sum(np.diff(np.sign(diffs)) != 0)) != 1
+        bumpy += int(np.sum(np.diff(np.sign(diffs)) != 0)) != 1
+    found["objective_unimodal"].append(bumpy)
 
     # strict superiority over the universal baseline, with a shrinking gap
     gaps = [optimal_fidelity(d) - uqcm_fidelity(d) for d in dims]
-    note("uqcm_superiority", sum(g <= 0.0 for g in gaps))
-    note("superiority_gap_decreasing", sum(b >= a for a, b in zip(gaps, gaps[1:])))
+    found["uqcm_superiority"].append(sum(g <= 0.0 for g in gaps))
+    found["superiority_gap_decreasing"].append(sum(b >= a for a, b in zip(gaps, gaps[1:])))
     fopts = [optimal_fidelity(d) for d in dims]
-    note("optimal_fidelity_decreasing", sum(b >= a for a, b in zip(fopts, fopts[1:])) + sum(f <= 0.5 for f in fopts))
+    found["optimal_fidelity_decreasing"].append(sum(b >= a for a, b in zip(fopts, fopts[1:])) + sum(f <= 0.5 for f in fopts))
 
     # the two dimensions with independently known optima
-    note("level2_value", abs(optimal_fidelity(2) - (0.5 + math.sqrt(0.125))))
+    found["level2_value"].append(abs(optimal_fidelity(2) - (0.5 + math.sqrt(0.125))))
     labels = {"level2_value": "2"}
     if d_max >= 3:
-        note("level3_value", abs(optimal_fidelity(3) - (5.0 + math.sqrt(17.0)) / 12.0))
+        found["level3_value"].append(abs(optimal_fidelity(3) - (5.0 + math.sqrt(17.0)) / 12.0))
         # mutually unbiased bases: pairwise unbiased, and all cloned equally well
-        mub_dims = [d for d in range(3, d_max + 1) if is_prime(d)]
-        worst_basis, worst_uniform = zip(*(mub_worst(d, mub_rows(d)) for d in mub_dims))
-        note("mub_unbiasedness", *worst_basis)
-        note("mub_cloning_uniformity", *worst_uniform)
-        mub_label = ";".join(str(d) for d in mub_dims)  # comma-free: lands in a CSV cell
+        primes = [d for d in range(3, d_max + 1) if is_prime(d)]
+        found["mub_unbiasedness"], found["mub_cloning_uniformity"] = zip(*(mub_worst(d, mub_rows(d)) for d in primes))
+        mub_label = ";".join(str(d) for d in primes)  # comma-free: lands in a CSV cell
         labels.update(level3_value="3", mub_unbiasedness=mub_label, mub_cloning_uniformity=mub_label)
 
     checks = tuple(
-        CheckResult(name, labels.get(name, f"2..{d_max}"), float(worst[name]), tolerance)
+        CheckResult(name, labels.get(name, f"2..{d_max}"), _worst(*found[name]), tolerance)
         for name, tolerance in CHECKS.items()
         if d_max >= 3 or name not in NEEDS_D3
     )

@@ -39,11 +39,11 @@ the pure output M = V|psi> (d^2 by d) meet in each clone's reduction.
 Each clone's reduction, its diagonal included, and the ancilla Gram
 M^dag M are read off the two blocks, which no sort discovers; the tests
 hold them to a generic derivation from ``rows``/``cols``. Those two are
-written down on each read (:func:`_indices`), for the dense route and
-the unitarity and swap checks only. A stack's reductions are batched
-products of the amplitudes ``vals * psi[cols]``, each machine's ``vals``
-broadcast over its own states: O(d^3) time per state and O(k r d^2)
-memory, with no d^3-sized array. The dense route
+written down once per d, on their first read (:func:`_indices`), for the
+dense route and the unitarity and swap checks only. A stack's reductions
+are batched products of the amplitudes ``vals * psi[cols]``, each
+machine's ``vals`` broadcast over its own states: O(d^3) time per state
+and O(k r d^2) memory, with no d^3-sized array. The dense route
 (:func:`_output_factor`, :func:`clone_state`, which forms the
 d^2-by-d^2 two-clone state M M^dag) stays for callers that ask for the
 two-clone state, and as the reference the tests hold the blocks to.
@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,22 +66,30 @@ PARAM_NORM_TOL = 1e-9  # max |alpha^2 + beta^2 - 1| accepted
 
 def _check_domain(
     d: int, alpha: float | None = None, beta: float | None = None, norm_tol: float = PARAM_NORM_TOL
-) -> int:
-    """Return d as an int; reject a d that is not an integer >= 2 (a NaN, an infinity, 2.5) and, when given, a split that is negative, NaN, of infinite norm or off the unit circle by more than ``norm_tol``.
+) -> int | tuple[int, float, float]:
+    """Return d as an int, or ``(d, alpha, beta)`` with the split as Python floats when one is given.
 
-    Any integer type passes, numpy's too, and the caller computes with the
-    returned int, so a narrow one cannot wrap. Never renormalizes: a split
-    that passes is used exactly as given.
+    Rejects a d that is not an integer >= 2 (a NaN, an infinity, 2.5), a
+    split that is not real (TypeError naming alpha or beta), and one that is
+    negative, NaN, of infinite norm or off the unit circle by more than
+    ``norm_tol`` in double precision. Callers compute with the returned
+    values, so a narrow integer cannot wrap and a narrow float cannot pass a
+    check it fails in doubles. Never renormalizes.
     """
     d = _integer(d, "d", 2)
     if alpha is None:
         return d
+    if type(alpha) is not float or type(beta) is not float:  # the common case, without the ABC checks
+        for name, value in (("alpha", alpha), ("beta", beta)):
+            if not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
+        alpha, beta = float(alpha), float(beta)
     norm2 = alpha * alpha + beta * beta
     if not (alpha >= 0.0 and beta >= 0.0 and math.isfinite(norm2)):
         raise ValueError(f"alpha and beta must be nonnegative, with a finite alpha^2 + beta^2, got ({alpha!r}, {beta!r})")
     if abs(norm2 - 1.0) > norm_tol:
         raise ValueError(f"alpha^2 + beta^2 = {norm2!r} is not within {norm_tol} of 1")
-    return d
+    return d, alpha, beta
 
 
 def _one_nonzero_per_row(rows: np.ndarray) -> None:
@@ -99,14 +108,15 @@ class CloningMachine:
     ``vals`` are read-only arrays with ``V[rows[k], cols[k]] == vals[k]``.
     Only ``vals`` is computed at construction. ``rows`` and ``cols`` depend
     on d alone, so they are properties that :func:`_indices` writes down
-    on each read; the simulation reads neither. Rows are indexed
+    once per d; the simulation reads neither. Rows are indexed
     by (clone A, clone B, ancilla) in the fixed tensor convention, and
     column j is the image of input basis state |j>. :attr:`isometry`
     rebuilds the dense d^3-by-d matrix on each access.
-    Machines compare and hash by ``(d, alpha, beta)``. The constructor checks
-    d, the signs and that alpha^2 + beta^2 is finite, but not that it is 1, so
-    an unnormalized machine can be built on purpose; :func:`build_machine` is
-    the checked entry point.
+    Machines compare and hash by ``(d, alpha, beta)``, the split stored as
+    Python floats. The constructor checks d, that the split is real and
+    nonnegative and that alpha^2 + beta^2 is finite, but not that it is 1,
+    so an unnormalized machine can be built on purpose; :func:`build_machine`
+    is the checked entry point.
     """
 
     d: int
@@ -115,24 +125,26 @@ class CloningMachine:
     vals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = _check_domain(self.d, self.alpha, self.beta, norm_tol=math.inf)
+        d, alpha, beta = _check_domain(self.d, self.alpha, self.beta, norm_tol=math.inf)
         # d's blocks become the cached ones here: the previous d's blocks are then freed before this d's machines and
         # stacks are allocated, which keeps verify's peak RSS about 0.04 MB lower
         _blocks(d)
         # alpha on the d nonzeros |jj>|R_j>, which come first, and beta / sqrt(2(d-1)) on the 2d(d-1) others
-        vals = np.concatenate([np.full(d, self.alpha), np.full(2 * d * (d - 1), self.beta / math.sqrt(2.0 * (d - 1)))])
+        vals = np.concatenate([np.full(d, alpha), np.full(2 * d * (d - 1), beta / math.sqrt(2.0 * (d - 1)))])
         vals.setflags(write=False)
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "vals", vals)
 
     @property
     def rows(self) -> np.ndarray:
-        """Read-only row index of each nonzero of V, written down from d on every read."""
+        """Read-only row index of each nonzero of V, written down once per d."""
         return _indices(self.d)[0]
 
     @property
     def cols(self) -> np.ndarray:
-        """Read-only column index of each nonzero of V, written down from d on every read."""
+        """Read-only column index of each nonzero of V, written down once per d."""
         return _indices(self.d)[1]
 
     @property
@@ -215,10 +227,10 @@ def build_machine(d: int, alpha: float, beta: float) -> CloningMachine:
     """The cloning machine for given dimension and parameter split.
 
     alpha and beta must be nonnegative reals (not NaN) with alpha^2 + beta^2 within
-    1e-9 of 1; they are renormalized internally so the stored pair satisfies
-    the constraint to better than 1e-15. Anything further off is rejected.
+    1e-9 of 1 in double precision; they are renormalized internally so the stored
+    pair satisfies the constraint to better than 1e-15. Anything further off is rejected.
     """
-    d = _check_domain(d, alpha, beta)
+    d, alpha, beta = _check_domain(d, alpha, beta)
     scale = math.sqrt(alpha * alpha + beta * beta)
     return CloningMachine(d, alpha / scale, beta / scale)
 
@@ -244,8 +256,12 @@ def _blocks(d: int) -> np.ndarray:
     return blocks
 
 
+@functools.lru_cache(maxsize=1)
 def _indices(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Package-private: read-only ``rows`` and ``cols`` of V's nonzeros, ``V[rows[k], cols[k]] == vals[k]``, in :func:`_blocks`' order."""
+    """Package-private: read-only ``rows`` and ``cols`` of V's nonzeros, ``V[rows[k], cols[k]] == vals[k]``, in :func:`_blocks`' order.
+
+    Cached like :func:`_blocks`, so the properties that read it build both once per d.
+    """
     j, l = np.nonzero(~np.eye(d, dtype=bool))
     rows = np.concatenate([np.arange(d) * (d * d + d + 1), (j * d + l) * d + l, (l * d + j) * d + l])
     cols = np.concatenate([np.arange(d), j, j])
@@ -403,7 +419,7 @@ def fidelity_closed_form(d: int, alpha: float, beta: float) -> float:
     Defined on the domain :func:`build_machine` accepts (d >= 2, a nonnegative
     split within 1e-9 of the unit circle); anything else raises ValueError.
     """
-    return _fidelity(_check_domain(d, alpha, beta), alpha, beta)
+    return _fidelity(*_check_domain(d, alpha, beta))
 
 
 def _fidelity(d: int, alpha, beta):
@@ -441,7 +457,7 @@ def shrink_factor(d: int, alpha: float, beta: float) -> float:
     eta = alpha*beta*sqrt(2/(d-1)) + beta^2 (d-2) / (2(d-1)), on the domain
     of :func:`fidelity_closed_form`.
     """
-    return _shrink(_check_domain(d, alpha, beta), alpha, beta)
+    return _shrink(*_check_domain(d, alpha, beta))
 
 
 def _shrink(d: int, alpha, beta):

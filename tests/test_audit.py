@@ -524,7 +524,8 @@ class TestPositivityBound:
     """``output_state_validity``'s positivity term: -lambda_min of each machine's phase-zero Gram plus its draws' worst
     covariance residual, which by Weyl's inequality bounds every draw's -lambda_min from above.
 
-    The check folds the term into a maximum that starts at 0, so it bounds every draw's computed
+    A machine's ``output_state_validity`` entry is the largest of the term and the trace and Hermiticity residuals,
+    and the report folds the entries into a maximum that starts at 0, so it bounds every draw's computed
     max(0, -lambda_min) outright. Below 0 the two eigensolves round apart: on a positive definite Gram the term
     may sit up to a few ulps of tr G = 1 under the draw's own -lambda_min (1.4e-16 at worst over d = 2..64).
     """
@@ -537,10 +538,8 @@ class TestPositivityBound:
         draws = _random_phase_vectors(d, range(d, d + 5 * len(machines))).reshape(len(machines), 5, d)
         for machine, row in zip(machines, draws):
             phases = np.concatenate([np.zeros((1, 1, d)), row[None]], axis=1)
-            notes = []
-            _check_outputs(lambda name, *residuals: notes.append((name, residuals)), [machine], phases)
-            # the first validity note is (trace residual, positivity term)
-            term = next(residuals for name, residuals in notes if name == "output_state_validity")[-1]
+            # the machine's validity entry: the positivity term, or a trace or Hermiticity residual above it
+            (term,) = _check_outputs([machine], phases)["output_state_validity"].tolist()
             lowest = -np.linalg.eigvalsh(_simulate([machine], phase_state(row)[None]).gram()).min()
             assert max(term, 0.0) >= max(lowest, 0.0), (machine.alpha, machine.beta)
             assert term >= lowest - 4.0 * np.finfo(float).eps, (machine.alpha, machine.beta)
@@ -566,6 +565,68 @@ class TestPositivityBound:
         assert validity.residual >= eps
         assert main(["verify", "--d-max", "4", "--trials", "2"]) == 1
         assert "output_state_validity,2..4,false," in capsys.readouterr().out
+
+
+class TestPerMachineResiduals:
+    """``_check_outputs`` returns each check's worst residual per machine, read off that machine's rows alone."""
+
+    # every check that reads clone A's reduction of a draw; phase_state_modulus reads the input states only
+    READERS = ("output_state_validity", "clone_symmetry", "closed_form_agreement", "fidelity_phase_independence",
+               "scalar_form", "reduced_closed_matrix", "phase_covariance")
+    DRAWS = 3
+
+    def chunk(self, d):
+        """The optimum and three other machines of d, each with its phase-zero row and ``DRAWS`` seeded draws."""
+        machines = [build_machine(d, *optimal_params(d))]
+        machines += [build_machine(d, a, b) for a, b in TestPositivityBound.SPLITS]
+        draws = _random_phase_vectors(d, range(d, d + self.DRAWS * len(machines))).reshape(len(machines), self.DRAWS, d)
+        return machines, np.concatenate([np.zeros((len(machines), 1, d)), draws], axis=1)
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 17])
+    def test_a_chunk_returns_its_machines_one_call_each_joined(self, d):
+        machines, phases = self.chunk(d)
+        together = _check_outputs(machines, phases)
+        alone = [_check_outputs([machine], row[None]) for machine, row in zip(machines, phases)]
+        assert set(together) == {*self.READERS, "phase_state_modulus"}
+        for name, got in together.items():
+            assert got.shape == (len(machines),), name
+            assert got.tolist() == np.concatenate([one[name] for one in alone]).tolist(), name
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_a_nan_in_one_machines_reduction_reaches_only_its_entries(self, monkeypatch, i):
+        d, r = 3, 1 + self.DRAWS
+        machines, phases = self.chunk(d)
+        clean = _check_outputs(machines, phases)
+        clone_stack = _Outputs.clone
+
+        def poisoned(out, clone=0):
+            red = clone_stack(out, clone)
+            red[i * r + 1, 0, 1] = math.nan  # machine i's first draw, not its phase-zero row
+            return red
+
+        monkeypatch.setattr(_Outputs, "clone", poisoned)
+        found = _check_outputs(machines, phases)
+        for name in self.READERS:
+            assert np.isnan(found[name]).tolist() == [j == i for j in range(len(machines))], name
+            assert np.delete(found[name], i).tolist() == np.delete(clean[name], i).tolist(), name
+        assert found["phase_state_modulus"].tolist() == clean["phase_state_modulus"].tolist()
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_a_nan_phase_zero_gram_fails_only_its_machine_instead_of_raising(self, monkeypatch, i):
+        d, r = 4, 1 + self.DRAWS
+        machines, phases = self.chunk(d)
+        clean = _check_outputs(machines, phases)["output_state_validity"]
+        gram_stack = _Outputs.gram
+
+        def poisoned(out):
+            gram = gram_stack(out)
+            gram[i * r, 0, 0] = math.nan  # machine i's phase-zero Gram, which the eigensolve reads
+            return gram
+
+        monkeypatch.setattr(_Outputs, "gram", poisoned)
+        validity = _check_outputs(machines, phases)["output_state_validity"]
+        assert np.isnan(validity).tolist() == [j == i for j in range(len(machines))]
+        assert np.delete(validity, i).tolist() == np.delete(clean, i).tolist()
 
 
 class TestTwist:
@@ -631,7 +692,7 @@ class TestCloneSwapSymmetry:
             splits += [numpy_split(rng) for _ in range(3)]
             machines = [build_machine(d, *split) for split in splits]
             vals = np.stack([m.vals for m in machines])
-            assert _swap_residual(d, machines[0].rows, machines[0].cols, vals) == 0.0
+            assert _swap_residual(d, machines[0].rows, machines[0].cols, vals).tolist() == [0.0] * len(machines)
 
     def test_one_asymmetric_value_fails_the_check(self):
         # scaling the |jl>|R_l> nonzero of the first pair (j, l) = (0, 1) leaves its partner |lj>|R_l> behind
@@ -639,7 +700,8 @@ class TestCloneSwapSymmetry:
         machine = build_machine(d, *optimal_params(d))
         vals = machine.vals.copy()
         vals[d] *= 1.5
-        residual = _swap_residual(d, machine.rows, machine.cols, np.stack([machine.vals, vals]))
+        intact, residual = _swap_residual(d, machine.rows, machine.cols, np.stack([machine.vals, vals])).tolist()
+        assert intact == 0.0
         assert residual == pytest.approx(0.5 * machine.vals[d], abs=1e-15)
         assert residual >= phaseclone.audit.CHECKS["symmetric_pair_swap"]
 
@@ -655,7 +717,9 @@ class TestCloneSwapSymmetry:
         machine = build_machine(4, *optimal_params(4))
         vals = machine.vals.copy()
         vals[0] = math.nan
-        assert math.isnan(_swap_residual(4, machine.rows, machine.cols, vals))
+        intact, residual = _swap_residual(4, machine.rows, machine.cols, np.stack([machine.vals, vals])).tolist()
+        assert intact == 0.0
+        assert math.isnan(residual)
 
     def test_an_asymmetric_machine_fails_the_audit_row(self, monkeypatch):
         build = phaseclone.audit.build_machine

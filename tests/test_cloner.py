@@ -307,6 +307,29 @@ class TestBuildMachine:
                 CloningMachine(3, alpha, beta)
         with pytest.raises(ValueError, match="d must be >= 2"):
             CloningMachine(1, 1.0, 0.0)
+        # numpy doubles whose squares overflow: the split is squared as Python floats, so no overflow warning comes first
+        for checked in (build_machine, CloningMachine, fidelity_closed_form, shrink_factor):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="nonnegative"):
+                    checked(3, np.float64(1e300), np.float64(1e300))
+        # a split that is not a real number is refused by name, not by the arithmetic it would reach
+        for bad in (1 + 0j, "1"):
+            for checked in (build_machine, CloningMachine, fidelity_closed_form, shrink_factor):
+                with pytest.raises(TypeError, match="^alpha must be a real number"):
+                    checked(3, bad, 0.0)
+                with pytest.raises(TypeError, match="^beta must be a real number"):
+                    checked(3, 1.0, bad)
+        # float32 (0.6, 0.8) lies on the unit circle in float32 arithmetic, 4.8e-8 off it in doubles
+        for checked in (build_machine, fidelity_closed_form, shrink_factor):
+            with pytest.raises(ValueError, match="is not within 1e-09 of 1"):
+                checked(3, np.float32(0.6), np.float32(0.8))
+        # a float32 split that passes is used in double precision
+        machine = build_machine(3, np.float32(1.0), np.float32(0.0))
+        assert (type(machine.alpha), type(machine.beta), machine.vals.dtype) == (float, float, np.float64)
+        assert machine.unitarity_residual() < 1e-12
+        assert type(fidelity_closed_form(3, np.float32(1.0), np.float32(0.0))) is float
+        assert type(shrink_factor(3, np.float32(1.0), np.float32(0.0))) is float
 
 
 class TestCloneState:
@@ -728,6 +751,13 @@ class TestLayout:
         # the probe is live: a read of rows goes through it
         build_machine(9, *optimal_params(9)).rows
         assert written == [9]
+
+    def test_a_verify_run_writes_down_rows_and_cols_once_per_d(self):
+        # the unitarity and swap checks read both of every d's machines, and the corrupted machine's too
+        _indices.cache_clear()
+        assert not run_audit(d_max=6, n_random=3, seed=0, corrupt=True).overall
+        info = _indices.cache_info()
+        assert info.misses == 5 and info.hits > 0
 
     def test_plan_builder_refuses_a_row_with_two_nonzeros(self):
         machine = build_machine(3, *optimal_params(3))

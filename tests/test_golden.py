@@ -1,7 +1,8 @@
 """Golden output: fixed-seed CLI runs must print the same bytes and exit with the same code, release after release.
 
 Each entry of ``GOLDEN`` pins the sha256 of a command's stdout and its exit code, as version 0.18.0 printed
-them (``table``'s pin is unchanged since version 0.16.2), so a change that moves any printed digit fails here.
+them (``table``'s pin is unchanged since version 0.16.2, and the full-range ``verify --d-max 64`` pin was taken
+from version 0.18.2), so a change that moves any printed digit fails here.
 Rounding can differ between numpy releases, so the pins hold only on the numpy version they were recorded with.
 
 ``golden_verify.json`` holds the parsed output of the three ``verify`` commands, and ``golden_table_mub.json``
@@ -29,6 +30,7 @@ NUMPY_VERSION = "2.4.6"
 
 GOLDEN = {
     "verify --d-max 12 --trials 20 --seed 3": (0, "1dfb8fcc2dedea3fa758001e69a7ebf1dad4b9f2d1476da2cfc858afd864eef9"),
+    "verify --d-max 64 --trials 2 --seed 2": (0, "04e3f6a4449ad1f936e04f99b24ed01cce24a63fd3aa35c8ae06dca775bf634f"),
     "verify --d-max 6 --trials 4 --seed 1 --corrupt": (1, "b2f2b82420fb89a769a87bd82fe1dce50e66cc3c705475898faf61e2c4bccabf"),
     "verify --d-max 20 --trials 3 --seed 7 --format json": (
         0, "b48c79f6a5e44b68f3a13be5ec6822227db106bee96a4285784f90d28b78f901"
