@@ -70,20 +70,25 @@ def _check_domain(
     """Return d as an int, or ``(d, alpha, beta)`` with the split as Python floats when one is given.
 
     Rejects a d that is not an integer >= 2 (a NaN, an infinity, 2.5), a
-    split that is not real (TypeError naming alpha or beta), and one that is
-    negative, NaN, of infinite norm or off the unit circle by more than
-    ``norm_tol`` in double precision. Callers compute with the returned
-    values, so a narrow integer cannot wrap and a narrow float cannot pass a
-    check it fails in doubles. Never renormalizes.
+    split that is not real or is a bool (TypeError naming alpha or beta),
+    and one that is negative, NaN, past the float range, of infinite norm or
+    off the unit circle by more than ``norm_tol`` in double precision.
+    Callers compute with the returned values, so a narrow integer cannot
+    wrap and a narrow float cannot pass a check it fails in doubles. Never
+    renormalizes.
     """
     d = _integer(d, "d", 2)
     if alpha is None:
         return d
-    if type(alpha) is not float or type(beta) is not float:  # the common case, without the ABC checks
-        for name, value in (("alpha", alpha), ("beta", beta)):
-            if not isinstance(value, numbers.Real):
-                raise TypeError(f"{name} must be a real number, got {value!r}")
-        alpha, beta = float(alpha), float(beta)
+    split = []
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError(f"{name} must be a real number other than a bool, got {value!r}")
+        try:
+            split.append(float(value))
+        except OverflowError:  # an integer past the float range, so alpha^2 + beta^2 is not finite
+            raise ValueError(f"{name} must have a finite square, got an integer past the float range") from None
+    alpha, beta = split
     norm2 = alpha * alpha + beta * beta
     if not (alpha >= 0.0 and beta >= 0.0 and math.isfinite(norm2)):
         raise ValueError(f"alpha and beta must be nonnegative, with a finite alpha^2 + beta^2, got ({alpha!r}, {beta!r})")

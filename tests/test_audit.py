@@ -528,6 +528,8 @@ class TestPositivityBound:
     and the report folds the entries into a maximum that starts at 0, so it bounds every draw's computed
     max(0, -lambda_min) outright. Below 0 the two eigensolves round apart: on a positive definite Gram the term
     may sit up to a few ulps of tr G = 1 under the draw's own -lambda_min (1.4e-16 at worst over d = 2..64).
+    A machine's Gram M^dag M is positive semidefinite, so there the entry is a trace or Hermiticity residual; a
+    planted negative eigenvalue makes the entry the term itself, which is then held to the same two bounds.
     """
 
     SPLITS = [(1.0, 0.0), (0.0, 1.0), (math.cos(0.3), math.sin(0.3))]
@@ -541,6 +543,35 @@ class TestPositivityBound:
             # the machine's validity entry: the positivity term, or a trace or Hermiticity residual above it
             (term,) = _check_outputs([machine], phases)["output_state_validity"].tolist()
             lowest = -np.linalg.eigvalsh(_simulate([machine], phase_state(row)[None]).gram()).min()
+            assert max(term, 0.0) >= max(lowest, 0.0), (machine.alpha, machine.beta)
+            assert term >= lowest - 4.0 * np.finfo(float).eps, (machine.alpha, machine.beta)
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 64])
+    def test_with_a_negative_eigenvalue_the_entry_is_the_term_and_bounds_every_draw(self, monkeypatch, d):
+        # every Gram of a stack gets eigenvalue about -1e-8 along the phase-zero Gram's lowest eigenvector, conjugated
+        # by the row's U_phi, its weight moved to the top one: the trace stays 1 and G_phi = U_phi G_0 U_phi^dag holds
+        gram_stack = _Outputs.gram
+        eps = 1e-8
+
+        def dented(out):
+            gram = gram_stack(out)
+            w, u = np.linalg.eigh(gram[0])
+            dent = (w[0] + eps) * (np.outer(u[:, -1], u[:, -1].conj()) - np.outer(u[:, 0], u[:, 0].conj()))
+            twist = d * out.amps[:, :, None] * out.amps.conj()[:, None, :]  # U_phi X U_phi^dag is X * twist
+            return gram + dent * twist
+
+        monkeypatch.setattr(_Outputs, "gram", dented)
+        machines = [build_machine(d, *optimal_params(d))] + [build_machine(d, a, b) for a, b in self.SPLITS]
+        draws = _random_phase_vectors(d, range(d, d + 5 * len(machines))).reshape(len(machines), 5, d)
+        for machine, row in zip(machines, draws):
+            phases = np.concatenate([np.zeros((1, 1, d)), row[None]], axis=1)
+            (term,) = _check_outputs([machine], phases)["output_state_validity"].tolist()
+            out = _simulate([machine], phase_state(phases[0])[None])
+            gram, reds = out.gram()[1:], [out.clone(i)[1:] for i in (0, 1)]
+            others = max(np.abs(np.trace(gram, axis1=1, axis2=2) - 1.0).max(),
+                         *(np.linalg.norm(red - red.conj().swapaxes(1, 2), axis=(1, 2)).max() for red in reds))
+            lowest = -np.linalg.eigvalsh(gram).min()
+            assert lowest > eps / 2 and term > others, (machine.alpha, machine.beta)  # the entry is the term
             assert max(term, 0.0) >= max(lowest, 0.0), (machine.alpha, machine.beta)
             assert term >= lowest - 4.0 * np.finfo(float).eps, (machine.alpha, machine.beta)
 

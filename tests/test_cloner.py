@@ -314,12 +314,18 @@ class TestBuildMachine:
                 with pytest.raises(ValueError, match="nonnegative"):
                     checked(3, np.float64(1e300), np.float64(1e300))
         # a split that is not a real number is refused by name, not by the arithmetic it would reach
-        for bad in (1 + 0j, "1"):
+        for bad in (1 + 0j, "1", True, np.True_):
             for checked in (build_machine, CloningMachine, fidelity_closed_form, shrink_factor):
                 with pytest.raises(TypeError, match="^alpha must be a real number"):
                     checked(3, bad, 0.0)
                 with pytest.raises(TypeError, match="^beta must be a real number"):
                     checked(3, 1.0, bad)
+        # an integer past the float range has no finite square: a ValueError naming it, not the conversion's OverflowError
+        for checked in (build_machine, CloningMachine, fidelity_closed_form, shrink_factor):
+            with pytest.raises(ValueError, match="^alpha must have a finite square"):
+                checked(3, 10**400, 0.0)
+            with pytest.raises(ValueError, match="^beta must have a finite square"):
+                checked(3, 0.0, -(10**400))
         # float32 (0.6, 0.8) lies on the unit circle in float32 arithmetic, 4.8e-8 off it in doubles
         for checked in (build_machine, fidelity_closed_form, shrink_factor):
             with pytest.raises(ValueError, match="is not within 1e-09 of 1"):
