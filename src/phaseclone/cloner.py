@@ -64,22 +64,18 @@ from .states import phase_state, random_phase_vector
 PARAM_NORM_TOL = 1e-9  # max |alpha^2 + beta^2 - 1| accepted
 
 
-def _check_domain(
-    d: int, alpha: float | None = None, beta: float | None = None, norm_tol: float = PARAM_NORM_TOL
-) -> int | tuple[int, float, float]:
-    """Return d as an int, or ``(d, alpha, beta)`` with the split as Python floats when one is given.
+def _check_domain(d: int, alpha: float, beta: float, norm_tol: float = PARAM_NORM_TOL) -> tuple[int, float, float]:
+    """Return ``(d, alpha, beta)``, d as an int and the split as Python floats.
 
-    Rejects a d that is not an integer >= 2 (a NaN, an infinity, 2.5), a
-    split that is not real or is a bool (TypeError naming alpha or beta),
-    and one that is negative, NaN, past the float range, of infinite norm or
-    off the unit circle by more than ``norm_tol`` in double precision.
-    Callers compute with the returned values, so a narrow integer cannot
-    wrap and a narrow float cannot pass a check it fails in doubles. Never
-    renormalizes.
+    Rejects a d that breaks the integer rule (:func:`~phaseclone.linalg._integer`:
+    a bool, a NaN, an infinity, 2.5, anything below 2), a split that is not
+    real or is a bool (TypeError naming alpha or beta), and one that is
+    negative, NaN, past the float range, of infinite norm or off the unit
+    circle by more than ``norm_tol`` in double precision. Callers compute
+    with the returned values, so a narrow integer cannot wrap and a narrow
+    float cannot pass a check it fails in doubles. Never renormalizes.
     """
     d = _integer(d, "d", 2)
-    if alpha is None:
-        return d
     split = []
     for name, value in (("alpha", alpha), ("beta", beta)):
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -131,9 +127,6 @@ class CloningMachine:
 
     def __post_init__(self):
         d, alpha, beta = _check_domain(self.d, self.alpha, self.beta, norm_tol=math.inf)
-        # d's blocks become the cached ones here: the previous d's blocks are then freed before this d's machines and
-        # stacks are allocated, which keeps verify's peak RSS about 0.04 MB lower
-        _blocks(d)
         # alpha on the d nonzeros |jj>|R_j>, which come first, and beta / sqrt(2(d-1)) on the 2d(d-1) others
         vals = np.concatenate([np.full(d, alpha), np.full(2 * d * (d - 1), beta / math.sqrt(2.0 * (d - 1)))])
         vals.setflags(write=False)
@@ -438,20 +431,20 @@ def optimal_params(d: int) -> tuple[float, float]:
     alpha = sqrt(1/2 - (d-2) / (2 sqrt(d^2+4d-4))), beta the complementary
     root; alpha <= beta with equality only at d = 2.
     """
-    d = _check_domain(d)
+    d = _integer(d, "d", 2)
     shift = (d - 2) / (2.0 * math.sqrt(d * d + 4.0 * d - 4.0))
     return math.sqrt(0.5 - shift), math.sqrt(0.5 + shift)
 
 
 def optimal_fidelity(d: int) -> float:
     """F_opt(d) = 1/d + (d - 2 + sqrt(d^2 + 4d - 4)) / (4d)."""
-    d = _check_domain(d)
+    d = _integer(d, "d", 2)
     return 1.0 / d + (d - 2 + math.sqrt(d * d + 4.0 * d - 4.0)) / (4.0 * d)
 
 
 def uqcm_fidelity(d: int) -> float:
     """Universal-cloner baseline (d+3) / (2(d+1)), the bar the phase cloner beats."""
-    d = _check_domain(d)
+    d = _integer(d, "d", 2)
     return (d + 3.0) / (2.0 * (d + 1.0))
 
 

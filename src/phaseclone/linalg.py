@@ -19,7 +19,7 @@ eigenvalues pass.
 from __future__ import annotations
 
 import math
-import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,17 +35,19 @@ class DimensionError(ValueError):
 def _integer(value, name: str, minimum: int | None, error: type[ValueError] = ValueError) -> int:
     """Package-private: the one integer rule; return ``value`` as an int.
 
-    ``value`` must be an integer (any ``numbers.Integral``, numpy's too) of
-    at least ``minimum`` (of any size when ``minimum`` is None); anything
-    else (a NaN, an infinity, 2.5) raises ``error``, a ValueError
-    (DimensionError for shapes and indices).
+    ``value`` must be an int, a NumPy integer or a 0-d integer array (what
+    ``operator.index`` takes) of at least ``minimum`` (of any size when
+    ``minimum`` is None); anything else (a bool, a NaN, an infinity, 2.5)
+    raises ``error``, a ValueError (DimensionError for shapes and indices).
     """
-    if type(value) is int and (minimum is None or value >= minimum):  # the common case, without the ABC check
-        return value
-    if not (isinstance(value, numbers.Integral) and (minimum is None or value >= minimum)):
+    try:
+        index = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or (minimum is not None and index < minimum):
         bound = "" if minimum is None else f">= {minimum} and "
         raise error(f"{name} must be {bound}an integer, got {value!r}")
-    return int(value)
+    return index
 
 
 def _normalized(amps, d: int, ndim: int = 1) -> np.ndarray:
@@ -54,13 +56,14 @@ def _normalized(amps, d: int, ndim: int = 1) -> np.ndarray:
     ``amps`` must be one state of shape (d,) (``ndim=1``) or k stacks of
     states of shape (k, n, d) (``ndim=3``), else DimensionError; and each
     state's |psi|^2 must lie within ``EQ_TOL`` of 1, else ValueError, which
-    reports the first such |psi|^2 as a float (a NaN amplitude fails too).
+    reports the first such |psi|^2 as a float (NaN, or inf on overflow, fails too).
     """
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.ndim != ndim or amps.shape[-1] != d:
         want = f"({d},)" if ndim == 1 else f"(k, n, {d})"
         raise DimensionError(f"expected input states of shape {want}, got shape {amps.shape}")
-    norm2 = (np.abs(amps) ** 2).sum(axis=-1)
+    with np.errstate(over="ignore"):  # an overflowing |psi|^2 is inf, which the check below reports
+        norm2 = (np.abs(amps) ** 2).sum(axis=-1)
     if not (np.abs(norm2 - 1.0) <= EQ_TOL).all():
         first = norm2.flat[np.argmin(np.abs(norm2 - 1.0) <= EQ_TOL)]
         raise ValueError(f"state is not normalized: |psi|^2 = {float(first)!r}")

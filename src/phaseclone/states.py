@@ -67,9 +67,13 @@ def phase_state(phases) -> np.ndarray:
 
     Every phase vector must have d >= 2 phases, a first phase of exactly 0
     and every phase in [0, 2*pi); anything else (a NaN too) raises
-    ValueError. Returns a read-only complex array of the shape of ``phases``.
+    ValueError, and a phase that is a bool, a complex or a string raises
+    TypeError. Returns a read-only complex array of the shape of ``phases``.
     """
-    phases = np.asarray(phases, dtype=np.float64)
+    phases = np.asarray(phases)
+    if phases.dtype.kind not in "iuf":
+        raise TypeError(f"phases must be real numbers other than bools, got dtype {phases.dtype}")
+    phases = phases.astype(np.float64, copy=False)
     if phases.ndim not in (1, 2):
         raise DimensionError(f"expected a (d,) or (n, d) array of phases, got shape {phases.shape}")
     d = phases.shape[-1]

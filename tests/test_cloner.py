@@ -82,7 +82,8 @@ def traced_peak_bytes(fn):
     return result, peak - base
 
 
-# every function that checks d through cloner._check_domain, called with a valid split where it takes one
+# every function that checks d through linalg._integer, directly or in cloner._check_domain, called with a valid split
+# where it takes one
 DOMAIN_CHECKED = {
     "optimal_params": optimal_params,
     "optimal_fidelity": optimal_fidelity,
@@ -462,10 +463,12 @@ class TestCloneState:
                     run(machine, bad)
 
     def test_rejects_unnormalized_input(self):
+        # |1e200|^2 overflows: NumPy warned before the ValueError, and the suite's filterwarnings makes that an error
         machine = build_machine(3, *optimal_params(3))
-        for run in STATE_ENTRY_POINTS.values():
-            with pytest.raises(ValueError, match="not normalized"):
-                run(machine, np.array([1.0, 1.0, 0.0]))
+        for bad, norm2 in (([1.0, 1.0, 0.0], "2.0"), ([1e200, 0.0, 0.0], "inf")):
+            for run in STATE_ENTRY_POINTS.values():
+                with pytest.raises(ValueError, match=rf"not normalized: \|psi\|\^2 = {norm2}$"):
+                    run(machine, np.array(bad))
 
     def test_rejections_name_the_callers_own_state(self):
         # simulate_fidelity runs one state as a stack of one, but reports the shape and the float |psi|^2 it was given
@@ -889,7 +892,7 @@ class TestClosedForms:
                     fn(*args)
 
 
-    @pytest.mark.parametrize("d", [math.nan, math.inf, 2.5])
+    @pytest.mark.parametrize("d", [math.nan, math.inf, 2.5, True])
     @pytest.mark.parametrize("name", DOMAIN_CHECKED)
     def test_a_dimension_that_is_not_an_integer_is_rejected(self, name, d):
         # d < 2 alone lets these through: NaN compares false, and inf or 2.5 give a NaN or a number for no d

@@ -65,6 +65,9 @@ class TestPhaseState:
                 phase_state(bad)
         with pytest.raises(ValueError, match="d must be >= 2"):
             phase_state([0.0])
+        for bad in (["0", "1", "2"], [0.0, 1j], [False, True], [0.0, None]):  # parsed, cast or refused by NumPy before
+            with pytest.raises(TypeError, match="phases must be real numbers other than bools"):
+                phase_state(bad)
 
     def test_nan_phase_rejected(self):
         # every comparison with NaN is False, so an out-of-range test alone would let it through
@@ -355,14 +358,14 @@ class TestStandardBasisAndUnbiasedness:
 
 @pytest.mark.parametrize(
     "n,expected",
-    [(-3, False), (0, False), (True, False), (1, False), (2, True), (3, True), (4, False), (13, True), (49, False),
+    [(-3, False), (0, False), (1, False), (2, True), (3, True), (4, False), (13, True), (49, False),
      (61, True), (np.int64(61), True)],
 )
 def test_is_prime(n, expected):
     assert is_prime(n) is expected
 
 
-@pytest.mark.parametrize("n", [2.5, math.nan, math.inf, 3.0, "5"])
+@pytest.mark.parametrize("n", [2.5, math.nan, math.inf, 3.0, "5", True])
 def test_is_prime_follows_the_integer_rule(n):
     with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
         is_prime(n)
