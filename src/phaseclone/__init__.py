@@ -39,7 +39,7 @@ from .states import (
     random_phase_vector,
 )
 
-__version__ = "0.18.4"
+__version__ = "0.18.5"
 
 __all__ = [
     "AuditReport",

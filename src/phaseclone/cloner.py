@@ -36,9 +36,10 @@ V's nonzeros sit depends on d alone (the split only sets their values), so
 a machine stores only its ``vals``, and every machine of one d reads one
 cached pair of d-by-d clone blocks (:func:`_blocks`): which nonzeros of
 the pure output M = V|psi> (d^2 by d) meet in each clone's reduction.
-Each clone's reduction, its diagonal included, and the ancilla Gram
-M^dag M are read off the two blocks, which no sort discovers; the tests
-hold them to a generic derivation from ``rows``/``cols``. Those two are
+Each clone's reduction is X X^dag + diag(D), with X its amplitudes at its
+block and D read off the other block, and the ancilla Gram M^dag M is read
+off the same X_A and X_B. No sort discovers the blocks; the tests hold
+them to a generic derivation from ``rows``/``cols``. Those two are
 written down once per d, on their first read (:func:`_indices`), for the
 dense route and the unitarity and swap checks only. A stack's reductions
 are batched products of the amplitudes ``vals * psi[cols]``, each
@@ -58,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EQ_TOL, DensityMatrix, DimensionError, _integer, _normalized, partial_trace
+from .linalg import EQ_TOL, DensityMatrix, DimensionError, _dimension, _normalized, partial_trace
 from .states import phase_state, random_phase_vector
 
 PARAM_NORM_TOL = 1e-9  # max |alpha^2 + beta^2 - 1| accepted
@@ -67,15 +68,15 @@ PARAM_NORM_TOL = 1e-9  # max |alpha^2 + beta^2 - 1| accepted
 def _check_domain(d: int, alpha: float, beta: float, norm_tol: float = PARAM_NORM_TOL) -> tuple[int, float, float]:
     """Return ``(d, alpha, beta)``, d as an int and the split as Python floats.
 
-    Rejects a d that breaks the integer rule (:func:`~phaseclone.linalg._integer`:
-    a bool, a NaN, an infinity, 2.5, anything below 2), a split that is not
-    real or is a bool (TypeError naming alpha or beta), and one that is
+    Rejects a d that breaks the dimension rule (:func:`~phaseclone.linalg._dimension`:
+    a bool, a NaN, an infinity, 2.5, anything below 2, a square past the float range),
+    a split that is not real or is a bool (TypeError naming alpha or beta), and one that is
     negative, NaN, past the float range, of infinite norm or off the unit
     circle by more than ``norm_tol`` in double precision. Callers compute
     with the returned values, so a narrow integer cannot wrap and a narrow
     float cannot pass a check it fails in doubles. Never renormalizes.
     """
-    d = _integer(d, "d", 2)
+    d = _dimension(d)
     split = []
     for name, value in (("alpha", alpha), ("beta", beta)):
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -306,14 +307,15 @@ class _Outputs:
         k, d = len(w), self.amps.shape[1]
         return (w.reshape(k, 1, d, d) @ (np.abs(self.amps) ** 2).reshape(k, -1, d, 1)).reshape(-1, d)
 
-    def _clone_parts(self, clone: int) -> tuple[np.ndarray, np.ndarray]:
-        """Clone ``clone``'s block X (k r, d, d) and diagonal D (k r, d): its reduction is X X^dag + diag(D).
-
-        X is one broadcast product written C-contiguous, whatever the layout of ``amps``.
-        """
+    def _x(self, clone: int) -> np.ndarray:
+        """Clone ``clone``'s (k r, d, d) block X, ``psi[:, None] * vals[blocks[clone]]`` written C-contiguous for any ``amps``."""
         k, (n, d) = len(self.vals), self.amps.shape
         x = np.multiply(self.amps.reshape(k, n // k, d, 1), self.vals.take(self.blocks[clone], axis=1)[:, None], order="C")
-        return x.reshape(n, d, d), self._diag(self._weights(clone))
+        return x.reshape(n, d, d)
+
+    def _clone_parts(self, clone: int) -> tuple[np.ndarray, np.ndarray]:
+        """Clone ``clone``'s block X and (k r, d) diagonal D: its reduction is X X^dag + diag(D)."""
+        return self._x(clone), self._diag(self._weights(clone))
 
     def clone(self, clone: int) -> np.ndarray:
         """(k r, d, d) reductions of clone A (``clone=0``) or B (``clone=1``)."""
@@ -326,21 +328,16 @@ class _Outputs:
         """(k r, d, d) ancilla Grams M^dag M, off the diagonal conj(X_A^T) X_B entrywise plus its conjugate transpose.
 
         The Gram sums over the (A, B) digits. Key (l, j), l != j, holds
-        |lj>|R_j> (input l), clone A's ``block[l, j]``, and |lj>|R_l> (input
-        j), clone B's ``block[j, l]``; the two meet at entry (j, l). Every
-        nonzero adds its |amplitude|^2 to the diagonal entry of its ancilla
-        digit: clone B's pairs as in clone A's diagonal, the rest as clone
-        A's block, transposed, gives them.
+        |lj>|R_j> (input l), X_A[l, j], and |lj>|R_l> (input j), X_B[j, l];
+        the two meet at entry (j, l). Every nonzero adds its |amplitude|^2 to
+        the diagonal entry of its ancilla digit: clone B's pairs as in clone
+        A's diagonal, the rest as clone A's block, transposed, gives them.
         """
-        block_a, block_b = self.blocks
-        k, (n, d) = len(self.vals), self.amps.shape
-        amps = self.amps.reshape(k, n // k, d)
-        gram = amps[..., None, :] * self.vals.take(block_a.T, axis=1)[:, None]
-        np.conjugate(gram, out=gram)
-        gram *= amps[..., None] * self.vals.take(block_b, axis=1)[:, None]
-        gram = gram.reshape(n, d, d)
+        n, d = self.amps.shape
+        gram = np.conjugate(self._x(0).swapaxes(1, 2), order="C")  # C-ordered, so the diagonal is written in place
+        gram *= self._x(1)
         gram += gram.conj().swapaxes(1, 2)
-        gram.reshape(n, -1)[:, :: d + 1] = self._diag(self._weights(0) + np.abs(self.vals.take(block_a.T, axis=1)) ** 2)
+        gram.reshape(n, -1)[:, :: d + 1] = self._diag(self._weights(0) + np.abs(self.vals.take(self.blocks[0].T, axis=1)) ** 2)
         return gram
 
     def fidelity(self) -> np.ndarray:
@@ -431,20 +428,20 @@ def optimal_params(d: int) -> tuple[float, float]:
     alpha = sqrt(1/2 - (d-2) / (2 sqrt(d^2+4d-4))), beta the complementary
     root; alpha <= beta with equality only at d = 2.
     """
-    d = _integer(d, "d", 2)
+    d = _dimension(d)
     shift = (d - 2) / (2.0 * math.sqrt(d * d + 4.0 * d - 4.0))
     return math.sqrt(0.5 - shift), math.sqrt(0.5 + shift)
 
 
 def optimal_fidelity(d: int) -> float:
     """F_opt(d) = 1/d + (d - 2 + sqrt(d^2 + 4d - 4)) / (4d)."""
-    d = _integer(d, "d", 2)
+    d = _dimension(d)
     return 1.0 / d + (d - 2 + math.sqrt(d * d + 4.0 * d - 4.0)) / (4.0 * d)
 
 
 def uqcm_fidelity(d: int) -> float:
     """Universal-cloner baseline (d+3) / (2(d+1)), the bar the phase cloner beats."""
-    d = _integer(d, "d", 2)
+    d = _dimension(d)
     return (d + 3.0) / (2.0 * (d + 1.0))
 
 

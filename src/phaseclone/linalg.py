@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,14 @@ def _integer(value, name: str, minimum: int | None, error: type[ValueError] = Va
         bound = "" if minimum is None else f">= {minimum} and "
         raise error(f"{name} must be {bound}an integer, got {value!r}")
     return index
+
+
+def _dimension(value, name: str = "d") -> int:
+    """Package-private: the one dimension rule: the integer rule at minimum 2, and a square a double holds (d up to about 1.34e154)."""
+    d = _integer(value, name, 2)
+    if d * d > sys.float_info.max:
+        raise ValueError(f"{name} must be >= 2 and an integer whose square is a finite double, got an integer of {d.bit_length()} bits")
+    return d
 
 
 def _normalized(amps, d: int, ndim: int = 1) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloner import _fidelity, fidelity_closed_form, optimal_fidelity, optimal_params
-from .linalg import _integer
+from .linalg import _dimension, _integer
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 TOL = 1e-12  # final bracket width: 58 steps from [0, 1]
@@ -48,7 +48,7 @@ def maximize_fidelity(d: int) -> tuple[float, float]:
     as an interior point, so that is the best point evaluated; because only
     evaluated points are returned, f_star can never exceed the true maximum.
     """
-    f = _objective(_integer(d, "d", 2))
+    f = _objective(_dimension(d))
     lo, hi = 0.0, 1.0
     c = hi - INV_PHI * (hi - lo)
     e = lo + INV_PHI * (hi - lo)
@@ -72,7 +72,7 @@ def sweep_alpha(d: int, n_points: int) -> SweepTable:
     :func:`~phaseclone.cloner.fidelity_closed_form` call per point, so each
     row is that call's double; every grid point is in its domain.
     """
-    d, n_points = _integer(d, "d", 2), _integer(n_points, "n_points", 3)
+    d, n_points = _dimension(d), _integer(n_points, "n_points", 3)
     alpha = np.linspace(0.0, 1.0, n_points)
     beta = np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha))
     f = _fidelity(d, alpha, beta)

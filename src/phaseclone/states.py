@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .linalg import DimensionError, _integer
+from .linalg import DimensionError, _dimension, _integer
 
 TWO_PI = 2.0 * math.pi
 
@@ -44,12 +44,7 @@ def is_prime(n: int) -> bool:
     integer below 2 is not prime.
     """
     n = _integer(n, "n", None)
-    if n < 2:
-        return False
-    for p in range(2, int(math.isqrt(n)) + 1):
-        if n % p == 0:
-            return False
-    return True
+    return n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
 
 
 def _require_odd_prime(d: int) -> None:
@@ -192,7 +187,7 @@ def _random_phase_vectors(d: int, seeds) -> np.ndarray:
     Row i is a zero phase, then seed i's first d - 1 :func:`_uniforms` times 2*pi, as ``uniform(0, 2*pi)``
     scales them; so the first d' phases of a row are its seed's (d',) phase vector.
     """
-    d = _integer(d, "d", 2)
+    d = _dimension(d)
     uniforms = _uniforms(seeds, d - 1)
     phases = np.zeros((len(uniforms), d))
     phases[:, 1:] = uniforms * TWO_PI
@@ -209,7 +204,7 @@ def mub_basis(d: int, l: int) -> np.ndarray:
     integer arithmetic before exponentiation, so the amplitudes are d-th
     roots of unity to full precision.
     """
-    d, l = _integer(d, "d", 2), _integer(l, "basis label", 0)
+    d, l = _dimension(d), _integer(l, "basis label", 0)
     _require_odd_prime(d)
     if l >= d:
         raise ValueError(f"basis label must lie in 0..{d - 1}, got {l}")

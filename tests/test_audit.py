@@ -572,6 +572,11 @@ class TestPositivityBound:
                          *(np.linalg.norm(red - red.conj().swapaxes(1, 2), axis=(1, 2)).max() for red in reds))
             lowest = -np.linalg.eigvalsh(gram).min()
             assert lowest > eps / 2 and term > others, (machine.alpha, machine.beta)  # the entry is the term
+            # the term, summed as every other matrix residual: -lambda_min(G_0) plus the worst ||G_phi - G_0 twist||_F
+            gram0, amps = out.gram()[0], out.amps[1:]
+            twist = (amps[:, :, None] * amps.conj()[:, None, :]) * d
+            drift = frobenius_distance(gram, gram0 * twist)
+            assert term == -np.linalg.eigvalsh(gram0)[0] + drift, (machine.alpha, machine.beta)
             assert max(term, 0.0) >= max(lowest, 0.0), (machine.alpha, machine.beta)
             assert term >= lowest - 4.0 * np.finfo(float).eps, (machine.alpha, machine.beta)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -577,6 +578,23 @@ class TestSimulate:
             for got, want in zip((out.clone(0), out.clone(1), gram, gram_trace(gram)), reference):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
+    def test_the_gram_reads_its_off_diagonal_off_the_two_clone_blocks(self):
+        # a NaN planted in clone B's X at [j, l], j != l, reaches the Gram at (j, l) and at its mirror (l, j) only
+        class Planted(_Outputs):
+            def _x(self, clone):
+                x = super()._x(clone)
+                if clone == 1:
+                    x[0, j, l] = math.nan
+                return x
+
+        for d in (2, 3, 5, 8):
+            for j, l in ((0, 1), (d - 1, 0)):
+                out = _simulate([build_machine(d, *optimal_params(d))], phase_state(random_phase_vector(d, d))[None, None])
+                gram = Planted(out.blocks, out.vals, out.amps).gram()
+                want = np.zeros((1, d, d), dtype=bool)
+                want[0, j, l] = want[0, l, j] = True
+                np.testing.assert_array_equal(np.isnan(gram), want, err_msg=f"({j}, {l}) at d = {d}")
+
     def test_clone_blocks_match_the_indexing_gather_bit_for_bit(self):
         # X is a C-contiguous broadcast product; the gather amps[:, cols[block]], copied C-contiguous, is the reference,
         # and the diagonal the generic plan's singly hit nonzeros, summed by a bincount
@@ -892,12 +910,24 @@ class TestClosedForms:
                     fn(*args)
 
 
-    @pytest.mark.parametrize("d", [math.nan, math.inf, 2.5, True])
+    @pytest.mark.parametrize("d", [math.nan, math.inf, 2.5, True, pytest.param(10**400, id="10**400")])
     @pytest.mark.parametrize("name", DOMAIN_CHECKED)
     def test_a_dimension_that_is_not_an_integer_is_rejected(self, name, d):
-        # d < 2 alone lets these through: NaN compares false, and inf or 2.5 give a NaN or a number for no d
+        # d < 2 alone lets these through: NaN compares false, and inf or 2.5 give a NaN or a number for no d; a d
+        # whose square is past the float range overflowed in the closed forms' float arithmetic
         with pytest.raises(ValueError, match="d must be >= 2 and an integer"):
             DOMAIN_CHECKED[name](d)
+
+    def test_the_largest_dimension_is_the_last_whose_square_is_a_finite_double(self):
+        largest = math.isqrt(int(sys.float_info.max))
+        for name, fn in DOMAIN_CHECKED.items():
+            if name != "build_machine":  # V has 2 d^2 - d nonzeros, so no machine of that d fits in memory
+                fn(largest)
+            with pytest.raises(ValueError, match="d must be >= 2 and an integer whose square is a finite double"):
+                fn(largest + 1)
+        for fn, name in ((lambda d: random_phase_vector(d, 0), "d"), (lambda d: run_audit(d, 1, 0), "d_max")):
+            with pytest.raises(ValueError, match=f"^{name} must be >= 2 and an integer whose square is a finite double"):
+                fn(10**400)
 
     def test_numpy_integer_dimensions_are_accepted(self):
         # a narrow integer type would wrap in d * d if the closed forms computed in it
