@@ -39,7 +39,7 @@ from .states import (
     random_phase_vector,
 )
 
-__version__ = "0.18.5"
+__version__ = "0.18.6"
 
 __all__ = [
     "AuditReport",

@@ -88,6 +88,7 @@ from .states import (
 )
 
 CONSISTENCY_TOL = 1e-9
+MAX_TRIALS = 100  # the most n_random run_audit takes: at this bound verify --d-max 64 runs in minutes and under 500 MB
 # the sweep simulates one d's machines in chunks of whole machines whose (rows, d, d) complex stacks take about this
 # many bytes each (one machine per chunk if one machine's take more); a larger chunk saves numpy calls at small d
 # and costs peak RSS
@@ -262,22 +263,20 @@ def _check_outputs(machines: list[CloningMachine], phases: np.ndarray) -> dict[s
     # the same tolerance; each machine's draws must agree
     fid = (amps.conj()[:, :, None, :] @ red_a @ amps[:, :, :, None])[:, :, 0, 0]
     alpha, beta = np.array([(m.alpha, m.beta) for m in machines]).T  # built by build_machine: in the domain
-    f_closed = _fidelity(d, alpha, beta)
-    found["closed_form_agreement"] = np.maximum(np.abs(fid.real - f_closed[:, None]), np.abs(fid.imag)).max(axis=1)
+    f_formula = _fidelity(d, alpha, beta)
+    found["closed_form_agreement"] = np.maximum(np.abs(fid.real - f_formula[:, None]), np.abs(fid.imag)).max(axis=1)
     found["fidelity_phase_independence"] = np.std(fid.real, axis=1, ddof=1)
 
-    # shrink (scalar) form of the reduced output, eta psi psi^dag + (1 - eta)/d I, with psi psi^dag = twist / d
+    # shrink (scalar) form of the reduced output, eta psi psi^dag + (1 - eta)/d I, with psi psi^dag = twist / d, then
+    # the entrywise closed-form matrix, c e^(i(phi_j - phi_k)) = (eta / d) twist off the diagonal and 1/d on it: the
+    # two agree off the diagonal, so one difference stack serves both, with its diagonal rewritten in between
     eta = _shrink(d, alpha, beta)[:, None, None, None]
-    scalar = (eta / d) * twist
-    scalar.reshape(k, r - 1, d * d)[..., :: d + 1] += (1.0 - eta[..., 0]) / d
-    found["scalar_form"] = _norms(np.subtract(red_a, scalar, out=scalar)).max(axis=1)
-    del scalar
-
-    # entrywise closed-form reduced matrix: c e^(i(phi_j - phi_k)) off the diagonal, 1/d on it
-    closed = (eta / d) * twist
-    closed.reshape(k, r - 1, d * d)[..., :: d + 1] = 1.0 / d
-    found["reduced_closed_matrix"] = _norms(np.subtract(red_a, closed, out=closed)).max(axis=1)
-    del closed
+    diff = (eta / d) * twist
+    diff.reshape(k, r - 1, d * d)[..., :: d + 1] += (1.0 - eta[..., 0]) / d
+    found["scalar_form"] = _norms(np.subtract(red_a, diff, out=diff)).max(axis=1)
+    diff.reshape(k, r - 1, d * d)[..., :: d + 1] = red_a.diagonal(axis1=2, axis2=3) - 1.0 / d
+    found["reduced_closed_matrix"] = _norms(diff).max(axis=1)
+    del diff
 
     # phase covariance: the reduced output is the phase-zero one conjugated by U_phi
     np.multiply(red0, twist, out=twist)
@@ -325,7 +324,7 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
     failure demonstrates that the suite actually has teeth. Failures are
     recorded, never raised. Each check's residuals are folded once, by :func:`_worst`.
     """
-    d_max, n_random = _dimension(d_max, "d_max"), _integer(n_random, "n_random", 1)
+    d_max, n_random = _dimension(d_max, "d_max"), _integer(n_random, "n_random", 1, maximum=MAX_TRIALS)
     seed = _integer(seed, "seed", 0)
 
     dims = range(2, d_max + 1)
@@ -335,8 +334,9 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
     n_draws = (1 + n_random) * max(2, n_random)  # per d: each machine's draws
     found = {name: [] for name in CHECKS}
     bumpy = 0  # the number of d whose sweep is not unimodal
+    fopts = [optimal_fidelity(d) for d in dims]
 
-    for d, thetas in zip(dims, angles):
+    for d, f_opt, thetas in zip(dims, fopts, angles):
         # this d's machines, draws and stacks live only inside _check_machines, so the MUB checks below never run
         # on top of them
         for name, residuals in _check_machines(d, thetas, range(first, first + n_draws), corrupt).items():
@@ -348,23 +348,22 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
 
         # alpha sweep: the grid never beats the analytic optimum, and is unimodal
         table = sweep_alpha(d, 101)
-        found["sweep_upper_bound"].append(table.max_f - optimal_fidelity(d))
+        found["sweep_upper_bound"].append(table.max_f - f_opt)
         diffs = np.diff([row[2] for row in table.rows])
         bumpy += int(np.sum(np.diff(np.sign(diffs)) != 0)) != 1
     found["objective_unimodal"].append(bumpy)
 
     # strict superiority over the universal baseline, with a shrinking gap (from d = 3, which gives a second gap)
-    gaps = [optimal_fidelity(d) - uqcm_fidelity(d) for d in dims]
+    gaps = [f_opt - uqcm_fidelity(d) for d, f_opt in zip(dims, fopts)]
     found["uqcm_superiority"].append(sum(g <= 0.0 for g in gaps))
-    fopts = [optimal_fidelity(d) for d in dims]
     found["optimal_fidelity_decreasing"].append(sum(b >= a for a, b in zip(fopts, fopts[1:])) + sum(f <= 0.5 for f in fopts))
 
     # the two dimensions with independently known optima
-    found["level2_value"].append(abs(optimal_fidelity(2) - (0.5 + math.sqrt(0.125))))
+    found["level2_value"].append(abs(fopts[0] - (0.5 + math.sqrt(0.125))))  # fopts[0] is F_opt(2), fopts[1] F_opt(3)
     labels = {"level2_value": "2"}
     if d_max >= 3:  # below d = 3 these checks record no residual, so they get no row
         found["superiority_gap_decreasing"].append(sum(b >= a for a, b in zip(gaps, gaps[1:])))
-        found["level3_value"].append(abs(optimal_fidelity(3) - (5.0 + math.sqrt(17.0)) / 12.0))
+        found["level3_value"].append(abs(fopts[1] - (5.0 + math.sqrt(17.0)) / 12.0))
         # mutually unbiased bases: pairwise unbiased, and all cloned equally well
         primes = [d for d in range(3, d_max + 1) if is_prime(d)]
         found["mub_unbiasedness"], found["mub_cloning_uniformity"] = zip(*(mub_worst(d, mub_rows(d)) for d in primes))

@@ -197,8 +197,8 @@ class FidelityReport:
     ``f_simulated`` comes from a full brute-force run of the machine on the
     phase state drawn with ``phase_seed``; construction via
     :func:`fidelity_report` guarantees it agrees with ``f_closed`` to 1e-12.
-    The constructor raises :class:`VerificationError` when the two routes
-    disagree or a value leaves [0, 1].
+    The constructor raises :class:`VerificationError`, naming d, when the two
+    routes disagree or a value leaves [0, 1].
     """
 
     d: int
@@ -211,15 +211,13 @@ class FidelityReport:
     phase_seed: int
 
     def __post_init__(self):
+        where = f"verification failed at d={self.d}: "
         if abs(self.f_closed - self.f_simulated) >= EQ_TOL:
-            raise VerificationError(
-                f"closed-form and simulated fidelity disagree: "
-                f"{self.f_closed!r} vs {self.f_simulated!r}"
-            )
+            raise VerificationError(f"{where}closed-form and simulated fidelity disagree: {self.f_closed!r} vs {self.f_simulated!r}")
         for name in ("f_closed", "f_simulated", "f_uqcm", "eta"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise VerificationError(f"{name} = {value!r} outside [0, 1]")
+                raise VerificationError(f"{where}{name} = {value!r} outside [0, 1]")
 
 
 def build_machine(d: int, alpha: float, beta: float) -> CloningMachine:
@@ -492,14 +490,14 @@ def fidelity_report(
 
 def _fidelity_row(machine: CloningMachine, phases, phase_seed: int) -> FidelityReport:
     """Package-private: the verified row of ``machine``, simulated on the phase state of ``phases``, drawn with ``phase_seed``."""
-    d, alpha, beta = machine.d, machine.alpha, machine.beta
+    d, alpha, beta = machine.d, machine.alpha, machine.beta  # checked by build_machine, so the closed forms are read unchecked
     return FidelityReport(
         d=d,
         alpha=alpha,
         beta=beta,
-        f_closed=fidelity_closed_form(d, alpha, beta),
+        f_closed=_fidelity(d, alpha, beta),
         f_simulated=simulate_fidelity(machine, phase_state(phases)),
         f_uqcm=uqcm_fidelity(d),
-        eta=shrink_factor(d, alpha, beta),
+        eta=_shrink(d, alpha, beta),
         phase_seed=phase_seed,
     )

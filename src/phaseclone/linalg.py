@@ -33,13 +33,14 @@ class DimensionError(ValueError):
     """Shape or factor-dimension mismatch between operands."""
 
 
-def _integer(value, name: str, minimum: int | None, error: type[ValueError] = ValueError) -> int:
+def _integer(value, name: str, minimum: int | None, error: type[ValueError] = ValueError, maximum: int | None = None) -> int:
     """Package-private: the one integer rule; return ``value`` as an int.
 
     ``value`` must be an int, a NumPy integer or a 0-d integer array (what
     ``operator.index`` takes) of at least ``minimum`` (of any size when
-    ``minimum`` is None); anything else (a bool, a NaN, an infinity, 2.5)
-    raises ``error``, a ValueError (DimensionError for shapes and indices).
+    ``minimum`` is None) and at most ``maximum`` (when given); anything else
+    (a bool, a NaN, an infinity, 2.5, 2**70 past a maximum) raises ``error``,
+    a ValueError (DimensionError for shapes and indices).
     """
     try:
         index = None if isinstance(value, bool) else operator.index(value)
@@ -48,6 +49,8 @@ def _integer(value, name: str, minimum: int | None, error: type[ValueError] = Va
     if index is None or (minimum is not None and index < minimum):
         bound = "" if minimum is None else f">= {minimum} and "
         raise error(f"{name} must be {bound}an integer, got {value!r}")
+    if maximum is not None and index > maximum:
+        raise error(f"{name} must be at most {maximum}, got {value!r}")
     return index
 
 

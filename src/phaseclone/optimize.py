@@ -17,6 +17,7 @@ from .linalg import _dimension, _integer
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 TOL = 1e-12  # final bracket width: 58 steps from [0, 1]
+MAX_POINTS = 100_000  # the most n_points sweep_alpha takes: at this bound a sweep runs in minutes and under 500 MB
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ def sweep_alpha(d: int, n_points: int) -> SweepTable:
     :func:`~phaseclone.cloner.fidelity_closed_form` call per point, so each
     row is that call's double; every grid point is in its domain.
     """
-    d, n_points = _dimension(d), _integer(n_points, "n_points", 3)
+    d, n_points = _dimension(d), _integer(n_points, "n_points", 3, maximum=MAX_POINTS)
     alpha = np.linspace(0.0, 1.0, n_points)
     beta = np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha))
     f = _fidelity(d, alpha, beta)

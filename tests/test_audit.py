@@ -664,6 +664,39 @@ class TestPerMachineResiduals:
         assert np.isnan(validity).tolist() == [j == i for j in range(len(machines))]
         assert np.delete(validity, i).tolist() == np.delete(clean, i).tolist()
 
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_both_closed_form_rows_are_distances_from_their_own_reference(self, monkeypatch, d):
+        # on a phase state the shrink form's diagonal is 1/d, the closed matrix's, up to rounding; on a state of
+        # unequal moduli it is not, so a row that read the other reference's diagonal would move by more than
+        # rounding. Unequal values on V's nonzeros move the reductions' diagonal as well
+        def lopsided(phases):
+            amps = np.exp(1j * np.asarray(phases))
+            amps[..., 0] *= math.sqrt(2.0)
+            return amps / math.sqrt(amps.shape[-1] + 1)
+
+        monkeypatch.setattr(phaseclone.audit, "phase_state", lopsided)
+        machines, phases = self.chunk(d)
+        rng = np.random.default_rng(d)
+        for machine in machines[1:3]:
+            object.__setattr__(machine, "vals", rng.normal(size=machine.vals.size))
+        found = _check_outputs(machines, phases)
+        k, r, _ = phases.shape
+        states = lopsided(phases)
+        reds = _simulate(machines, states).clone(0).reshape(k, r, d, d)[:, 1:]
+        for i, machine in enumerate(machines):
+            eta = shrink_factor(d, machine.alpha, machine.beta)
+            twist = states[i, 1:, :, None] * states[i, 1:, None, :].conj()
+            twist *= d
+            shrink, closed = (eta / d) * twist, (eta / d) * twist
+            for t in range(r - 1):
+                shrink[t].flat[:: d + 1] += (1.0 - eta) / d
+                closed[t].flat[:: d + 1] = 1.0 / d
+            scalar_form = max(frobenius_distance(red, ref) for red, ref in zip(reds[i], shrink))
+            closed_matrix = max(frobenius_distance(red, ref) for red, ref in zip(reds[i], closed))
+            assert found["scalar_form"][i] == scalar_form, i
+            assert found["reduced_closed_matrix"][i] == closed_matrix, i
+            assert eta == 0.0 or abs(scalar_form - closed_matrix) > 1e-3, i  # at eta = 0 both references are I/d
+
 
 class TestTwist:
     """verify's twist e^(i(phi_j - phi_k)) is d psi_j conj(psi_k) of the phase state psi = e^(i phi) / sqrt(d)."""

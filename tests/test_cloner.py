@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phaseclone.cloner
 from phaseclone.audit import mub_rows, run_audit
 from phaseclone.cloner import (
     CloningMachine,
@@ -1031,6 +1032,16 @@ class TestFidelityReport:
         with pytest.raises(VerificationError):
             FidelityReport(2, 0.7, 0.7, f_closed=1.2, f_simulated=1.2,
                            f_uqcm=5 / 6, eta=0.7, phase_seed=0)
+
+    def test_a_disagreeing_row_names_its_d(self, monkeypatch):
+        simulate = phaseclone.cloner.simulate_fidelity
+        monkeypatch.setattr(phaseclone.cloner, "simulate_fidelity", lambda m, psi: simulate(m, psi) + 1e-9)
+        with pytest.raises(VerificationError, match=r"^verification failed at d=5: closed-form and simulated fidelity disagree: "):
+            fidelity_report(5)
+
+    def test_an_out_of_range_row_names_its_d(self):
+        with pytest.raises(VerificationError, match=r"^verification failed at d=3: eta = 1\.5 outside \[0, 1\]$"):
+            FidelityReport(3, 0.7, 0.7, f_closed=0.8, f_simulated=0.8, f_uqcm=0.75, eta=1.5, phase_seed=0)
 
 
 class TestCorruptionSensitivity:

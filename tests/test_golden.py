@@ -1,8 +1,9 @@
 """Golden output: fixed-seed CLI runs must print the same bytes and exit with the same code, release after release.
 
 Each entry of ``GOLDEN`` pins the sha256 of a command's stdout and its exit code, as version 0.18.0 printed
-them (``table``'s pin is unchanged since version 0.16.2, and the full-range ``verify --d-max 64`` pin was taken
-from version 0.18.2), so a change that moves any printed digit fails here.
+them (``table``'s pin is unchanged since version 0.16.2, the full-range ``verify --d-max 64`` pin was taken
+from version 0.18.2, and the largest prime's ``mub --d 61`` pin from version 0.18.5), so a change that moves any
+printed digit fails here.
 Rounding can differ between numpy releases, so the pins hold only on the numpy version they were recorded with.
 
 ``golden_verify.json`` holds the parsed output of the three ``verify`` commands, and ``golden_table_mub.json``
@@ -38,6 +39,7 @@ GOLDEN = {
     "table --d-min 2 --d-max 64 --seed 1": (0, "3df95a3ef2d67d88cef93e7db6abb89a1601be4c0a6e7ace97daf2f58a7c003f"),
     "mub --d 29": (0, "2d00f2e88fe1df2fdfae890a0a697175320f40f6dc61630d2aab4d15722c35bd"),
     "mub --d 29 --format json": (0, "e9913803d30558ce6567cfb7377acbc9ce92f2801a0c294a39be09a8629eeb7b"),
+    "mub --d 61 --format json": (0, "f620d1a36a9e9016bbb33b1149a81f82d3f21993127d71e22f0d075cde2bf11c"),
 }
 
 VALUES = json.loads(Path(__file__).with_name("golden_verify.json").read_text(encoding="utf-8"))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaseclone.audit import run_audit
+from phaseclone.audit import MAX_TRIALS, run_audit
 from phaseclone.cloner import build_machine, optimal_params
 from phaseclone.linalg import (
     EQ_TOL,
@@ -18,7 +18,7 @@ from phaseclone.linalg import (
     frobenius_distance,
     partial_trace,
 )
-from phaseclone.optimize import sweep_alpha
+from phaseclone.optimize import MAX_POINTS, sweep_alpha
 from phaseclone.states import mub_basis, random_phase_vector
 
 INV_SQRT8 = 0.35355339059327373  # sqrt(1/8)
@@ -36,6 +36,11 @@ INTEGER_ARGUMENTS = {
     # factor dimensions and indices raise DimensionError, a ValueError
     "DensityMatrix dims": (lambda v: DensityMatrix((v,), np.eye(2)), 2),
     "partial_trace keep": (lambda v: partial_trace(DensityMatrix((2, 2), np.eye(4) / 4), keep=(v,)), 0),
+}
+# the integer arguments with an upper bound as well, the CLI's bound declared in the library: (call, maximum)
+BOUNDED_ARGUMENTS = {
+    "run_audit n_random": (lambda v: run_audit(3, v, 0), MAX_TRIALS),
+    "sweep_alpha n_points": (lambda v: sweep_alpha(3, v), MAX_POINTS),
 }
 
 
@@ -213,6 +218,20 @@ class TestIntegerRule:
         value = {"2.5": 2.5, "nan": math.nan, "inf": math.inf, "below": minimum - 1, "bool": True}[bad]
         with pytest.raises(ValueError, match=f"must be >= {minimum} and an integer, got"):
             call(value)
+
+    @pytest.mark.parametrize("above", ["one", "2**70"])
+    @pytest.mark.parametrize("name", BOUNDED_ARGUMENTS)
+    def test_a_value_above_the_maximum_raises_a_value_error_naming_the_argument(self, name, above):
+        # without the bound 2**70 raised OverflowError from the phase stream, or NumPy's own "Maximum allowed size"
+        (call, maximum), argument = BOUNDED_ARGUMENTS[name], name.split()[-1]
+        value = {"one": maximum + 1, "2**70": 2**70}[above]
+        with pytest.raises(ValueError, match=re.escape(f"{argument} must be at most {maximum}, got {value!r}")):
+            call(value)
+
+    def test_a_value_above_the_maximum_raises_the_given_error(self):
+        with pytest.raises(DimensionError, match=re.escape("n must be at most 3, got np.int64(4)")):
+            _integer(np.int64(4), "n", 0, DimensionError, maximum=3)
+        assert _integer(3, "n", 0, maximum=3) == 3
 
     @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), np.array(3)])
     def test_every_integer_type_comes_back_as_a_plain_int(self, value):
