@@ -78,8 +78,8 @@ from .linalg import EQ_TOL, PSD_TOL, _dimension, _integer, _norms
 from .optimize import optimum_residual, sweep_alpha
 from .states import (
     _mub_amps,
+    _mub_dimension,
     _random_phase_vectors,
-    _require_odd_prime,
     _uniforms,
     gram_residual,
     is_prime,
@@ -187,8 +187,7 @@ def mub_rows(d: int) -> list[dict]:
     of every MUB state under the optimal machine, simulated one basis (a
     stack of d states) at a time.
     """
-    d = _dimension(d)
-    _require_odd_prime(d)
+    d = _mub_dimension(d)
     labels = [str(l) for l in range(d)] + ["std"]
     bases = np.concatenate([_mub_amps(d, np.arange(d)[:, None, None]), np.eye(d, dtype=np.complex128)[None]])
     rows = [{"kind": "orthonormality", "i": i, "j": i, "value": gram_residual(b)} for i, b in zip(labels, bases)]

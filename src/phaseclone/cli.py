@@ -7,10 +7,10 @@
 
 Every command writes CSV (default) or JSON (``--format json``) to stdout,
 or to ``--output PATH`` when given; nothing else touches the filesystem.
-Exit codes: 0 success, 1 verification failure, 2 usage error. Floats are
-printed with 17 significant digits so CSV and JSON round-trip to identical
-doubles. Output is UTF-8 with LF line endings, and runs with the same seed
-are byte-identical.
+Exit codes: 0 success, 1 verification failure, 2 usage error or unwritable
+output. Floats are printed with 17 significant digits so CSV and JSON
+round-trip to identical doubles. Output is UTF-8 with LF line endings, and
+runs with the same seed are byte-identical.
 
 Each argument's domain is declared once, on its ``add_argument``. Each
 ``cmd_*`` takes its command's arguments and returns ``(exit_code, doc)``:
@@ -21,6 +21,7 @@ keys of ``doc`` go into the JSON document ahead of the rows.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -29,10 +30,9 @@ import sys
 from .audit import CHECKS, MAX_TRIALS, mub_rows, mub_worst, run_audit
 from .cloner import VerificationError, _fidelity_row, build_machine, optimal_params
 from .optimize import MAX_POINTS, sweep_alpha
-from .states import is_prime, random_phase_vector
+from .states import MAX_D, is_prime, random_phase_vector
 
 SCHEMA_VERSION = 1
-MAX_D = 64
 
 
 def _fmt(value) -> str:
@@ -47,22 +47,21 @@ def _fmt(value) -> str:
 
 
 def _emit(text: str, output: str | None) -> None:
-    """Write to stdout or ``output``; an unwritable path or a closed stdout pipe exits 2 with a one-line message."""
-    if output is None:
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        except BrokenPipeError as exc:
-            # what is left in stdout's buffer then goes to devnull at exit, not to a second traceback
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            print(f"phaseclone: error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
-            raise SystemExit(2) from None
-        return
+    """Write to stdout or ``output``; an unwritable path or stdout (a closed pipe or fd, a full disk) exits 2 with one line."""
     try:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        if output is not None:
+            with open(output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            return
+        if sys.stdout is None:  # fd 1 was closed when Python started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        sys.stdout.write(text)
+        sys.stdout.flush()
     except OSError as exc:
-        print(f"phaseclone: error: cannot write --output {output}: {exc.strerror}", file=sys.stderr)
+        if output is None and sys.stdout is not None:  # what is left in its buffer goes to devnull at exit, not to a traceback
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        where = "to stdout" if output is None else f"--output {output}"
+        print(f"phaseclone: error: cannot write {where}: {exc.strerror}", file=sys.stderr)
         raise SystemExit(2) from None
 
 

@@ -31,23 +31,23 @@ those and checks V^dag V from them, in O(d^2) memory; the dense d^3-by-d
 matrix is built only on request, for inspection and as a test reference.
 
 Every simulation goes through one route, :func:`_simulate`, which runs k
-machines of one d at once, each on its own stack of r input states. Where
-V's nonzeros sit depends on d alone (the split only sets their values), so
-a machine stores only its ``vals``, and every machine of one d reads one
-cached pair of d-by-d clone blocks (:func:`_blocks`): which nonzeros of
-the pure output M = V|psi> (d^2 by d) meet in each clone's reduction.
-Each clone's reduction is X X^dag + diag(D), with X its amplitudes at its
-block and D read off the other block, and the ancilla Gram M^dag M is read
-off the same X_A and X_B. No sort discovers the blocks; the tests hold
-them to a generic derivation from ``rows``/``cols``. Those two are
-written down once per d, on their first read (:func:`_indices`), for the
-dense route and the unitarity and swap checks only. A stack's reductions
-are batched products of the amplitudes ``vals * psi[cols]``, each
-machine's ``vals`` broadcast over its own states: O(d^3) time per state
-and O(k r d^2) memory, with no d^3-sized array. The dense route
-(:func:`_output_factor`, :func:`clone_state`, which forms the
-d^2-by-d^2 two-clone state M M^dag) stays for callers that ask for the
-two-clone state, and as the reference the tests hold the blocks to.
+machines of one d at once, each on its own stack of r input states, which its
+caller built or checked: each argument is checked once, at the public entry it
+comes in by. Where V's nonzeros sit depends on d alone (the split only sets
+their values), so a machine stores only its ``vals``, and every machine of one
+d reads one cached pair of d-by-d clone blocks (:func:`_blocks`): which
+nonzeros of the pure output M = V|psi> (d^2 by d) meet in each clone's
+reduction. Each clone's reduction is X X^dag + diag(D), with X its amplitudes
+at its block and D read off the other block, and the ancilla Gram M^dag M is
+read off the same X_A and X_B. No sort discovers the blocks; the tests hold
+them to a generic derivation from ``rows``/``cols``. Those two are written down
+once per d, on their first read (:func:`_indices`), for the dense route and the
+unitarity and swap checks only. A stack's reductions are batched products of
+the amplitudes ``vals * psi[cols]``, each machine's ``vals`` broadcast over its
+own states: O(d^3) time per state and O(k r d^2) memory, with no d^3-sized
+array. The dense route (:func:`_output_factor`, :func:`clone_state`, which
+forms the d^2-by-d^2 two-clone state M M^dag) stays for callers that ask for
+the two-clone state, and as the reference the tests hold the blocks to.
 """
 
 from __future__ import annotations
@@ -345,14 +345,14 @@ class _Outputs:
         return (np.abs(proj[:, 0]) ** 2).sum(axis=1) + (np.abs(self.amps) ** 2 * diag).sum(axis=1)
 
 
-def _simulate(machines, amps, ndim: int = 3) -> _Outputs:
-    """Package-private: run k machines of one d, machine i on the normalized states in row i of a (k, r, d) amplitude stack.
+def _simulate(machines, amps) -> _Outputs:
+    """Package-private: run k machines of one d, machine i on the states in row i of a (k, r, d) amplitude stack.
 
     The one simulation route of the package, for any k >= 1:
-    :func:`simulate_fidelity` passes one machine and one (d,) state with
-    ``ndim=1``, so that a bad state is reported in the shape its caller
-    gave; the MUB rows pass one machine and a (1, d, d) stack, and the
-    audit's sweep a chunk of one d's machines. All of them read their
+    :func:`simulate_fidelity` passes one machine and its checked state, the
+    MUB rows one machine and a (1, d, d) stack, and the audit's sweep a chunk
+    of one d's machines, each on states it built. Only the shapes are checked,
+    so no state runs on a wrong machine. All of them read their
     stacks from the returned :class:`_Outputs`, through the blocks of that d.
     The states are kept C-contiguous (a copy only if they are not), so a
     stack rounds the same whatever the memory layout its caller gave.
@@ -360,10 +360,10 @@ def _simulate(machines, amps, ndim: int = 3) -> _Outputs:
     d = machines[0].d
     if any(machine.d != d for machine in machines):
         raise DimensionError(f"machines of one d expected, got d = {[machine.d for machine in machines]}")
-    amps = _normalized(amps, d, ndim)
-    if ndim == 3 and len(amps) != len(machines):
-        raise DimensionError(f"expected one stack of states per machine ({len(machines)}), got {len(amps)}")
-    return _Outputs(_blocks(d), np.array([machine.vals for machine in machines]), np.ascontiguousarray(amps.reshape(-1, d)))
+    amps = np.ascontiguousarray(amps, dtype=np.complex128)
+    if amps.ndim != 3 or len(amps) != len(machines) or amps.shape[2] != d:
+        raise DimensionError(f"expected one stack of states per machine ({len(machines)}), each (r, {d}), got shape {amps.shape}")
+    return _Outputs(_blocks(d), np.array([machine.vals for machine in machines]), amps.reshape(-1, d))
 
 
 def _output_factor(machine: CloningMachine, psi) -> np.ndarray:
@@ -466,7 +466,7 @@ def simulate_fidelity(machine: CloningMachine, psi) -> float:
     time and O(d^2) memory; neither clone's state nor the two-clone state
     is formed. The result is the double that psi's slice of any stack gives.
     """
-    return float(_simulate([machine], psi, ndim=1).fidelity()[0])
+    return float(_simulate([machine], _normalized(psi, machine.d)[None, None]).fidelity()[0])
 
 
 def fidelity_report(

@@ -7,9 +7,9 @@ exactly the ordering produced by ``numpy.kron``. Every partial trace and
 every isometry in the package assumes this layout.
 
 A pure state is a plain complex amplitude array, (d,) for one state and
-(k, n, d) for k stacks of n; every function that takes one checks it through
-:func:`_normalized`. A mixed state is a :class:`DensityMatrix`, which keeps
-its factor dimensions for :func:`partial_trace`.
+(k, n, d) for k stacks of n; each public function that takes one checks it
+through :func:`_normalized`; the package's own stacks are normal by construction.
+A mixed state is a :class:`DensityMatrix`, which keeps its factor dimensions.
 
 Tolerances: ``EQ_TOL`` (1e-12) for equality-style checks, ``PSD_TOL``
 (1e-10) for eigenvalue positivity, so that tiny negative round-off
@@ -48,38 +48,42 @@ def _integer(value, name: str, minimum: int | None, error: type[ValueError] = Va
         index = None
     if index is None or (minimum is not None and index < minimum):
         bound = "" if minimum is None else f">= {minimum} and "
-        raise error(f"{name} must be {bound}an integer, got {value!r}")
+        raise error(f"{name} must be {bound}an integer, got {_shown(value)}")
     if maximum is not None and index > maximum:
-        raise error(f"{name} must be at most {maximum}, got {value!r}")
+        raise error(f"{name} must be at most {maximum}, got {_shown(value)}")
     return index
+
+
+def _shown(value) -> str:
+    """Package-private: a rejected value as messages show it: its repr, or an integer's bit length if its square is past the float range."""
+    if isinstance(value, int) and value * value > sys.float_info.max:
+        return f"an integer of {value.bit_length()} bits"
+    return repr(value)
 
 
 def _dimension(value, name: str = "d") -> int:
     """Package-private: the one dimension rule: the integer rule at minimum 2, and a square a double holds (d up to about 1.34e154)."""
     d = _integer(value, name, 2)
     if d * d > sys.float_info.max:
-        raise ValueError(f"{name} must be >= 2 and an integer whose square is a finite double, got an integer of {d.bit_length()} bits")
+        raise ValueError(f"{name} must be >= 2 and an integer whose square is a finite double, got {_shown(d)}")
     return d
 
 
-def _normalized(amps, d: int, ndim: int = 1) -> np.ndarray:
-    """Package-private: the one check of input states; return ``amps`` as a complex128 array.
+def _normalized(psi, d: int) -> np.ndarray:
+    """Package-private: the one check of a caller's input state; return ``psi`` as a complex128 array.
 
-    ``amps`` must be one state of shape (d,) (``ndim=1``) or k stacks of
-    states of shape (k, n, d) (``ndim=3``), else DimensionError; and each
-    state's |psi|^2 must lie within ``EQ_TOL`` of 1, else ValueError, which
-    reports the first such |psi|^2 as a float (NaN, or inf on overflow, fails too).
+    ``psi`` must be one state of shape (d,), else DimensionError; and its
+    |psi|^2 must lie within ``EQ_TOL`` of 1, else ValueError, which reports
+    |psi|^2 as a float (NaN, or inf on overflow, fails too).
     """
-    amps = np.asarray(amps, dtype=np.complex128)
-    if amps.ndim != ndim or amps.shape[-1] != d:
-        want = f"({d},)" if ndim == 1 else f"(k, n, {d})"
-        raise DimensionError(f"expected input states of shape {want}, got shape {amps.shape}")
+    psi = np.asarray(psi, dtype=np.complex128)
+    if psi.shape != (d,):
+        raise DimensionError(f"expected input states of shape ({d},), got shape {psi.shape}")
     with np.errstate(over="ignore"):  # an overflowing |psi|^2 is inf, which the check below reports
-        norm2 = (np.abs(amps) ** 2).sum(axis=-1)
-    if not (np.abs(norm2 - 1.0) <= EQ_TOL).all():
-        first = norm2.flat[np.argmin(np.abs(norm2 - 1.0) <= EQ_TOL)]
-        raise ValueError(f"state is not normalized: |psi|^2 = {float(first)!r}")
-    return amps
+        norm2 = float((np.abs(psi) ** 2).sum())
+    if not abs(norm2 - 1.0) <= EQ_TOL:
+        raise ValueError(f"state is not normalized: |psi|^2 = {norm2!r}")
+    return psi
 
 
 @dataclass(frozen=True)
@@ -168,11 +172,9 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         preserved exactly up to round-off.
     """
     n = len(rho.dims)
-    keep = sorted(set(_integer(k, "keep index", 0, DimensionError) for k in keep))
+    keep = sorted(set(_integer(k, "keep index", 0, DimensionError, maximum=n - 1) for k in keep))
     if not keep or len(keep) >= n:
         raise DimensionError(f"keep={keep} must be a nonempty proper subset of 0..{n - 1}")
-    if keep[-1] >= n:
-        raise DimensionError(f"keep index out of range for {n} factors: {keep}")
 
     dims = rho.dims
     tensor = rho.mat.reshape(dims + dims)

@@ -18,7 +18,8 @@ vectorized numpy, bit for bit, without numpy's ``random`` subpackage. It
 serves every draw: the audit's splits, a batch of phase vectors
 (:func:`_random_phase_vectors`), and :func:`random_phase_vector`, which is
 that batch's one-seed case. The tests hold the route to numpy's
-``Generator`` bit for bit.
+``Generator`` bit for bit. The private routes take the checked d and seeds
+of their callers: each argument is checked once, where it enters.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 from .linalg import DimensionError, _dimension, _integer
 
 TWO_PI = 2.0 * math.pi
+MAX_D = 64  # the largest d of the MUB route, and the CLI's bound on every d
 
 
 class UnsupportedDimensionError(ValueError):
@@ -47,7 +49,9 @@ def is_prime(n: int) -> bool:
     return n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
 
 
-def _require_odd_prime(d: int) -> None:
+def _mub_dimension(d) -> int:
+    """Package-private: the one MUB rule; return d as an int, an odd prime of at most ``MAX_D`` (bounded before any trial division)."""
+    d = _integer(d, "d", 2, maximum=MAX_D)
     if not is_prime(d):
         raise UnsupportedDimensionError(f"d = {d} is not prime; no MUB construction here")
     if d == 2:
@@ -55,6 +59,7 @@ def _require_odd_prime(d: int) -> None:
         # construction degenerates to an overall phase and cannot produce the
         # +-i basis. Refuse rather than return a wrong basis.
         raise UnsupportedDimensionError("d = 2 is not supported by this MUB construction")
+    return d
 
 
 def phase_state(phases) -> np.ndarray:
@@ -71,13 +76,11 @@ def phase_state(phases) -> np.ndarray:
     phases = phases.astype(np.float64, copy=False)
     if phases.ndim not in (1, 2):
         raise DimensionError(f"expected a (d,) or (n, d) array of phases, got shape {phases.shape}")
-    d = phases.shape[-1]
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    d = _dimension(phases.shape[-1])
     if not (phases[..., 0] == 0.0).all():
         raise ValueError("the first phase of every phase vector must be 0")
     if not ((phases >= 0.0) & (phases < TWO_PI)).all():  # NaN fails this too
-        raise ValueError("all phases must lie in [0, 2*pi)")
+        raise ValueError("all phases must be in [0, 2*pi)")
     amps = np.exp(1j * phases) / math.sqrt(d)
     amps.setflags(write=False)
     return amps
@@ -88,10 +91,10 @@ def random_phase_vector(d: int, seed: int) -> np.ndarray:
 
     The phases are numpy's ``Generator(PCG64(seed)).uniform(0, 2*pi, d - 1)``
     after a zero, bit for bit (the bit generator is pinned by name, not taken
-    from numpy's default): the one-seed row of :func:`_random_phase_vectors`.
-    A loop of many draws is cheaper as one batch of seeds there.
+    from numpy's default): the one-seed row of :func:`_random_phase_vectors`,
+    on a d and seed checked here. Many draws are cheaper as one batch there.
     """
-    return _random_phase_vectors(d, [seed])[0]
+    return _random_phase_vectors(_dimension(d), [_integer(seed, "seed", 0)])[0]
 
 
 # numpy's SeedSequence hash constants and PCG64's LCG multiplier M (numpy/random/bit_generator.pyx, pcg64.h)
@@ -166,8 +169,8 @@ def _uniforms(seeds, count: int) -> np.ndarray:
     ``M^(k+1) s + (1 + M + ... + M^(k+1)) inc``. So every draw of every seed
     is one jump, in 128-bit arithmetic on (hi, lo) uint64 limbs, and the
     XSL-RR output x of the state gives the double ``(x >> 11) * 2^-53``.
+    Unchecked: the seeds are Python ints >= 0 that the caller checked or derived.
     """
-    seeds = [_integer(seed, "seed", 0) for seed in seeds]
     s_hi, s_lo, seq_hi, seq_lo = (words[:, None] for words in _seed_states(seeds))
     inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
     steps = itertools.repeat(_PCG_MULT, count + 1)
@@ -182,12 +185,11 @@ def _uniforms(seeds, count: int) -> np.ndarray:
 
 
 def _random_phase_vectors(d: int, seeds) -> np.ndarray:
-    """Package-private: the phase vectors of many seeds at once; a read-only (n, d) array, one row per seed.
+    """Package-private, unchecked: the phase vectors of many seeds at once; a read-only (n, d) array, one row per seed.
 
     Row i is a zero phase, then seed i's first d - 1 :func:`_uniforms` times 2*pi, as ``uniform(0, 2*pi)``
     scales them; so the first d' phases of a row are its seed's (d',) phase vector.
     """
-    d = _dimension(d)
     uniforms = _uniforms(seeds, d - 1)
     phases = np.zeros((len(uniforms), d))
     phases[:, 1:] = uniforms * TWO_PI
@@ -196,7 +198,7 @@ def _random_phase_vectors(d: int, seeds) -> np.ndarray:
 
 
 def mub_basis(d: int, l: int) -> np.ndarray:
-    """Mutually unbiased basis l in odd prime dimension d: a read-only (d, d) complex array, one state per row.
+    """Mutually unbiased basis l in odd prime dimension d <= ``MAX_D``: a read-only (d, d) complex array, one state per row.
 
     The rows are orthonormal by construction. Amplitude j of row (state) t
     is ``omega^(t*(d-j) - l*s_j) / sqrt(d)`` with ``omega = exp(2*pi*i/d)``
@@ -204,11 +206,8 @@ def mub_basis(d: int, l: int) -> np.ndarray:
     integer arithmetic before exponentiation, so the amplitudes are d-th
     roots of unity to full precision.
     """
-    d, l = _dimension(d), _integer(l, "basis label", 0)
-    _require_odd_prime(d)
-    if l >= d:
-        raise ValueError(f"basis label must lie in 0..{d - 1}, got {l}")
-    amps = _mub_amps(d, l)
+    d = _mub_dimension(d)
+    amps = _mub_amps(d, _integer(l, "basis label", 0, maximum=d - 1))
     amps.setflags(write=False)
     return amps
 

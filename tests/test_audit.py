@@ -475,6 +475,34 @@ class TestRunAudit:
         # worst at d = 4, where |amps[0]| = sqrt(2/5) against 1/2
         assert abs(modulus.residual - (math.sqrt(0.4) - 0.5)) < 1e-12
 
+    def test_an_unnormalized_state_fails_checks_instead_of_raising(self, monkeypatch):
+        # the simulation takes the states the audit built without re-checking their norm, so a state scaled by 1.01
+        # is simulated, and the checks that read its norm record it: failures are recorded, never raised
+        build = phaseclone.audit.phase_state
+        monkeypatch.setattr(phaseclone.audit, "phase_state", lambda phases: build(phases) * 1.01)
+        by_name = {c.name: c for c in run_audit(4, 2, 0).checks}
+        for name in ("closed_form_agreement", "output_state_validity", "phase_state_modulus"):
+            assert not by_name[name].passed, name
+
+    def test_each_argument_is_checked_once_where_it_enters(self, monkeypatch):
+        # the sub-seeds derived from a checked seed were each re-checked (4635 integer checks in this run), and every
+        # state stack the audit built was re-normalized; the private routes now take checked values
+        calls = {"_integer": 0, "_normalized": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(phaseclone.states, "_integer")
+        counting(phaseclone.cloner, "_normalized")
+        assert run_audit(12, 20, 1).overall
+        assert calls["_integer"] <= 100 and calls["_normalized"] == 0, calls
+
     def test_a_phase_independent_offset_fails_the_phase_covariance_check(self, monkeypatch):
         # adding eps(|0><1| + |1><0|) to every reduction survives at phase zero but not under U_phi
         clone_stack = _Outputs.clone

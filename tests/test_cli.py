@@ -363,19 +363,44 @@ def test_no_library_entry_point_imports_numpy_random():
     assert result.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("argv", [
-    "table --d-max 3",  # fits stdout's buffer: the flush fails
-    "mub --d 61",  # does not: the write itself fails
-])
-def test_a_closed_stdout_pipe_exits_2_with_one_line(argv):
-    # as in `phaseclone mub --d 61 | true`, the reader is gone; here before the run starts, so every run sees it
+def closed_pipe():
+    """The write end of a pipe whose reader is gone, as in `phaseclone mub --d 61 | true` (here before the run starts)."""
     read, write = os.pipe()
     os.close(read)
+    return write
+
+
+def full_device():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    return os.open("/dev/full", os.O_WRONLY)
+
+
+# each unwritable stdout: a factory of the child's fd 1 (None: closed before Python starts), and the error it gives
+UNWRITABLE_STDOUTS = {
+    "a closed pipe": (closed_pipe, "Broken pipe"),
+    "a full disk": (full_device, "No space left on device"),
+    "a closed fd": (None, "Bad file descriptor"),
+}
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    pytest.param(argv, stdout, id=argv if stdout == "a closed pipe" else f"{argv} to {stdout}")
+    for stdout in UNWRITABLE_STDOUTS
+    for argv in ("table --d-max 3", "mub --d 61")  # the first fits stdout's buffer, so its flush fails; the second's write
+])
+def test_a_closed_stdout_pipe_exits_2_with_one_line(argv, stdout):
+    # every run sees the failure; a closed fd 1 leaves Python without sys.stdout, which once raised AttributeError
+    make, reason = UNWRITABLE_STDOUTS[stdout]
+    fd = make() if make else None
+    run = [sys.executable, "-m", "phaseclone.cli", *argv.split()]
+    if fd is None:  # close fd 1, then become the CLI
+        run = [sys.executable, "-c", "import os, sys; os.close(1); os.execv(sys.executable, sys.argv[1:])", *run]
     try:
-        result = subprocess.run([sys.executable, "-m", "phaseclone.cli", *argv.split()], env=fresh_env(),
-                                stdout=write, stderr=subprocess.PIPE, text=True, timeout=120)
+        result = subprocess.run(run, env=fresh_env(), stdout=fd, stderr=subprocess.PIPE, text=True, timeout=120)
     finally:
-        os.close(write)
+        if fd is not None:
+            os.close(fd)
     # one stderr line: no traceback, and no "Exception ignored" from the flush at interpreter exit
     assert result.returncode == 2
-    assert result.stderr == "phaseclone: error: cannot write to stdout: Broken pipe\n"
+    assert result.stderr == f"phaseclone: error: cannot write to stdout: {reason}\n"

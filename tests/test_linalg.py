@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaseclone.audit import MAX_TRIALS, run_audit
+from phaseclone.audit import MAX_TRIALS, mub_rows, run_audit
 from phaseclone.cloner import build_machine, optimal_params
 from phaseclone.linalg import (
     EQ_TOL,
@@ -19,7 +19,7 @@ from phaseclone.linalg import (
     partial_trace,
 )
 from phaseclone.optimize import MAX_POINTS, sweep_alpha
-from phaseclone.states import mub_basis, random_phase_vector
+from phaseclone.states import MAX_D, mub_basis, random_phase_vector
 
 INV_SQRT8 = 0.35355339059327373  # sqrt(1/8)
 
@@ -32,16 +32,22 @@ INTEGER_ARGUMENTS = {
     "run_audit seed": (lambda v: run_audit(3, 1, v), 0),
     "mub_basis d": (lambda v: mub_basis(v, 0), 2),
     "mub_basis l": (lambda v: mub_basis(5, v), 0),
+    "mub_rows d": (mub_rows, 2),
     "sweep_alpha n_points": (lambda v: sweep_alpha(3, v), 3),
     # factor dimensions and indices raise DimensionError, a ValueError
     "DensityMatrix dims": (lambda v: DensityMatrix((v,), np.eye(2)), 2),
     "partial_trace keep": (lambda v: partial_trace(DensityMatrix((2, 2), np.eye(4) / 4), keep=(v,)), 0),
 }
-# the integer arguments with an upper bound as well, the CLI's bound declared in the library: (call, maximum)
+# the integer arguments with an upper bound as well, most of them the CLI's bound declared in the library: (call, maximum)
 BOUNDED_ARGUMENTS = {
     "run_audit n_random": (lambda v: run_audit(3, v, 0), MAX_TRIALS),
     "sweep_alpha n_points": (lambda v: sweep_alpha(3, v), MAX_POINTS),
+    "mub_basis d": (lambda v: mub_basis(v, 0), MAX_D),
+    "mub_rows d": (mub_rows, MAX_D),
+    "mub_basis label": (lambda v: mub_basis(5, v), 4),
+    "partial_trace index": (lambda v: partial_trace(DensityMatrix((2, 2), np.eye(4) / 4), keep=(v,)), 1),
 }
+HUGE = 10**5000  # past Python's 4300-digit limit, so a message that formats it with repr raises instead
 
 
 def basis_ket(d, j):
@@ -210,22 +216,26 @@ class TestDomainTypes:
 
 
 class TestIntegerRule:
-    @pytest.mark.parametrize("bad", ["2.5", "nan", "inf", "below", "bool"])
+    @pytest.mark.parametrize("bad", ["2.5", "nan", "inf", "below", "bool", "-10**5000"])
     @pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
     def test_a_value_that_is_not_an_integer_at_or_above_the_minimum_is_rejected(self, name, bad):
-        # without the rule 2.5, NaN and inf reach NumPy (a TypeError) or give a wrong result, e.g. mub_basis(5, 1.5)
+        # without the rule 2.5, NaN and inf reach NumPy (a TypeError) or give a wrong result, e.g. mub_basis(5, 1.5);
+        # -10**5000 raised "Exceeds the limit (4300 digits)", which names no argument, from the message's own repr
         call, minimum = INTEGER_ARGUMENTS[name]
-        value = {"2.5": 2.5, "nan": math.nan, "inf": math.inf, "below": minimum - 1, "bool": True}[bad]
-        with pytest.raises(ValueError, match=f"must be >= {minimum} and an integer, got"):
+        value = {"2.5": 2.5, "nan": math.nan, "inf": math.inf, "below": minimum - 1, "bool": True, "-10**5000": -HUGE}[bad]
+        shown = "an integer of 16610 bits" if value == -HUGE else re.escape(repr(value))
+        with pytest.raises(ValueError, match=f"must be >= {minimum} and an integer, got {shown}$"):
             call(value)
 
-    @pytest.mark.parametrize("above", ["one", "2**70"])
+    @pytest.mark.parametrize("above", ["one", "2**70", "10**5000"])
     @pytest.mark.parametrize("name", BOUNDED_ARGUMENTS)
     def test_a_value_above_the_maximum_raises_a_value_error_naming_the_argument(self, name, above):
-        # without the bound 2**70 raised OverflowError from the phase stream, or NumPy's own "Maximum allowed size"
+        # without the bound 2**70 raised OverflowError from the phase stream, or NumPy's own "Maximum allowed size";
+        # 10**5000 is shown by its size, as a repr past 4300 digits raises
         (call, maximum), argument = BOUNDED_ARGUMENTS[name], name.split()[-1]
-        value = {"one": maximum + 1, "2**70": 2**70}[above]
-        with pytest.raises(ValueError, match=re.escape(f"{argument} must be at most {maximum}, got {value!r}")):
+        value = {"one": maximum + 1, "2**70": 2**70, "10**5000": HUGE}[above]
+        shown = "an integer of 16610 bits" if value == HUGE else repr(value)
+        with pytest.raises(ValueError, match=re.escape(f"{argument} must be at most {maximum}, got {shown}") + "$"):
             call(value)
 
     def test_a_value_above_the_maximum_raises_the_given_error(self):

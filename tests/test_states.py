@@ -1,12 +1,15 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phaseclone.audit import mub_rows
 from phaseclone.linalg import EQ_TOL, DimensionError
 from phaseclone.states import (
+    MAX_D,
     UnsupportedDimensionError,
     _mub_amps,
     _random_phase_vectors,
@@ -98,6 +101,12 @@ class TestRandomPhaseVector:
         with pytest.raises(ValueError):
             random_phase_vector(1, 0)
 
+    @pytest.mark.parametrize("seed", [2.5, 1.0])
+    def test_rejects_a_bad_seed(self, seed):
+        # the batch route takes checked seeds, so the one-draw route is where a bad seed is refused (-1: below)
+        with pytest.raises(ValueError, match=f"^seed must be >= 0 and an integer, got {seed!r}$"):
+            random_phase_vector(3, seed)
+
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0 and an integer, got -1"):
             random_phase_vector(3, -1)
@@ -146,18 +155,6 @@ class TestRandomPhaseVectors:
 
     def test_empty_batch(self):
         assert _random_phase_vectors(4, []).shape == (0, 4)
-
-    @pytest.mark.parametrize("seed", [-1, 2.5, 1.0])
-    def test_rejects_a_bad_seed_as_the_one_draw_route_does(self, seed):
-        with pytest.raises(ValueError) as one:
-            random_phase_vector(3, seed)
-        with pytest.raises(ValueError) as batch:
-            _random_phase_vectors(3, [0, seed])
-        assert str(batch.value) == str(one.value)
-
-    def test_rejects_small_dimension(self):
-        with pytest.raises(ValueError, match="d must be >= 2"):
-            _random_phase_vectors(1, [0])
 
 
 class TestUniforms:
@@ -255,6 +252,15 @@ class TestMubConstruction:
             mub_basis(3, 3)
         with pytest.raises(ValueError):
             mub_basis(3, -1)
+
+    @pytest.mark.parametrize("d", [2**61 - 1, 2**31 - 1, 67])
+    @pytest.mark.parametrize("route", [lambda d: mub_basis(d, 0), mub_rows], ids=["mub_basis", "mub_rows"])
+    def test_a_prime_past_max_d_is_refused_before_any_trial_division(self, route, d):
+        # unbounded, 2**61 - 1 spent minutes in is_prime and 2**31 - 1 asked NumPy for 16 GiB; 67 is the first prime past
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^d must be at most {MAX_D}, got {d}$"):
+            route(d)
+        assert time.perf_counter() - start < 1.0
 
     def test_matches_the_per_state_loop_bit_for_bit(self):
         # the one-array construction against the state-by-state loop it replaced
