@@ -77,6 +77,7 @@ from .cloner import (
 from .linalg import EQ_TOL, PSD_TOL, _dimension, _integer, _norms
 from .optimize import optimum_residual, sweep_alpha
 from .states import (
+    MAX_D,
     _mub_amps,
     _mub_dimension,
     _random_phase_vectors,
@@ -316,7 +317,7 @@ def _check_machines(d: int, thetas, sub_seeds: range, corrupt: bool) -> dict[str
 
 
 def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> AuditReport:
-    """Execute the full check suite for d = 2..d_max and assemble the report.
+    """Execute the full check suite for d = 2..d_max (the MUB checks for its odd primes up to ``MAX_D``) and assemble the report.
 
     ``corrupt`` adds an unnormalized machine (the optimal split scaled by
     sqrt(0.9), so V^dag V = 0.9 I) to the unitarity check; the resulting
@@ -364,7 +365,7 @@ def run_audit(d_max: int, n_random: int, seed: int, corrupt: bool = False) -> Au
         found["superiority_gap_decreasing"].append(sum(b >= a for a, b in zip(gaps, gaps[1:])))
         found["level3_value"].append(abs(fopts[1] - (5.0 + math.sqrt(17.0)) / 12.0))
         # mutually unbiased bases: pairwise unbiased, and all cloned equally well
-        primes = [d for d in range(3, d_max + 1) if is_prime(d)]
+        primes = [d for d in range(3, min(d_max, MAX_D) + 1) if is_prime(d)]
         found["mub_unbiasedness"], found["mub_cloning_uniformity"] = zip(*(mub_worst(d, mub_rows(d)) for d in primes))
         mub_label = ";".join(str(d) for d in primes)  # comma-free: lands in a CSV cell
         labels.update(level3_value="3", mub_unbiasedness=mub_label, mub_cloning_uniformity=mub_label)

@@ -21,7 +21,6 @@ keys of ``doc`` go into the JSON document ahead of the rows.
 from __future__ import annotations
 
 import argparse
-import errno
 import json
 import math
 import os
@@ -48,17 +47,18 @@ def _fmt(value) -> str:
 
 def _emit(text: str, output: str | None) -> None:
     """Write to stdout or ``output``; an unwritable path or stdout (a closed pipe or fd, a full disk) exits 2 with one line."""
+    if output is None and sys.stdout is None:  # fd 1 was closed when Python started
+        print("phaseclone: error: cannot write to stdout: Bad file descriptor", file=sys.stderr)
+        raise SystemExit(2)
     try:
-        if output is not None:
+        if output is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
             with open(output, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
-            return
-        if sys.stdout is None:  # fd 1 was closed when Python started
-            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        sys.stdout.write(text)
-        sys.stdout.flush()
     except OSError as exc:
-        if output is None and sys.stdout is not None:  # what is left in its buffer goes to devnull at exit, not to a traceback
+        if output is None:  # what is left in its buffer goes to devnull at exit, not to a traceback
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         where = "to stdout" if output is None else f"--output {output}"
         print(f"phaseclone: error: cannot write {where}: {exc.strerror}", file=sys.stderr)

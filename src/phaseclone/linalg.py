@@ -55,10 +55,11 @@ def _integer(value, name: str, minimum: int | None, error: type[ValueError] = Va
 
 
 def _shown(value) -> str:
-    """Package-private: a rejected value as messages show it: its repr, or an integer's bit length if its square is past the float range."""
-    if isinstance(value, int) and value * value > sys.float_info.max:
+    """Package-private: a rejected value as messages show it: its repr, or an integer's bit length where the repr would raise."""
+    try:
+        return repr(value)
+    except ValueError:  # an int past Python's limit on the digits of a str (sys.get_int_max_str_digits(), 4300 by default)
         return f"an integer of {value.bit_length()} bits"
-    return repr(value)
 
 
 def _dimension(value, name: str = "d") -> int:

@@ -190,9 +190,7 @@ def _random_phase_vectors(d: int, seeds) -> np.ndarray:
     Row i is a zero phase, then seed i's first d - 1 :func:`_uniforms` times 2*pi, as ``uniform(0, 2*pi)``
     scales them; so the first d' phases of a row are its seed's (d',) phase vector.
     """
-    uniforms = _uniforms(seeds, d - 1)
-    phases = np.zeros((len(uniforms), d))
-    phases[:, 1:] = uniforms * TWO_PI
+    phases = np.insert(_uniforms(seeds, d - 1) * TWO_PI, 0, 0.0, axis=1)
     phases.setflags(write=False)
     return phases
 

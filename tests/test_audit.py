@@ -26,6 +26,7 @@ from phaseclone.cloner import (
 )
 from phaseclone.linalg import DensityMatrix, fidelity_pure, frobenius_distance
 from phaseclone.states import (
+    MAX_D,
     UnsupportedDimensionError,
     _random_phase_vectors,
     gram_residual,
@@ -156,6 +157,13 @@ class TestRunAudit:
         mub = [c for c in report.checks if c.name.startswith("mub_")]
         assert [c.d_range for c in mub] == ["3;5;7;11;13;17"] * 2
         assert all(c.passed for c in mub)
+
+    def test_mub_checks_stop_at_max_d_while_the_rest_run_to_d_max(self):
+        # the MUB route refuses d > MAX_D; the audit takes the MUB checks up to MAX_D and reports instead of raising
+        report = run_audit(d_max=MAX_D + 3, n_random=1, seed=0)
+        primes = ";".join(str(d) for d in range(3, MAX_D + 1) if is_prime(d))
+        assert {c.name: c.d_range for c in report.checks if c.name.startswith("mub_")} == dict.fromkeys(["mub_unbiasedness", "mub_cloning_uniformity"], primes)
+        assert report.checks[0].d_range == f"2..{MAX_D + 3}" and report.overall
 
     def test_mub_checks_absent_below_three(self):
         report = run_audit(d_max=2, n_random=2, seed=0)

@@ -13,6 +13,7 @@ from phaseclone.linalg import (
     PSD_TOL,
     DensityMatrix,
     DimensionError,
+    _dimension,
     _integer,
     fidelity_pure,
     frobenius_distance,
@@ -227,16 +228,23 @@ class TestIntegerRule:
         with pytest.raises(ValueError, match=f"must be >= {minimum} and an integer, got {shown}$"):
             call(value)
 
-    @pytest.mark.parametrize("above", ["one", "2**70", "10**5000"])
+    @pytest.mark.parametrize("above", ["one", "2**70", "2**600", "10**5000"])
     @pytest.mark.parametrize("name", BOUNDED_ARGUMENTS)
     def test_a_value_above_the_maximum_raises_a_value_error_naming_the_argument(self, name, above):
         # without the bound 2**70 raised OverflowError from the phase stream, or NumPy's own "Maximum allowed size";
-        # 10**5000 is shown by its size, as a repr past 4300 digits raises
+        # 10**5000 is shown by its size, as a repr past 4300 digits raises; 2**600 (181 digits) by its repr
         (call, maximum), argument = BOUNDED_ARGUMENTS[name], name.split()[-1]
-        value = {"one": maximum + 1, "2**70": 2**70, "10**5000": HUGE}[above]
+        value = {"one": maximum + 1, "2**70": 2**70, "2**600": 2**600, "10**5000": HUGE}[above]
         shown = "an integer of 16610 bits" if value == HUGE else repr(value)
         with pytest.raises(ValueError, match=re.escape(f"{argument} must be at most {maximum}, got {shown}") + "$"):
             call(value)
+
+    def test_a_dimension_whose_square_is_past_the_float_range_is_shown_by_repr_up_to_the_digit_limit(self):
+        # one formatting path: the repr where Python can print it, the bit length past its 4300-digit limit
+        with pytest.raises(ValueError, match=f"whose square is a finite double, got {10**400}$"):
+            _dimension(10**400)
+        with pytest.raises(ValueError, match="whose square is a finite double, got an integer of 16610 bits$"):
+            _dimension(HUGE)
 
     def test_a_value_above_the_maximum_raises_the_given_error(self):
         with pytest.raises(DimensionError, match=re.escape("n must be at most 3, got np.int64(4)")):
